@@ -4,7 +4,7 @@ All logarithms are natural; every distance/rate in this package is in nats
 unless a caller explicitly converts (the CLI offers bits output).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import exponents, memory as memory_mod, sim, types_opt
+from . import exponents, sim, types_opt
 from .channels import Dmc, InputDist, validate_channel
 from .exponents import CURVE_KINDS, RateOutOfRange
 from .memory import MarkovChannel
@@ -205,6 +205,10 @@ def cmd_dominant(args, out=None, err=None) -> int:
         rho = exponents.solve_rho("trtc", spec.dmc, spec.q, rate).rho
     except RateOutOfRange as e:
         err.write(f"error: {e}\n")
+        return 1
+    if rho == math.inf:
+        err.write(f"error: rho_trtc exceeds {exponents.RHO_MAX:g} at R={args.rate}: "
+                  "the exponent is unbounded or beyond resolution\n")
         return 1
     ev = types_opt.dominant_joint_type(spec.dmc, spec.q, rho)
     report = {

@@ -12,6 +12,7 @@ all per unit of constraint length, with rates in nats/channel-use.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq, minimize_scalar
 
 from .channels import Dmc, InputDist, bhattacharyya_matrix
 
@@ -93,19 +94,44 @@ def critical_rate(dmc: Dmc, q: InputDist, h: float = 1e-5) -> float:
     return (4 * d2 - d1) / 3
 
 
-def _bisect_decreasing(g, lo, hi, tol=RESIDUAL_TOL, max_iter=200):
-    """Root of a decreasing function with g(lo) >= 0 >= g(hi)."""
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if abs(gm) <= tol:
-            return mid, gm
-        if gm > 0:
-            lo = mid
-        else:
-            hi = mid
-    mid = 0.5 * (lo + hi)
-    return mid, g(mid)
+def _root_decreasing(g, lo, hi, cap):
+    """Root of g on [lo, inf), where g(lo) >= 0 and g crosses zero once.
+
+    Decreasing and concave objectives both qualify; the callers rely on one
+    of the two.  `hi` doubles until g(hi) <= 0 and brentq then closes the
+    bracket.  Returns lo when g(lo) <= 0, and +inf once hi passes `cap`
+    (g stays positive: the root is unbounded or beyond resolution).
+    """
+    if g(lo) <= 0:
+        return lo
+    while g(hi) > 0:
+        lo, hi = hi, 2 * hi
+        if hi > cap:
+            return np.inf
+    return brentq(g, lo, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps)
+
+
+def _argmax_concave(f, lo, hi=None, xatol=1e-10):
+    """Maximise a concave or quasi-concave f on [lo, hi]; returns (x, f(x)).
+
+    A quasi-concave f has no local maximum other than the global one, which
+    is all Brent's bounded search needs.  With hi None, the bracket doubles
+    outward from 1 while f still increases, and the result is (inf, inf)
+    once it passes RHO_MAX.  Brent never evaluates the endpoints itself, so
+    f(lo) and f(hi) are compared with its answer.
+    """
+    if hi is None:
+        hi = 1.0
+        while f(2 * hi) > f(hi):
+            hi *= 2
+            if hi > RHO_MAX:
+                return np.inf, np.inf
+        hi *= 2
+    with np.errstate(invalid="ignore"):  # inf values: Brent falls back to golden steps
+        res = minimize_scalar(lambda x: -f(x), bounds=(lo, hi), method="bounded",
+                              options={"xatol": xatol})
+    return max((lo, f(lo)), (hi, f(hi)), (float(res.x), -float(res.fun)),
+               key=lambda point: point[1])
 
 
 def solve_rho(curve_kind: str, dmc: Dmc, q: InputDist, rate: float) -> RhoValue:
@@ -114,6 +140,10 @@ def solve_rho(curve_kind: str, dmc: Dmc, q: InputDist, rate: float) -> RhoValue:
     cex : R = Ex(rho)/rho, rho >= 1
     trtc: R = Ex(rho)/(2 rho - 1), rho >= 1
     rtc : R = E0(rho)/rho for R > R0(Q), rho in (0, 1)
+
+    Both sides are decreasing in rho.  A cex or trtc root beyond RHO_MAX is
+    returned as rho = inf with a nan residual: the exponent is unbounded at
+    this rate, or Ex(rho) would lose its accuracy to cancellation there.
     """
     r0 = cutoff_rate(dmc, q)
     if curve_kind in ("cex", "trtc"):
@@ -123,29 +153,24 @@ def solve_rho(curve_kind: str, dmc: Dmc, q: InputDist, rate: float) -> RhoValue:
             g = lambda rho: expurgated_ex(dmc, q, rho) / rho - rate
         else:
             g = lambda rho: expurgated_ex(dmc, q, rho) / (2 * rho - 1) - rate
-        if g(1.0) <= RESIDUAL_TOL:
-            return RhoValue(1.0, g(1.0))
-        hi = 2.0
-        while g(hi) > 0:
-            hi *= 2
-            if hi > RHO_MAX:
-                # beyond the cap the curve is flat: zero-rate regime
-                return RhoValue(RHO_MAX, g(RHO_MAX))
-        rho, res = _bisect_decreasing(g, 1.0, hi)
-        return RhoValue(rho, res)
-    if curve_kind == "rtc":
+        rho = _root_decreasing(g, 1.0, 2.0, RHO_MAX)
+    elif curve_kind == "rtc":
         if rate <= r0:
             raise RateOutOfRange(f"rtc rho branch needs R > R0={r0:.6g}")
         g = lambda rho: gallager_e0(dmc, q, rho) / rho - rate
         if g(1e-12) < 0:
             raise RateOutOfRange("R exceeds the mutual information of (Q, W)")
-        rho, res = _bisect_decreasing(g, 1e-12, 1.0)
-        return RhoValue(rho, res)
-    raise ValueError(f"unknown curve kind {curve_kind!r}")
+        rho = _root_decreasing(g, 1e-12, 1.0, 1.0)
+    else:
+        raise ValueError(f"unknown curve kind {curve_kind!r}")
+    return RhoValue(rho, g(rho) if np.isfinite(rho) else np.nan)
 
 
 def exponent_curve(kind: str, dmc: Dmc, q: InputDist, rate_grid) -> ExponentCurve:
-    """Evaluate one exponent curve (or its R-times variant) on a rate grid."""
+    """Evaluate one exponent curve (or its R-times variant) on a rate grid.
+
+    A point whose rho root passes RHO_MAX has value inf and rho inf.
+    """
     if kind not in CURVE_KINDS:
         raise ValueError(f"unknown curve kind {kind!r}")
     rates = np.asarray(rate_grid, dtype=float)
@@ -161,9 +186,8 @@ def exponent_curve(kind: str, dmc: Dmc, q: InputDist, rate_grid) -> ExponentCurv
         if base == "rtc":
             value, rho = r0 / rate, None
         else:
-            sol = solve_rho(base, dmc, q, rate)
-            rho = sol.rho
-            value = expurgated_ex(dmc, q, rho) / rate
+            rho = solve_rho(base, dmc, q, rate).rho
+            value = expurgated_ex(dmc, q, rho) / rate if rho < np.inf else np.inf
         if times_r:
             value *= rate
         points.append((float(rate), float(value), rho))

@@ -7,23 +7,17 @@ Channels remembering p > 1 past inputs are handled by lifting to an alphabet
 of size J^p with a sparse consistency mask.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .channels import PROB_ATOL, NonStochasticRow
-from .exponents import RateOutOfRange
+from .exponents import RHO_MAX, RateOutOfRange, _argmax_concave, _root_decreasing
 
 S_MAX_DEFAULT = 8.0
-S_SCAN_POINTS = 64
 
 
 class MetricZeroInRatio(ArithmeticError):
-    pass
-
-
-class ConvergenceFailure(ArithmeticError):
     pass
 
 
@@ -131,27 +125,37 @@ def _distance_tensor(ch: MarkovChannel, s: float) -> np.ndarray:
         return -np.log(total)
 
 
-def build_tilted(ch: MarkovChannel, q, s: float, r: float) -> TiltedMatrix:
-    """Tilted pair-chain matrix A_s(r) with entries Q Q' e^{-r d_s}, masked.
+def _tilted_family(ch: MarkovChannel, q, s: float):
+    """Builder r -> A_s(r) of the tilted pair-chain matrix, entries
+    Q Q' e^{-r d_s} masked, with the s-dependent distance tensor computed once.
 
     `q` is the input distribution over the base alphabet; lifted symbols are
     weighted by the Q-probability of their newest component.
     """
-    if r < 0:
-        raise ValueError(f"r must be >= 0, got {r}")
     qv = np.asarray(getattr(q, "q", q), dtype=float)
     j = ch.num_symbols
     qn = qv[ch.newest]
-    d = _distance_tensor(ch, s)  # (x, xm, x', xm')
-    with np.errstate(over="ignore"):
-        ent = np.exp(np.clip(-r * d, -745.0, 700.0))
-    ent[np.isinf(d) & (d > 0)] = 0.0 if r > 0 else 1.0
     # rows (x, x'), columns (xm, xm')
-    a = (qn[:, None, None, None] * qn[None, :, None, None]
-         * np.transpose(ent, (0, 2, 1, 3)))
+    d = np.transpose(_distance_tensor(ch, s), (0, 2, 1, 3))
+    qq = qn[:, None, None, None] * qn[None, :, None, None]
     mask = (ch.allowed[:, None, :, None] & ch.allowed[None, :, None, :])
-    a = np.where(mask, a, 0.0)
-    return TiltedMatrix(a.reshape(j * j, j * j), s, r)
+    inf_d = np.isinf(d) & (d > 0)
+
+    def build(r):
+        if r < 0:
+            raise ValueError(f"r must be >= 0, got {r}")
+        with np.errstate(over="ignore"):
+            ent = np.exp(np.clip(-r * d, -745.0, 700.0))
+        ent[inf_d] = 0.0 if r > 0 else 1.0
+        a = np.where(mask, qq * ent, 0.0)
+        return TiltedMatrix(a.reshape(j * j, j * j), s, r)
+
+    return build
+
+
+def build_tilted(ch: MarkovChannel, q, s: float, r: float) -> TiltedMatrix:
+    """Tilted pair-chain matrix A_s(r) with entries Q Q' e^{-r d_s}, masked."""
+    return _tilted_family(ch, q, s)(r)
 
 
 def perron_frobenius(tm: TiltedMatrix, tol: float = 1e-13,
@@ -185,29 +189,16 @@ def perron_frobenius(tm: TiltedMatrix, tol: float = 1e-13,
 
 def g_s(ch: MarkovChannel, q, s: float, r: float) -> float:
     """Rate-function generator G_s(r) = -ln lambda_s(r) in nats."""
-    lam = perron_frobenius(build_tilted(ch, q, s, r))
-    if lam <= 0.0:
-        return np.inf
-    return -np.log(lam)
+    return _generator(ch, q, s)(r)
 
 
-def _g_factory(ch: MarkovChannel, q, s: float):
-    """G_s(r) closure with the s-dependent distance tensor cached."""
-    qv = np.asarray(getattr(q, "q", q), dtype=float)
-    j = ch.num_symbols
-    qn = qv[ch.newest]
-    d = _distance_tensor(ch, s)
-    d_rows = np.transpose(d, (0, 2, 1, 3))
-    qq = qn[:, None, None, None] * qn[None, :, None, None]
-    mask = (ch.allowed[:, None, :, None] & ch.allowed[None, :, None, :])
-    inf_d = np.isinf(d_rows) & (d_rows > 0)
+def _generator(ch: MarkovChannel, q, s: float):
+    """G_s as a function of r, for one s.  G_s(r) is concave in r and in s
+    (Kingman's convexity of the log spectral radius)."""
+    build = _tilted_family(ch, q, s)
 
     def g(r):
-        with np.errstate(over="ignore"):
-            ent = np.exp(np.clip(-r * d_rows, -745.0, 700.0))
-        ent[inf_d] = 0.0 if r > 0 else 1.0
-        a = np.where(mask, qq * ent, 0.0).reshape(j * j, j * j)
-        lam = perron_frobenius(TiltedMatrix(a, s, r))
+        lam = perron_frobenius(build(r))
         return -np.log(lam) if lam > 0 else np.inf
 
     return g
@@ -215,94 +206,41 @@ def _g_factory(ch: MarkovChannel, q, s: float):
 
 def f_s(ch: MarkovChannel, q, s: float, d: float) -> float:
     """Large-deviations rate function F_s(d) = sup_{r >= 0} [G_s(r) - r d]."""
-    g = _g_factory(ch, q, s)
-    obj = lambda r: g(r) - r * d
-    if obj(1e-7) <= obj(0.0) + 1e-15:
-        return max(0.0, obj(0.0))  # supremum at the r = 0 boundary
-    hi = 1.0
-    while obj(2 * hi) > obj(hi) and hi < 1e9:
-        hi *= 2
-    res = minimize_scalar(lambda r: -obj(r), bounds=(0.0, 2 * hi),
-                          method="bounded", options={"xatol": 1e-10})
-    return max(0.0, float(-res.fun))
-
-
-def _rho_root(g, rate: float, rho_cap: float = 1e9):
-    """Solve (2 rho - 1) R = rho G_s(1/rho) for rho >= 1; None when no root."""
-    h = lambda rho: rho * g(1.0 / rho) - (2 * rho - 1) * rate
-    h1 = h(1.0)
-    if h1 < -1e-12:
-        return None
-    if h1 <= 1e-12:
-        return 1.0
-    hi = 2.0
-    while h(hi) > 0:
-        hi *= 2
-        if hi > rho_cap:
-            return hi  # zero-rate regime: treat the cap as the root
-    # bracket sanity: a decreasing sign pattern on a coarse scan
-    probes = np.linspace(1.0, hi, 9)
-    signs = [h(p) for p in probes]
-    flips = sum(1 for a, b in zip(signs, signs[1:]) if (a > 0) != (b > 0))
-    if flips != 1:
-        raise ConvergenceFailure(
-            f"root equation not monotone on [1, {hi}]: sign pattern {signs}"
-        )
-    lo = 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        hm = h(mid)
-        if abs(hm) <= 1e-12:
-            return mid
-        if hm > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    g = _generator(ch, q, s)
+    return max(0.0, float(_argmax_concave(lambda r: g(r) - r * d, 0.0)[1]))
 
 
 def extended_cutoff(ch: MarkovChannel, q, s_max: float = S_MAX_DEFAULT) -> float:
-    """Extended cutoff rate sup_{s >= 0} G_s(1)."""
-    grid = np.linspace(0.0, s_max, S_SCAN_POINTS)
-    vals = [g_s(ch, q, s, 1.0) for s in grid]
-    i = int(np.argmax(vals))
-    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
-    res = minimize_scalar(lambda s: -g_s(ch, q, s, 1.0), bounds=(lo, hi),
-                          method="bounded", options={"xatol": 1e-8})
-    return float(max(-res.fun, vals[i]))
+    """Extended cutoff rate sup_{s >= 0} G_s(1), concave in s, over [0, s_max]."""
+    return float(_argmax_concave(lambda s: g_s(ch, q, s, 1.0), 0.0, s_max,
+                                 xatol=1e-8)[1])
 
 
 def extended_exponent(ch: MarkovChannel, q, rate: float,
                       s_max: float = S_MAX_DEFAULT):
     """Typical-code exponent bound sup_{s >= 0} rho_{R,s} G_s(1/rho_{R,s}) / R.
 
-    Returns (value, argmax s, rho at the argmax).  The s-search scans
-    [0, s_max] and refines by a bounded scalar search; a boundary-active
-    argmax (s == s_max) is reported as-is.
+    Returns (value, argmax s, rho at the argmax).  {s : rho_{R,s} >= t} is
+    an interval, so the objective is quasi-concave in s and one bounded
+    search over [0, s_max] finds its maximum; a boundary-active argmax
+    (s == s_max) is reported as-is.  Where no root rho >= 1 exists the
+    objective takes its continuous extension G_s(1)/R (rho = 1); where the
+    root passes RHO_MAX it is inf.
     """
     r0 = extended_cutoff(ch, q, s_max)
     if not 0 < rate < r0 + 1e-12:
         raise RateOutOfRange(f"need 0 < R < R0={r0:.6g}, got {rate}")
 
     def value_at(s):
-        g = _g_factory(ch, q, s)
-        rho = _rho_root(g, rate)
-        if rho is None:
-            return -np.inf, None
-        return rho * g(1.0 / rho) / rate, rho
+        # rho G_s(1/rho) is the perspective of a concave function, so the
+        # root equation is concave in rho: one crossing after rho = 1
+        g = _generator(ch, q, s)
+        h = lambda rho: rho * g(1.0 / rho) - (2 * rho - 1) * rate
+        rho = _root_decreasing(h, 1.0, 2.0, RHO_MAX)
+        return (rho * g(1.0 / rho) / rate if rho < np.inf else np.inf), rho
 
-    grid = np.linspace(0.0, s_max, S_SCAN_POINTS)
-    vals = [value_at(s)[0] for s in grid]
-    i = int(np.argmax(vals))
-    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
-    res = minimize_scalar(lambda s: -value_at(s)[0], bounds=(lo, hi),
-                          method="bounded", options={"xatol": 1e-6})
-    s_star = float(res.x)
-    best, rho = value_at(s_star)
-    if vals[i] > best:
-        s_star = float(grid[i])
-        best, rho = value_at(s_star)
-    return float(best), s_star, float(rho)
+    s_star, best = _argmax_concave(lambda s: value_at(s)[0], 0.0, s_max, xatol=1e-6)
+    return float(best), float(s_star), float(value_at(s_star)[1])
 
 
 def lift_memory(w, p: int, w_tilde=None) -> MarkovChannel:

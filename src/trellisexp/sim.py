@@ -145,26 +145,38 @@ def encode(code: TrellisCode, info_bits) -> np.ndarray:
 
 
 def transmit(channel, symbols, rng) -> np.ndarray:
-    """Draw channel outputs for a symbol sequence (Dmc or MarkovChannel)."""
+    """Draw channel outputs for a symbol sequence (Dmc or MarkovChannel).
+
+    For a batch (B, N), each row is its own sequence: a MarkovChannel sees
+    x_prev = 0 before the first symbol of every row.
+    """
     x = np.asarray(symbols)
-    flat = x.reshape(-1)
     if isinstance(channel, Dmc):
         cum = np.cumsum(channel.w, axis=1)
-        u = rng.random(flat.size)
-        y = (u[:, None] > cum[flat]).sum(axis=1)
-        return y.reshape(x.shape)
-    if isinstance(channel, MarkovChannel):
-        prev = np.concatenate([[0], flat[:-1]])
+        cum[:, -1] = 1.0  # u < 1 never lands beyond the last output
+        rows = cum[x]
+    elif isinstance(channel, MarkovChannel):
+        prev = np.zeros_like(x)
+        prev[..., 1:] = x[..., :-1]
         cum = np.cumsum(channel.w, axis=2)
-        u = rng.random(flat.size)
-        y = (u[:, None] > cum[flat, prev]).sum(axis=1)
-        return y.reshape(x.shape)
-    raise TypeError(f"unsupported channel type {type(channel).__name__}")
+        cum[..., -1] = 1.0
+        rows = cum[x, prev]
+    else:
+        raise TypeError(f"unsupported channel type {type(channel).__name__}")
+    u = rng.random(x.size).reshape(x.shape)
+    return (u[..., None] > rows).sum(axis=-1)
 
 
 def _log_metric(metric) -> np.ndarray:
     """Per-symbol log metric table ln W~(y|x) from a Dmc or raw matrix."""
-    w = metric.w if isinstance(metric, Dmc) else np.asarray(metric, dtype=float)
+    if isinstance(metric, Dmc):
+        w = metric.w
+    elif isinstance(metric, MarkovChannel):
+        raise TypeError("the decoding metric must be a Dmc or a (J, Y) matrix; "
+                        "a MarkovChannel needs memory-aware decoding, which "
+                        "viterbi_decode does not do")
+    else:
+        w = np.asarray(metric, dtype=float)
     with np.errstate(divide="ignore"):
         return np.log(w)
 

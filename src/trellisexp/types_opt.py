@@ -9,10 +9,16 @@ Legendre forms, the nested rate optimization, and the dominant joint type.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
-from .channels import Dmc, InputDist, chernoff_matrix
-from .exponents import RateOutOfRange, cutoff_rate, expurgated_ex, expurgated_ex_limit
+from .channels import Dmc, InputDist, bhattacharyya_matrix, chernoff_matrix
+from .exponents import (
+    RHO_MAX,
+    RateOutOfRange,
+    _argmax_concave,
+    _root_decreasing,
+    cutoff_rate,
+    expurgated_ex,
+)
 
 PROB_ATOL = 1e-12
 
@@ -62,21 +68,17 @@ def delta_s(p: JointType, dmc: Dmc, s: float) -> float:
 def delta_max(p: JointType, dmc: Dmc) -> tuple[float, float]:
     """Maximize Delta_s(P) over s in [0, 1]; returns (value, argmax s).
 
-    Delta_s is concave in s, so a bounded scalar search suffices.  For a
-    P that yields a constant zero (e.g. diagonal types) the reported argmax
-    is the tie-break s = 1/2.
+    Delta_s is concave in s, so one bounded search suffices.  For a P that
+    yields a constant zero (e.g. diagonal types) the reported argmax is the
+    tie-break s = 1/2.
     """
     # disjoint-support pairs with positive mass make the max infinite
     if np.isinf(delta_s(p, dmc, 0.5)):
         return np.inf, 0.5
-    res = minimize_scalar(
-        lambda s: -delta_s(p, dmc, s), bounds=(0.0, 1.0), method="bounded",
-        options={"xatol": 1e-10},
-    )
-    value = -res.fun
+    s, value = _argmax_concave(lambda s: delta_s(p, dmc, s), 0.0, 1.0)
     if value <= 1e-15:
         return max(value, 0.0), 0.5
-    return float(value), float(res.x)
+    return float(value), float(s)
 
 
 def divergence_qq(p: JointType, q: InputDist) -> float:
@@ -93,23 +95,37 @@ def _diag_divergence(q: InputDist) -> float:
     return -np.log(np.sum(q.q ** 2))
 
 
+def _legendre_edge(dmc: Dmc, q: InputDist) -> tuple[float, float]:
+    """Left end (rhat0, Z(rhat0)) of the finite part of Z.
+
+    With P0 = QxQ restricted to the pairs whose output supports overlap
+    (Bhattacharyya Z > 0), Ex(rho) - 2 rho rhat is 2 rho (rhat0 - rhat)
+    plus a bounded increasing term with limit -E_P0[ln Z], where
+    rhat0 = -1/2 ln QxQ(Z > 0).  So Z is inf below rhat0 and equals that
+    limit at rhat0; rhat0 = 0 when every pair of supports overlaps.
+    """
+    z = bhattacharyya_matrix(dmc)
+    qq = np.outer(q.q, q.q)
+    rhat0 = -0.5 * np.log1p(-qq[z <= 0].sum())
+    on = (qq > 0) & (z > 0)
+    return float(rhat0), float(-np.sum(qq[on] * np.log(z[on])) / qq[on].sum())
+
+
 def z_of_rhat_legendre(dmc: Dmc, q: InputDist, rhat: float) -> float:
-    """Legendre form of Z: sup_{rho >= 0} [Ex(rho, Q) - 2 rho rhat]."""
+    """Legendre form of Z: sup_{rho >= 0} [Ex(rho, Q) - 2 rho rhat].
+
+    The objective is concave in rho; Z is inf below the edge rhat0 of
+    `_legendre_edge`, and when the maximiser passes RHO_MAX.
+    """
     if rhat < 0:
         raise ValueError(f"rhat must be >= 0, got {rhat}")
-    if rhat == 0.0:
-        return expurgated_ex_limit(dmc, q)
+    rhat0, z0 = _legendre_edge(dmc, q)
+    if rhat <= rhat0:
+        return np.inf if rhat < rhat0 else z0
     if 2 * rhat >= _diag_divergence(q):
         return 0.0  # objective has nonpositive slope at rho = 0
     obj = lambda rho: expurgated_ex(dmc, q, rho) - 2 * rho * rhat
-    hi = 1.0
-    while obj(2 * hi) > obj(hi) and hi < 1e9:
-        hi *= 2
-    res = minimize_scalar(
-        lambda rho: -obj(rho), bounds=(0.0, 2 * hi), method="bounded",
-        options={"xatol": 1e-10},
-    )
-    return max(0.0, float(-res.fun))
+    return max(0.0, float(_argmax_concave(obj, 0.0)[1]))
 
 
 def _tilted_type(dmc: Dmc, q: InputDist, rho: float) -> np.ndarray:
@@ -129,8 +145,9 @@ def z_of_rhat_direct(dmc: Dmc, q: InputDist, rhat: float) -> tuple[float, JointT
     """Direct form of Z: min Delta_{1/2}(P) s.t. D(P || QxQ) <= 2 rhat.
 
     Solved through the tilted family P_rho, whose divergence decreases
-    monotonically in rho; rho is bisected until the divergence constraint is
-    active (or the unconstrained diagonal minimum is feasible).
+    monotonically in rho: the root of D(P_rho || QxQ) = 2 rhat makes the
+    constraint active, unless the zero-Delta diagonal type is feasible.
+    Z is inf when no root exists below RHO_MAX.
     """
     if rhat < 0:
         raise ValueError(f"rhat must be >= 0, got {rhat}")
@@ -144,56 +161,37 @@ def z_of_rhat_direct(dmc: Dmc, q: InputDist, rhat: float) -> tuple[float, JointT
         return 0.0, JointType(diag)
 
     target = 2 * rhat
-
-    def div_at(rho):
-        return divergence_qq(JointType(_tilted_type(dmc, q, rho)), q)
-
-    lo, hi = 1.0, 1.0
-    while div_at(lo) < target:
-        lo /= 2
-        if lo < 1e-14:
-            break
-    while div_at(hi) > target:
-        hi *= 2
-        if hi > 1e14:
-            break
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        dm = div_at(mid)
-        if abs(dm - target) <= 1e-13:
-            lo = hi = mid
-            break
-        if dm > target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * hi:
-            break
-    p = JointType(_tilted_type(dmc, q, 0.5 * (lo + hi)))
+    rho = _root_decreasing(
+        lambda rho: divergence_qq(JointType(_tilted_type(dmc, q, rho)), q) - target,
+        1e-14, 1.0, RHO_MAX)
+    if rho == np.inf:
+        # the family never gets below the target divergence: every type that
+        # meets the constraint puts mass on an infinite distance
+        return np.inf, JointType(qq)
+    p = JointType(_tilted_type(dmc, q, rho))
     return delta_s(p, dmc, 0.5), p
 
 
 def csiszar_exponent(dmc: Dmc, q: InputDist, rate: float) -> float:
     """Nested types-form exponent inf_{rhat < R} (Z(2 rhat) + rhat)/(R - rhat).
 
-    Z is evaluated in Legendre form; the rhat search is a 256-point scan
-    followed by a bounded refinement of the located basin.
+    Z is evaluated in Legendre form.  Z is convex in rhat (a supremum of
+    affine functions), so the objective is quasi-convex.  The search runs
+    over the finite part [rhat0, R) of Z, so that a minimum at its edge
+    rhat0 is evaluated exactly; the exponent is inf when rhat0 >= R.
     """
     r0 = cutoff_rate(dmc, q)
     if not 0 < rate < r0 + 1e-12:
         raise RateOutOfRange(f"need 0 < R < R0={r0:.6g}, got {rate}")
+    rhat0, _ = _legendre_edge(dmc, q)
+    hi = rate * (1.0 - 1e-9)
+    if rhat0 >= hi:
+        return np.inf
 
-    def obj(rhat):
-        return (z_of_rhat_legendre(dmc, q, rhat) + rhat) / (rate - rhat)
+    def neg_obj(rhat):
+        return -(z_of_rhat_legendre(dmc, q, rhat) + rhat) / (rate - rhat)
 
-    grid = np.linspace(0.0, rate * (1.0 - 1e-9), 256)
-    values = [obj(rh) for rh in grid]
-    i = int(np.argmin(values))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, grid.size - 1)]
-    res = minimize_scalar(obj, bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-9})
-    return float(min(res.fun, values[i]))
+    return -float(_argmax_concave(neg_obj, rhat0, hi, xatol=1e-9)[1])
 
 
 def dominant_joint_type(dmc: Dmc, q: InputDist, rho: float) -> DominantEvent:

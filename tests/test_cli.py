@@ -174,3 +174,13 @@ class TestDominant:
         rc, _, err = run(["dominant", "--channel", BSC, "--rate", "0.5"])
         assert rc == 1
         assert "error" in err
+
+    def test_unbounded_exponent(self, tmp_path):
+        # noiseless BSC: no trtc root below R = ln2/2, however large rho
+        path = tmp_path / "noiseless.json"
+        path.write_text(json.dumps({
+            "input_alphabet_size": 2, "output_alphabet_size": 2,
+            "w": [[1.0, 0.0], [0.0, 1.0]], "q": [0.5, 0.5]}))
+        rc, out, err = run(["dominant", "--channel", str(path), "--rate", "0.1"])
+        assert rc == 1 and out == ""
+        assert "unbounded" in err

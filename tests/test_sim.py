@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from trellisexp.channels import Dmc, InputDist
+from trellisexp.memory import MarkovChannel, memoryless_lift
 from trellisexp.sim import (
     EnsembleConfig,
     EnumerationBudgetExceeded,
@@ -118,6 +119,25 @@ class TestTransmit:
         sigma = math.sqrt(0.1 * 0.9 / x.size)
         assert abs(frac - 0.1) < 3 * sigma
 
+    def test_markov_batch_rows_start_from_zero(self):
+        # y = x_prev: the first output of every row sees x_prev = 0
+        w = np.zeros((2, 2, 2))
+        w[:, 0, 0] = w[:, 1, 1] = 1.0
+        y = transmit(MarkovChannel(w), np.array([[1, 1, 1], [0, 0, 0]]), _rng(0, 0))
+        assert np.array_equal(y, [[0, 1, 1], [0, 0, 0]])
+
+    def test_last_output_reached_at_u_below_one(self):
+        # the cumulative sums of these rows end 2.2e-16 short of 1
+        row = [0.02594467158518534, 0.21986429110201317,
+               0.39611424082905455, 0.35807679648374696]
+
+        class TopDraw:
+            def random(self, size):
+                return np.full(size, np.nextafter(1.0, 0.0))
+
+        y = transmit(Dmc([row, row[::-1]]), np.array([0, 1, 1, 0]), TopDraw())
+        assert np.array_equal(y, [3, 3, 3, 3])
+
 
 class TestViterbi:
     def test_noiseless_recovery(self):
@@ -159,6 +179,16 @@ class TestViterbi:
         batch = viterbi_decode(code, bsc01, ys)
         singles = np.stack([viterbi_decode(code, bsc01, y) for y in ys])
         assert np.array_equal(batch, singles)
+
+    def test_memory_channel_metric_rejected(self, bsc01):
+        cfg = EnsembleConfig(m=1, n=2, k=2, L=5, seed=1)
+        code = sample_code(cfg, j=2, q=UNIFORM2)
+        ch = memoryless_lift(bsc01)
+        y = np.zeros(cfg.n * cfg.num_branches, dtype=np.int64)
+        with pytest.raises(TypeError, match=r"Dmc or a \(J, Y\) matrix"):
+            viterbi_decode(code, ch, y)
+        with pytest.raises(TypeError, match=r"Dmc or a \(J, Y\) matrix"):
+            estimate_error_exponent(code, ch, 1, _rng(1, 0, 1))
 
 
 class TestEstimate:
