@@ -157,7 +157,8 @@ def cmd_simulate(args, out=None, err=None) -> int:
                              linear=args.linear, seed=args.seed)
     if args.trials is not None:
         blocks = max(1, math.ceil(args.trials / cfg.L))
-    out.write("code,seed,m,n,k,p_e,exponent,no_errors,typical\n")
+    out.write("code,seed,m,n,k,p_e,exponent,no_errors,typical,"
+              "events,nodes,wilson_low,wilson_high\n")
     p_es, exps = [], []
     for i in range(args.codes):
         code = sim.sample_code(cfg, j=spec.dmc.num_inputs, q=spec.q, code_index=i)
@@ -171,11 +172,13 @@ def cmd_simulate(args, out=None, err=None) -> int:
         p_es.append(est.p_e)
         exps.append(est.exponent)
         out.write(f"{i},{cfg.seed},{cfg.m},{cfg.n},{cfg.k},{_fmt(est.p_e)},"
-                  f"{_fmt(est.exponent)},{int(est.no_errors)},{typical}\n")
+                  f"{_fmt(est.exponent)},{int(est.no_errors)},{typical},"
+                  f"{est.events},{est.nodes},{_fmt(est.wilson_low)},"
+                  f"{_fmt(est.wilson_high)}\n")
     out.write(f"summary_mean,{cfg.seed},{cfg.m},{cfg.n},{cfg.k},"
-              f"{_fmt(statistics.mean(p_es))},{_fmt(statistics.mean(exps))},,\n")
+              f"{_fmt(statistics.mean(p_es))},{_fmt(statistics.mean(exps))},,,,,,\n")
     out.write(f"summary_median,{cfg.seed},{cfg.m},{cfg.n},{cfg.k},"
-              f"{_fmt(statistics.median(p_es))},{_fmt(statistics.median(exps))},,\n")
+              f"{_fmt(statistics.median(p_es))},{_fmt(statistics.median(exps))},,,,,,\n")
     return 0
 
 

@@ -119,14 +119,12 @@ def _info_to_blocks(info_bits, m, length):
 
 
 def _block_windows(blocks, cfg):
-    """Window integers per branch for block integers (B, T) with zero history."""
+    """Window integers per branch for block integers (B, T) with zero history:
+    block t-i sits at bit offset m(k-1-i) of window t."""
     b, t_total = blocks.shape
     wins = np.zeros((b, t_total), dtype=np.int64)
-    acc = np.zeros(b, dtype=np.int64)
-    mask = (1 << cfg.constraint_length) - 1
-    for t in range(t_total):
-        acc = ((acc >> cfg.m) | (blocks[:, t].astype(np.int64) << (cfg.m * (cfg.k - 1)))) & mask
-        wins[:, t] = acc
+    for i in range(min(cfg.k, t_total)):
+        wins[:, i:] |= blocks[:, :t_total - i].astype(np.int64) << (cfg.m * (cfg.k - 1 - i))
     return wins
 
 
@@ -181,34 +179,23 @@ def _log_metric(metric) -> np.ndarray:
         return np.log(w)
 
 
-def _trellis_transitions(cfg):
-    """next_state[s, u] plus predecessor tables for vectorized ACS."""
-    s_count = cfg.num_states
-    u_count = 1 << cfg.m
-    states = np.arange(s_count)
-    ns = np.empty((s_count, u_count), dtype=np.int64)
-    for u in range(u_count):
-        ns[:, u] = (states >> cfg.m) | (u << (cfg.m * (cfg.k - 1) - cfg.m)) if cfg.k > 1 else 0
-    # predecessors of s': all (s, u) with ns[s, u] == s', ordered by s then u
-    pred_state = np.empty((s_count, u_count), dtype=np.int64)
-    pred_input = np.empty((s_count, u_count), dtype=np.int64)
-    fill = np.zeros(s_count, dtype=np.int64)
-    for s in range(s_count):
-        for u in range(u_count):
-            sp = ns[s, u]
-            pred_state[sp, fill[sp]] = s
-            pred_input[sp, fill[sp]] = u
-            fill[sp] += 1
-    assert np.all(fill == u_count)
-    return ns, pred_state, pred_input
-
-
 def viterbi_decode(code: TrellisCode, metric, outputs) -> np.ndarray:
     """Maximum-metric path with zero terminal state; returns m*L info bits.
 
     `metric` is a Dmc (use its W as the decoding metric) or a (J, Y) matrix.
-    Ties are broken toward the predecessor with the smaller state index.
     Accepts a single output sequence or a batch (B, n*(L+k-1)).
+
+    A state holds the last k-1 input blocks, the newest in the high bits.
+    For k >= 2 the 2^m predecessors of state s' are
+    ((s' & low_mask) << m) | low, low < 2^m, with low_mask = 2^{m(k-2)} - 1;
+    the branch from each carries input s' >> m(k-2) and window
+    (s' << m) | low.  So a predecessor block of the path metrics and the
+    windows of s' are both contiguous, and add-compare-select is a reshape.
+    For k = 1 the one state is its own predecessor and the choice is the
+    input.  Ties are broken toward the predecessor with the smaller state
+    index (the smaller `low`).  Branch metrics come from a table
+    ln W~(y | labels[t, w, i]) of T*n*Y*2^K float64s (1.7 MB at k = 8,
+    L = 200, n = Y = 2), built once per call.
     """
     cfg = code.cfg
     logw = _log_metric(metric)
@@ -223,28 +210,35 @@ def viterbi_decode(code: TrellisCode, metric, outputs) -> np.ndarray:
     b = ys.shape[0]
     ys = ys.reshape(b, cfg.num_branches, cfg.n)
     s_count, u_count = cfg.num_states, 1 << cfg.m
-    ns, pred_state, pred_input = _trellis_transitions(cfg)
+    # tab[t, i, y, w] = ln W~(y | labels[t, w, i])
+    tab = np.ascontiguousarray(logw.T[:, code.labels].transpose(1, 3, 0, 2))
 
-    neg = -1e30
-    alpha = np.full((b, s_count), neg)
+    alpha = np.full((b, s_count), -1e30)
     alpha[:, 0] = 0.0  # encoder starts in the all-zero state
-    choice = np.empty((b, cfg.num_branches, s_count), dtype=np.int8)
+    choice = np.empty((b, cfg.num_branches, s_count), dtype=np.min_scalar_type(u_count - 1))
     for t in range(cfg.num_branches):
-        lab = code.labels[t]  # (2^K, n)
-        bm_cell = logw[lab, ys[:, t, None, :]].sum(axis=2)  # (B, 2^K)
-        cand = alpha[:, pred_state] + bm_cell[:, (pred_input << (cfg.m * (cfg.k - 1))) | pred_state]
-        best = cand.argmax(axis=2)  # first occurrence = smallest pred index
+        bm = tab[t, 0][ys[:, t, 0]]  # (B, 2^K), summed left to right
+        for i in range(1, cfg.n):
+            bm += tab[t, i][ys[:, t, i]]
+        if cfg.k > 1:
+            cand = alpha.reshape(b, 1, -1, u_count) + bm.reshape(b, u_count, -1, u_count)
+        else:
+            cand = alpha[:, :, None] + bm[:, None, :]
+        cand = cand.reshape(b, s_count, u_count)
+        best = cand.argmax(axis=2)  # first occurrence = smallest predecessor
         choice[:, t] = best
         alpha = np.take_along_axis(cand, best[:, :, None], axis=2)[:, :, 0]
 
-    # traceback from the zero terminal state
+    # traceback from the zero terminal state: the chosen window is
+    # (s' << m) | low, its top m bits the input, its low m(k-1) bits the
+    # predecessor state
     blocks = np.empty((b, cfg.num_branches), dtype=np.int64)
     state = np.zeros(b, dtype=np.int64)
     rows = np.arange(b)
     for t in range(cfg.num_branches - 1, -1, -1):
-        j = choice[rows, t, state]
-        blocks[:, t] = pred_input[state, j]
-        state = pred_state[state, j]
+        win = (state << cfg.m) | choice[rows, t, state]
+        blocks[:, t] = win >> (cfg.m * (cfg.k - 1))
+        state = win & (s_count - 1)
     info = blocks[:, : cfg.L]
     bits = ((info[:, :, None] >> np.arange(cfg.m - 1, -1, -1)[None, None, :]) & 1)
     bits = bits.reshape(b, cfg.m * cfg.L).astype(np.int8)

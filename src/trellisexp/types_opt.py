@@ -147,13 +147,21 @@ def z_of_rhat_direct(dmc: Dmc, q: InputDist, rhat: float) -> tuple[float, JointT
     Solved through the tilted family P_rho, whose divergence decreases
     monotonically in rho: the root of D(P_rho || QxQ) = 2 rhat makes the
     constraint active, unless the zero-Delta diagonal type is feasible.
-    Z is inf when no root exists below RHO_MAX.
+    Below the edge rhat0 of `_legendre_edge` every feasible type puts mass
+    on an infinite distance, so Z is inf.  At rhat0 the only feasible type
+    with finite Delta is the family's rho -> inf limit P_inf: QxQ restricted
+    to the finite-distance pairs, renormalised.  Z is inf when no root
+    exists below RHO_MAX.
     """
     if rhat < 0:
         raise ValueError(f"rhat must be >= 0, got {rhat}")
     qq = np.outer(q.q, q.q)
-    if rhat == 0.0:
-        p = JointType(qq)
+    rhat0, _ = _legendre_edge(dmc, q)
+    if rhat < rhat0:
+        return np.inf, JointType(qq)
+    if rhat == rhat0:
+        p_inf = np.where(bhattacharyya_matrix(dmc) > 0, qq, 0.0)
+        p = JointType(p_inf / p_inf.sum())
         return delta_s(p, dmc, 0.5), p
     if 2 * rhat >= _diag_divergence(q) - 1e-13:
         # constraint slack: the zero-Delta diagonal type is feasible

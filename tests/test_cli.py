@@ -135,6 +135,28 @@ class TestSimulate:
         assert lines[-2].startswith("summary_mean,")
         assert lines[-1].startswith("summary_median,")
 
+    def test_event_columns(self):
+        # BSC(0.1) at rate 1/2 with k = 2 errs often in 20 blocks of 50
+        rc, out, _ = run(["simulate", "--channel", BSC, "--m", "1", "--n", "2",
+                          "--k", "2", "--L", "50", "--blocks", "20",
+                          "--codes", "3", "--seed", "17"])
+        assert rc == 0
+        lines = out.strip().split("\n")
+        header = lines[0].split(",")
+        assert header[:9] == ["code", "seed", "m", "n", "k", "p_e", "exponent",
+                              "no_errors", "typical"]
+        assert header[9:] == ["events", "nodes", "wilson_low", "wilson_high"]
+        rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        assert all(len(line.split(",")) == len(header) for line in lines)
+        for row in rows[:-2]:
+            events, nodes = int(row["events"]), int(row["nodes"])
+            assert 0 < events <= nodes == 20 * 50
+            assert float(row["p_e"]) == pytest.approx(events / nodes, rel=1e-11)
+            assert (float(row["wilson_low"]) <= float(row["p_e"])
+                    <= float(row["wilson_high"]))
+        for row in rows[-2:]:
+            assert [row[c] for c in header[9:]] == [""] * 4
+
     def test_trials_overrides_blocks(self):
         rc, out, _ = run(["simulate", "--channel", BSC, "--m", "1", "--n", "2",
                           "--k", "2", "--L", "50", "--trials", "100",

@@ -10,7 +10,9 @@ from trellisexp.sim import (
     EnsembleConfig,
     EnumerationBudgetExceeded,
     LengthMismatch,
+    _block_windows,
     _deviation_patterns,
+    _log_metric,
     _rng,
     encode,
     enumerate_pair_types,
@@ -103,6 +105,21 @@ class TestEncode:
         diff = (encode(code, u) != encode(code, v)).reshape(-1, 2).any(axis=1)
         assert diff.sum() <= 3
 
+    def test_block_windows_match_loop(self):
+        # reference: shift each block into the top of a K-bit register
+        rng = np.random.default_rng(6)
+        for _ in range(40):
+            m, k = int(rng.integers(1, 4)), int(rng.integers(1, 6))
+            b, t_total = int(rng.integers(1, 5)), int(rng.integers(1, 12))
+            cfg = EnsembleConfig(m=m, n=1, k=k, L=1)
+            blocks = rng.integers(0, 1 << m, size=(b, t_total))
+            want = np.zeros((b, t_total), dtype=np.int64)
+            acc = np.zeros(b, dtype=np.int64)
+            for t in range(t_total):
+                acc = ((acc >> m) | (blocks[:, t] << (m * (k - 1)))) & ((1 << m * k) - 1)
+                want[:, t] = acc
+            assert np.array_equal(_block_windows(blocks, cfg), want)
+
 
 class TestTransmit:
     def test_identity_channel(self):
@@ -149,6 +166,14 @@ class TestViterbi:
         dec = viterbi_decode(code, IDENTITY, y)
         assert np.array_equal(dec, info)
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_noiseless_recovery_256_inputs(self, k):
+        # 2^8 predecessors per state: the choice index no longer fits an int8
+        cfg = EnsembleConfig(m=8, n=12, k=k, L=3, seed=1)
+        code = sample_code(cfg, j=2, q=UNIFORM2)
+        info = _rng(7, 0).integers(0, 2, size=(5, 24), dtype=np.int8)
+        assert np.array_equal(viterbi_decode(code, IDENTITY, encode(code, info)), info)
+
     def test_exhaustive_oracle(self, bsc01):
         logw = np.log(bsc01.w)
         rng = _rng(3, 0)
@@ -167,6 +192,52 @@ class TestViterbi:
             got = logw[encode(code, dec), y].sum()
             wins += abs(got - best) < 1e-9
         assert wins == 200
+
+    @pytest.mark.parametrize("m,n,k,L,channel,metric", [
+        (2, 2, 2, 3, "bsc", "bsc"),
+        (2, 3, 3, 3, "bsc", "bsc"),
+        (1, 2, 1, 8, "bsc", "bsc"),
+        (1, 2, 4, 6, "bsc", "bsc"),
+        (1, 2, 3, 6, "asym3", "asym3"),
+        (2, 2, 2, 3, "asym3", "asym3"),
+        (1, 2, 3, 6, "zeros", "zeros"),
+        (1, 3, 2, 6, "zeros", "zeros"),
+        (1, 2, 3, 6, "binary3", "mismatched"),
+        (2, 2, 2, 3, "binary3", "mismatched"),
+    ])
+    def test_exhaustive_oracle_wider(self, m, n, k, L, channel, metric, bsc01, asym3):
+        zeros = Dmc([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [0.0, 0.5, 0.5]])
+        binary3 = Dmc([[0.7, 0.2, 0.1], [0.1, 0.2, 0.7]])
+        channels = {"bsc": bsc01, "asym3": asym3[0], "zeros": zeros, "binary3": binary3}
+        # a (J, Y) = (2, 3) metric matrix that is not the channel
+        metrics = dict(channels, mismatched=np.array([[0.5, 0.4, 0.1], [0.3, 0.3, 0.4]]))
+        ch = channels[channel]
+        logw = _log_metric(metrics[metric])
+        every = np.array(list(itertools.product([0, 1], repeat=m * L)), dtype=np.int8)
+        rng = _rng(5, m, k)
+        for trial in range(10):
+            cfg = EnsembleConfig(m=m, n=n, k=k, L=L, seed=trial)
+            code = sample_code(cfg, j=ch.num_inputs, code_index=trial)
+            info = rng.integers(0, 2, size=(4, m * L), dtype=np.int8)
+            ys = transmit(ch, encode(code, info), rng)
+            dec = viterbi_decode(code, metrics[metric], ys)
+            all_x = encode(code, every)
+            for y, d in zip(ys, dec):
+                best = logw[all_x, y].sum(axis=1).max()
+                assert np.isfinite(best)
+                assert logw[encode(code, d), y].sum() == pytest.approx(best, abs=1e-9)
+
+    @pytest.mark.parametrize("m,k", [(1, 1), (1, 3), (2, 1), (2, 3), (1, 5)])
+    def test_ties_pick_smaller_predecessor(self, m, k):
+        # every path has the same metric, so each state keeps its smallest
+        # predecessor and the traceback from state 0 stays on the zero path
+        useless = Dmc([[0.5, 0.5], [0.5, 0.5]])
+        cfg = EnsembleConfig(m=m, n=2, k=k, L=12, seed=4)
+        code = sample_code(cfg, j=2, q=UNIFORM2)
+        rng = _rng(6, 0)
+        info = rng.integers(0, 2, size=(8, m * 12), dtype=np.int8)
+        dec = viterbi_decode(code, useless, transmit(useless, encode(code, info), rng))
+        assert not dec.any()
 
     def test_batch_equals_single(self, bsc01):
         cfg = EnsembleConfig(m=1, n=2, k=3, L=10, seed=8)

@@ -132,6 +132,23 @@ class TestZOfRhat:
         assert value == pytest.approx(
             delta_s(JointType(np.full((2, 2), 0.25)), bsc01, 0.5), abs=1e-12)
 
+    def test_direct_equals_legendre_at_edge(self):
+        # pairs (0,1), (1,0), (1,2), (2,1) have disjoint output supports, so Z
+        # is finite from rhat0 = -1/2 ln(5/9) on, and inf below it
+        from trellisexp.types_opt import _legendre_edge
+        dmc = Dmc([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [0.0, 0.5, 0.5]])
+        q = InputDist(np.full(3, 1 / 3))
+        rhat0, _ = _legendre_edge(dmc, q)
+        assert rhat0 == pytest.approx(0.125657, abs=1e-6)
+        zl = z_of_rhat_legendre(dmc, q, rhat0)
+        zd, p = z_of_rhat_direct(dmc, q, rhat0)
+        assert zl == pytest.approx(0.297063, abs=1e-6)
+        assert zd == pytest.approx(zl, abs=1e-12)
+        assert divergence_qq(p, q) == pytest.approx(2 * rhat0, abs=1e-12)
+        assert z_of_rhat_direct(dmc, q, rhat0 * (1 - 1e-9))[0] == math.inf
+        assert z_of_rhat_direct(dmc, q, rhat0 * (1 + 1e-9))[0] == pytest.approx(
+            zl, abs=1e-4)
+
     def test_legendre_vs_grid_oracle(self, bsc01, uniform2):
         from trellisexp.exponents import expurgated_ex
         rhat = cutoff_rate(bsc01, uniform2) / 2
