@@ -12,8 +12,12 @@ Channel spec files are JSON documents:
       "memory": {"w": [[[...]]], "w_tilde": null}   # optional W(y|x,x_prev)
     }
 
-Unknown keys are rejected.  All curve output is CSV with the fixed header
-`rate,kind,value,rho,s` and 12 significant digits.
+Unknown keys are rejected, and so are keys a command would ignore (exit
+code 2): `curve` and `dominant` use neither `w_tilde` nor `memory`, and
+`simulate` decodes with `w_tilde` but has no use for `memory`.  The
+`memory` block is read by `load_channel_spec` for library callers.  All
+curve output is CSV with the fixed header `rate,kind,value,rho,s` and 12
+significant digits.
 """
 
 import argparse
@@ -117,10 +121,20 @@ def _fmt(x):
     return f"{x:.12g}"
 
 
+def _load_spec_for(args, unused):
+    """Load --channel, rejecting spec keys in `unused` that the command
+    would otherwise ignore."""
+    spec = load_channel_spec(args.channel)
+    present = [key for key in unused if getattr(spec, key) is not None]
+    if present:
+        raise ChannelSpecError(f"{args.command} does not use the keys {present}")
+    return spec
+
+
 def cmd_curve(args, out=None, err=None) -> int:
     out = out or sys.stdout
     err = err or sys.stderr
-    spec = load_channel_spec(args.channel)
+    spec = _load_spec_for(args, ("w_tilde", "memory"))
     kinds = [k for k in args.kinds.split(",") if k]
     if not kinds:
         err.write("error: empty kinds list\n")
@@ -151,7 +165,7 @@ def cmd_curve(args, out=None, err=None) -> int:
 def cmd_simulate(args, out=None, err=None) -> int:
     out = out or sys.stdout
     err = err or sys.stderr
-    spec = load_channel_spec(args.channel)
+    spec = _load_spec_for(args, ("memory",))  # w_tilde is the decoding metric
     blocks = args.blocks
     cfg = sim.EnsembleConfig(m=args.m, n=args.n, k=args.k, L=args.L,
                              linear=args.linear, seed=args.seed)
@@ -201,7 +215,7 @@ def cmd_audit(args, out=None, err=None) -> int:
 def cmd_dominant(args, out=None, err=None) -> int:
     out = out or sys.stdout
     err = err or sys.stderr
-    spec = load_channel_spec(args.channel)
+    spec = _load_spec_for(args, ("w_tilde", "memory"))
     scale = LN2 if spec.units == "bits" else 1.0
     rate = args.rate * scale
     try:
@@ -210,8 +224,9 @@ def cmd_dominant(args, out=None, err=None) -> int:
         err.write(f"error: {e}\n")
         return 1
     if rho == math.inf:
-        err.write(f"error: rho_trtc exceeds {exponents.RHO_MAX:g} at R={args.rate}: "
-                  "the exponent is unbounded or beyond resolution\n")
+        rhat0 = types_opt._legendre_edge(spec.dmc, spec.q)[0] / scale
+        err.write(f"error: R={args.rate} <= rhat0={rhat0:.12g}: no trtc root, "
+                  "the exponent is unbounded\n")
         return 1
     ev = types_opt.dominant_joint_type(spec.dmc, spec.q, rho)
     report = {

@@ -86,12 +86,19 @@ def cutoff_rate(dmc: Dmc, q: InputDist) -> float:
     return r0
 
 
-def critical_rate(dmc: Dmc, q: InputDist, h: float = 1e-5) -> float:
-    """Critical rate dE0/drho at rho=1 by central difference with Richardson step."""
-    d1 = (gallager_e0(dmc, q, 1.0 + h) - gallager_e0(dmc, q, 1.0 - h)) / (2 * h)
-    h2 = h / 2
-    d2 = (gallager_e0(dmc, q, 1.0 + h2) - gallager_e0(dmc, q, 1.0 - h2)) / (2 * h2)
-    return (4 * d2 - d1) / 3
+def critical_rate(dmc: Dmc, q: InputDist) -> float:
+    """Critical rate dE0/drho at rho = 1, in closed form.
+
+    With a_y = sum_x Q(x) sqrt(W(y|x)) and F = sum_y a_y^2 = e^{-E0(1)},
+    dE0/drho(1) = -(1/F) sum_y [a_y^2 ln a_y - a_y/2 sum_x Q(x) sqrt(W) ln W],
+    where sqrt(W) ln W and a^2 ln a are 0 at zero entries.
+    """
+    root = np.sqrt(dmc.w)
+    log_w = np.log(dmc.w, out=np.zeros_like(root), where=dmc.w > 0)
+    a = q.q @ root
+    b = q.q @ (root * log_w)
+    log_a = np.log(a, out=np.zeros_like(a), where=a > 0)
+    return float(-np.sum(a * a * log_a - 0.5 * a * b) / np.sum(a * a))
 
 
 def _root_decreasing(g, lo, hi, cap):
@@ -141,19 +148,36 @@ def solve_rho(curve_kind: str, dmc: Dmc, q: InputDist, rate: float) -> RhoValue:
     trtc: R = Ex(rho)/(2 rho - 1), rho >= 1
     rtc : R = E0(rho)/rho for R > R0(Q), rho in (0, 1)
 
-    Both sides are decreasing in rho.  A cex or trtc root beyond RHO_MAX is
-    returned as rho = inf with a nan residual: the exponent is unbounded at
-    this rate, or Ex(rho) would lose its accuracy to cancellation there.
+    cex and trtc are solved in r = 1/rho on [0, 1].  With
+    G(r) = -ln sum_{Z > 0} QQ' Z^r, increasing from G(0) = 2 rhat0
+    (rhat0 = -1/2 ln QxQ(Z > 0)) to G(1) = R0, Ex(rho) = G(r)/r, so cex
+    reads G(r) = R and trtc reads G(r) = (2 - r) R.  The trtc root exists
+    iff R > rhat0 and the cex root iff R > 2 rhat0; otherwise rho = inf
+    with a nan residual (the exponent is unbounded).  G is evaluated with
+    log1p/expm1, so small roots r (tiny rates) keep full relative accuracy.
+    The residual is that of the r-equation.
     """
     r0 = cutoff_rate(dmc, q)
     if curve_kind in ("cex", "trtc"):
         if not 0 < rate < r0 + RESIDUAL_TOL:
             raise RateOutOfRange(f"need 0 < R < R0={r0:.6g}, got R={rate}")
+        z = bhattacharyya_matrix(dmc)
+        qq = np.outer(q.q, q.q)
+        on = z > 0
+        g_zero = -np.log1p(-qq[~on].sum())  # G(0) = 2 rhat0
+        weights, log_z = qq[on] / qq[on].sum(), np.log(z[on])
+        g_of_r = lambda r: g_zero - np.log1p(np.sum(weights * np.expm1(r * log_z)))
         if curve_kind == "cex":
-            g = lambda rho: expurgated_ex(dmc, q, rho) / rho - rate
+            f = lambda r: g_of_r(r) - rate
         else:
-            g = lambda rho: expurgated_ex(dmc, q, rho) / (2 * rho - 1) - rate
-        rho = _root_decreasing(g, 1.0, 2.0, RHO_MAX)
+            f = lambda r: g_of_r(r) - (2 - r) * rate
+        if f(1.0) <= 0:
+            r = 1.0
+        elif f(0.0) >= 0:
+            return RhoValue(np.inf, np.nan)
+        else:
+            r = brentq(f, 0.0, 1.0, xtol=1e-300, rtol=4 * np.finfo(float).eps)
+        return RhoValue(1.0 / r, f(r))
     elif curve_kind == "rtc":
         if rate <= r0:
             raise RateOutOfRange(f"rtc rho branch needs R > R0={r0:.6g}")
@@ -169,7 +193,8 @@ def solve_rho(curve_kind: str, dmc: Dmc, q: InputDist, rate: float) -> RhoValue:
 def exponent_curve(kind: str, dmc: Dmc, q: InputDist, rate_grid) -> ExponentCurve:
     """Evaluate one exponent curve (or its R-times variant) on a rate grid.
 
-    A point whose rho root passes RHO_MAX has value inf and rho inf.
+    A point where the rho root does not exist (`solve_rho`) has value inf
+    and rho inf.
     """
     if kind not in CURVE_KINDS:
         raise ValueError(f"unknown curve kind {kind!r}")

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import gammaln
 
 from .channels import Dmc, InputDist
 from .memory import MarkovChannel
@@ -315,6 +316,7 @@ class PairTypeTable:
     entries[(l, key)] = count, where key is the flattened tuple of integer
     symbol-pair occurrence counts (length j*j, total n*(k+l)).  pair_totals[l]
     is the number of enumerated (correct-window, incorrect-path) pairs.
+    Entries are listed in ascending (l, key) order.
     """
 
     j: int
@@ -348,6 +350,38 @@ def _deviation_patterns(l, k, m):
     return pats
 
 
+def _pair_counts(code: TrellisCode, u, pats, l) -> np.ndarray:
+    """Pattern-major (pairs, j^2) symbol-pair counts over the k+l branches
+    from node k-1, for correct input blocks u (windows, 2k+l-1)."""
+    cfg, j = code.cfg, code.j
+    node, span, jj = cfg.k - 1, cfg.k + l, j * j
+    t_span = np.arange(node, node + span)
+    wins_u = _block_windows(u, cfg)[:, node:]  # (W, span)
+    # windows pack blocks into disjoint bit fields, so an incorrect
+    # path's window is the correct one XOR the window of the difference
+    diffs = np.zeros((len(pats), u.shape[1]), dtype=np.int64)
+    diffs[:, node:node + l + 1] = np.reshape(pats, (-1, l + 1))
+    wins_diff = _block_windows(diffs, cfg)[:, node:]  # (patterns, span)
+    # cell x*j + x' of each symbol pair, offset by j^2 per window so that
+    # one bincount counts every window
+    base = (np.arange(len(u))[:, None, None] * jj
+            + code.labels[t_span, wins_u].astype(np.int64) * j)
+    counts = np.empty((len(pats), len(u), jj), dtype=np.int32)
+    for pi, diff in enumerate(wins_diff):
+        cells = base + code.labels[t_span, wins_u ^ diff]
+        counts[pi] = np.bincount(cells.ravel(), minlength=len(u) * jj).reshape(-1, jj)
+    return counts.reshape(-1, jj)
+
+
+def _distinct_rows(rows: np.ndarray):
+    """Distinct rows in ascending order and their multiplicities (exact)."""
+    ranked = rows[np.lexsort(rows.T[::-1])]
+    first = np.ones(len(ranked), dtype=bool)
+    first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    starts = np.flatnonzero(first)
+    return ranked[starts], np.diff(np.append(starts, len(ranked)))
+
+
 def enumerate_pair_types(code: TrellisCode, l_max: int, fixed_message=None,
                          budget: int = ENUM_BUDGET) -> PairTypeTable:
     """Exact joint-type counts for all incorrect paths with extension l <= l_max.
@@ -356,68 +390,33 @@ def enumerate_pair_types(code: TrellisCode, l_max: int, fixed_message=None,
     input history inside the block).  By default counts are averaged over
     all correct-path input windows (message-averaged mode); passing
     `fixed_message` (a block-integer sequence covering the window) restricts
-    to one correct path.
+    to one correct path.  Distinct count rows come from an exact row sort,
+    so any alphabet size j is safe.
     """
     cfg = code.cfg
-    m, n, k, j = cfg.m, cfg.n, cfg.k, code.j
+    m, k = cfg.m, cfg.k
     node = k - 1
     u_count = 1 << m
-    table = PairTypeTable(j=j)
+    table = PairTypeTable(j=code.j)
     for l in range(1, l_max + 1):
         span = k + l  # branches from divergence to remerge
         if node + span > cfg.num_branches:
             raise ValueError(f"block too short for l={l} at divergence node {node}")
         pats = _deviation_patterns(l, k, m)
-        win_len = (k - 1) + span  # correct input blocks feeding the span
-        if fixed_message is None:
-            n_windows = u_count ** win_len
-        else:
-            n_windows = 1
+        win_len = node + span  # correct input blocks u_0 .. u_{node+span-1}
+        n_windows = u_count ** win_len if fixed_message is None else 1
         total = n_windows * len(pats)
         if total > budget:
-            raise EnumerationBudgetExceeded(
-                f"l={l}: {total} pairs exceed budget {budget}"
-            )
+            raise EnumerationBudgetExceeded(f"l={l}: {total} pairs exceed budget {budget}")
         if fixed_message is None:
-            u_all = np.empty((n_windows, win_len), dtype=np.int64)
-            rem = np.arange(n_windows)
-            for pos in range(win_len):
-                u_all[:, pos] = rem % u_count
-                rem //= u_count
+            u = (np.arange(n_windows)[:, None] >> (m * np.arange(win_len))) & (u_count - 1)
         else:
-            u_all = np.asarray(fixed_message, dtype=np.int64)[None, :win_len]
-            if u_all.shape[1] != win_len:
+            u = np.asarray(fixed_message, dtype=np.int64)[None, :win_len]
+            if u.shape[1] != win_len:
                 raise LengthMismatch(f"fixed message must cover {win_len} blocks")
-        counts = np.zeros((total, j * j), dtype=np.int32)
-        shift = cfg.m * (k - 1)
-        mask = (1 << cfg.constraint_length) - 1
-        for pi, pat in enumerate(pats):
-            u = u_all  # (W, win_len): blocks u_{node-k+1} .. u_{node+span-1}
-            v = u.copy()
-            for off, e in enumerate(pat):
-                v[:, (k - 1) + off] = u[:, (k - 1) + off] ^ e
-            wu = np.zeros(n_windows, dtype=np.int64)
-            wv = np.zeros(n_windows, dtype=np.int64)
-            # prime the window with the shared pre-divergence history
-            for pos in range(k - 1):
-                wu = ((wu >> m) | (u[:, pos] << shift)) & mask
-            wv = wu.copy()
-            acc = np.zeros(n_windows * j * j, dtype=np.int64)
-            base_idx = np.arange(n_windows, dtype=np.int64)[:, None] * (j * j)
-            for br in range(span):
-                pos = (k - 1) + br
-                wu = ((wu >> m) | (u[:, pos] << shift)) & mask
-                wv = ((wv >> m) | (v[:, pos] << shift)) & mask
-                t = node + br
-                lu = code.labels[t, wu]  # (W, n)
-                lv = code.labels[t, wv]
-                cell = lu.astype(np.int64) * j + lv
-                acc += np.bincount((base_idx + cell).ravel(),
-                                   minlength=acc.size)
-            counts[pi * n_windows:(pi + 1) * n_windows] = acc.reshape(n_windows, j * j)
-        keys, mult = np.unique(counts, axis=0, return_counts=True)
-        for key, c in zip(keys, mult):
-            table.entries[(l, tuple(int(v) for v in key))] = int(c)
+        keys, mult = _distinct_rows(_pair_counts(code, u, pats, l))
+        for key, c in zip(keys.tolist(), mult.tolist()):
+            table.entries[(l, tuple(key))] = c
         table.pair_totals[l] = total
     return table
 
@@ -432,44 +431,42 @@ class TypicalityReport:
         return len(self.violations) == 0
 
 
-def _log2_type_probability(counts, log2_qq):
-    """log2 Pr{a QxQ-i.i.d. pair of length-N vectors has these cell counts}."""
-    counts = np.asarray(counts)
-    total = counts.sum()
-    lg = math.lgamma(total + 1) - sum(math.lgamma(c + 1) for c in counts)
-    lg /= math.log(2.0)
-    finite = counts > 0
-    if np.any(finite & np.isinf(log2_qq)):
-        return -np.inf
-    return lg + float(np.sum(counts[finite] * log2_qq[finite]))
-
-
 def typicality_check(code: TrellisCode, q, epsilon: float, l_max: int,
                      table: PairTypeTable = None) -> TypicalityReport:
     """Check the two enumerator conditions for one code at slack epsilon.
 
     epsilon is a base-2 exponent slack per channel use, matching the
     analytic union bound.  E{N_l(P)} is the exact pair total times the exact
-    multinomial type probability under QxQ.
+    multinomial type probability under QxQ,
+    log2 E = log2 total + [ln N! - sum ln c!] / ln 2 + sum_c c log2 QQ'(c),
+    scored for all types at once.  A type whose E sits exactly on the
+    first-condition threshold (2^m - 1) 2^{-n(k+l) eps} (possible when
+    n(k+l) eps is an integer) is decided by the last-bit rounding of
+    ln Gamma; choose eps with n(k+l) eps non-integer for a decision that
+    does not hang on it.
     """
     cfg = code.cfg
     if table is None:
         table = enumerate_pair_types(code, l_max)
+    if not table.entries:
+        return TypicalityReport(epsilon, ())
     qv = np.asarray(getattr(q, "q", q), dtype=float)
     qq = np.outer(qv, qv).reshape(-1)
-    with np.errstate(divide="ignore"):
-        log2_qq = np.log2(qq)
-    log2_excess = math.log2((1 << cfg.m) - 1) if cfg.m else 0.0
-    violations = []
-    for (l, key), observed in table.entries.items():
-        nkl = cfg.n * (cfg.k + l)
-        log2_en = math.log2(table.pair_totals[l]) + _log2_type_probability(key, log2_qq)
-        if log2_en < log2_excess - nkl * epsilon:
-            # first condition: this type should be unpopulated
-            violations.append((l, key, observed, 0.0))
-        elif math.log2(observed) > nkl * epsilon + log2_en:
-            violations.append((l, key, observed, 2.0 ** (nkl * epsilon + log2_en)))
-    return TypicalityReport(epsilon, tuple(violations))
+    log2_qq = np.log2(qq, out=np.full_like(qq, -np.inf), where=qq > 0)
+    ls, counts = map(np.array, zip(*table.entries))  # counts: (types, j^2)
+    observed = np.fromiter(table.entries.values(), dtype=float, count=len(ls))
+    log_multinomial = gammaln(counts.sum(axis=1) + 1) - gammaln(counts + 1).sum(axis=1)
+    log2_p = (np.where(counts > 0, log2_qq, 0.0) * counts).sum(axis=1)  # -inf off Q's support
+    log2_en = (np.log2([table.pair_totals[l] for l in ls.tolist()])
+               + (log_multinomial / math.log(2.0) + log2_p))
+    slack = cfg.n * (cfg.k + ls) * epsilon
+    # first condition: the type should be unpopulated; second: not too many
+    first = log2_en < math.log2((1 << cfg.m) - 1) - slack
+    bad = first | (np.log2(observed) > slack + log2_en)
+    bound = np.where(first, 0.0, np.exp2(slack + log2_en))
+    items = list(table.entries.items())
+    return TypicalityReport(epsilon, tuple(
+        (*items[i][0], items[i][1], float(bound[i])) for i in np.flatnonzero(bad)))
 
 
 def typicality_union_bound(cfg: EnsembleConfig, j: int, epsilon: float,

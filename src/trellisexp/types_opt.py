@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Dmc, InputDist, bhattacharyya_matrix, chernoff_matrix
+from .channels import PROB_ATOL, Dmc, InputDist, bhattacharyya_matrix, chernoff_matrix
 from .exponents import (
     RHO_MAX,
     RateOutOfRange,
@@ -19,8 +19,6 @@ from .exponents import (
     cutoff_rate,
     expurgated_ex,
 )
-
-PROB_ATOL = 1e-12
 
 
 class NormalizerZero(ArithmeticError):

@@ -73,6 +73,19 @@ class TestChannelSpec:
         assert np.allclose(again.memory.w, spec.memory.w)
 
 
+def _spec_with(tmp_path, **extra):
+    """BSC(0.1) spec file with extra keys."""
+    doc = {"input_alphabet_size": 2, "output_alphabet_size": 2,
+           "w": [[0.9, 0.1], [0.1, 0.9]], "q": [0.5, 0.5], **extra}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+MEMORY_BLOCK = {"w": [[[0.9, 0.1], [0.8, 0.2]], [[0.1, 0.9], [0.2, 0.8]]]}
+W_TILDE = [[0.8, 0.2], [0.2, 0.8]]
+
+
 class TestCurve:
     def test_header_and_values(self):
         rc, out, _ = run(["curve", "--channel", BSC, "--kinds", "rtimes_rtc",
@@ -115,6 +128,15 @@ class TestCurve:
                             "--rmin", "0.2", "--rmax", "0.3", "--points", "3"])
         assert rc == 1
         assert "error" in err
+
+
+    def test_ignored_keys_rejected(self, tmp_path):
+        for extra in ({"w_tilde": W_TILDE}, {"memory": MEMORY_BLOCK}):
+            rc, out, err = run(["curve", "--channel", _spec_with(tmp_path, **extra),
+                                "--kinds", "trtc", "--rmin", "0.05", "--rmax", "0.2",
+                                "--points", "2"])
+            assert rc == 2 and out == ""
+            assert next(iter(extra)) in err
 
 
 class TestSimulate:
@@ -164,6 +186,18 @@ class TestSimulate:
         assert rc == 0
 
 
+    def test_memory_rejected_w_tilde_used(self, tmp_path):
+        argv = ["--m", "1", "--n", "2", "--k", "2", "--L", "20", "--blocks", "5",
+                "--seed", "3"]
+        rc, out, err = run(["simulate", "--channel",
+                            _spec_with(tmp_path, memory=MEMORY_BLOCK)] + argv)
+        assert rc == 2 and out == ""
+        assert "memory" in err
+        rc, out, _ = run(["simulate", "--channel",
+                          _spec_with(tmp_path, w_tilde=W_TILDE)] + argv)
+        assert rc == 0 and out.startswith("code,seed,")
+
+
 class TestAudit:
     def test_audit_runs(self):
         rc, out, _ = run(["audit", "--channel", BSC, "--m", "1", "--n", "2",
@@ -206,3 +240,18 @@ class TestDominant:
         rc, out, err = run(["dominant", "--channel", str(path), "--rate", "0.1"])
         assert rc == 1 and out == ""
         assert "unbounded" in err
+
+    def test_rate_at_edge_names_rhat0(self, tmp_path):
+        # noiseless BSC: rhat0 = ln2/2, the trtc root exists only above it
+        path = _spec_with(tmp_path, w=[[1.0, 0.0], [0.0, 1.0]])
+        rc, _, err = run(["dominant", "--channel", path, "--rate", "0.3"])
+        assert rc == 1 and "rhat0=0.34657359" in err
+        rc, out, _ = run(["dominant", "--channel", path, "--rate", "0.4"])
+        assert rc == 0 and json.loads(out)["rho_trtc"] > 1.0
+
+    def test_ignored_keys_rejected(self, tmp_path):
+        for extra in ({"w_tilde": W_TILDE}, {"memory": MEMORY_BLOCK}):
+            rc, out, err = run(["dominant", "--channel", _spec_with(tmp_path, **extra),
+                                "--rate", "0.1"])
+            assert rc == 2 and out == ""
+            assert next(iter(extra)) in err

@@ -141,6 +141,29 @@ class TestSolveRho:
         assert 0 < sol.rho < 1
         assert abs(gallager_e0(bsc01, uniform2, sol.rho) / sol.rho - 0.25) <= 1e-10
 
+    def test_tiny_rate_finite(self, bsc01, uniform2):
+        # rhat0 = 0 for the BSC, so the roots exist at every rate; at
+        # R = 1e-7 rho_trtc is about 1.28e6
+        sol = solve_rho("trtc", bsc01, uniform2, 1e-7)
+        assert sol.rho == pytest.approx(1277064.432, rel=1e-9)
+        value = exponent_curve("trtc", bsc01, uniform2, [1e-7]).points[0][1]
+        assert value == pytest.approx(2.554128e6, rel=1e-6)
+        assert value == pytest.approx(2 * sol.rho - 1, rel=1e-8)
+        cex = solve_rho("cex", bsc01, uniform2, 1e-7).rho
+        assert math.isfinite(cex) and cex > sol.rho
+
+    def test_root_exists_iff_above_edge(self, uniform2):
+        # W has pairs of inputs with disjoint output supports:
+        # rhat0 = -1/2 ln QxQ(Z > 0) = 1/2 ln(9/7)
+        dmc = Dmc([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [0.0, 0.5, 0.5]])
+        q = InputDist(np.full(3, 1 / 3))
+        rhat0 = 0.5 * math.log(9 / 7)
+        assert cutoff_rate(dmc, q) > 2.02 * rhat0
+        assert solve_rho("trtc", dmc, q, 0.99 * rhat0).rho == math.inf
+        assert math.isfinite(solve_rho("trtc", dmc, q, 1.01 * rhat0).rho)
+        assert solve_rho("cex", dmc, q, 1.99 * rhat0).rho == math.inf
+        assert math.isfinite(solve_rho("cex", dmc, q, 2.01 * rhat0).rho)
+
 
 class TestExponentCurve:
     def test_rtimes_rtc_constant(self, bsc01, uniform2):

@@ -372,3 +372,140 @@ class TestTypicality:
         assert 0.0 <= frac <= 1.0
         assert len(reports) == 5
         assert bound > 0
+
+
+def _encoded_pair_types(code, l_max, fixed_message=None):
+    """Per-pair reference for enumerate_pair_types: encode the correct and
+    the incorrect information sequence in full and count the symbol pairs
+    over the span from the divergence node k-1 to the remerge."""
+    cfg = code.cfg
+    m, n, k, j = cfg.m, cfg.n, cfg.k, code.j
+    node = k - 1
+
+    def info_bits(blocks):
+        padded = list(blocks) + [0] * (cfg.L - len(blocks))
+        return np.array([(b >> (m - 1 - i)) & 1 for b in padded for i in range(m)],
+                        dtype=np.int8)
+
+    entries, totals = {}, {}
+    for l in range(1, l_max + 1):
+        span = k + l
+        win_len = node + span
+        assert win_len <= cfg.L  # every correct block is an information block
+        if fixed_message is None:
+            messages = itertools.product(range(1 << m), repeat=win_len)
+        else:
+            messages = [tuple(fixed_message[:win_len])]
+        totals[l] = 0
+        for u in messages:
+            xu = encode(code, info_bits(u))[n * node:n * (node + span)].tolist()
+            for pat in _deviation_patterns(l, k, m):
+                v = list(u)
+                for off, e in enumerate(pat):
+                    v[node + off] ^= e
+                xv = encode(code, info_bits(v))[n * node:n * (node + span)].tolist()
+                key = [0] * (j * j)
+                for a, b in zip(xu, xv):
+                    key[a * j + b] += 1
+                entries[(l, tuple(key))] = entries.get((l, tuple(key)), 0) + 1
+                totals[l] += 1
+    return entries, totals
+
+
+class TestPairTypeOracle:
+    @pytest.mark.parametrize("m,n,k,j,l_max", [
+        (1, 2, 1, 2, 2), (1, 2, 2, 2, 3), (1, 2, 3, 2, 2), (1, 2, 4, 2, 2),
+        (1, 3, 2, 3, 2), (1, 3, 3, 2, 1), (1, 2, 2, 16, 1),
+        (2, 2, 1, 2, 2), (2, 2, 2, 2, 1), (2, 3, 2, 3, 1),
+    ])
+    def test_message_averaged(self, m, n, k, j, l_max):
+        cfg = EnsembleConfig(m=m, n=n, k=k, L=2 * k + l_max - 1, seed=17)
+        for index in range(2):
+            code = sample_code(cfg, j=j, q=InputDist(np.full(j, 1 / j)), code_index=index)
+            table = enumerate_pair_types(code, l_max)
+            assert (table.entries, table.pair_totals) == _encoded_pair_types(code, l_max)
+            assert list(table.entries) == sorted(table.entries)
+
+    @pytest.mark.parametrize("m,n,k,j,l_max", [
+        (1, 2, 4, 2, 3), (1, 3, 4, 3, 3), (2, 2, 3, 2, 2), (2, 3, 4, 3, 1),
+        (2, 2, 2, 16, 2),
+    ])
+    def test_fixed_message(self, m, n, k, j, l_max):
+        cfg = EnsembleConfig(m=m, n=n, k=k, L=2 * k + l_max - 1, seed=23)
+        code = sample_code(cfg, j=j, q=InputDist(np.full(j, 1 / j)))
+        message = np.random.default_rng(k).integers(0, 1 << m, size=cfg.L)
+        table = enumerate_pair_types(code, l_max, fixed_message=message)
+        want = _encoded_pair_types(code, l_max, fixed_message=message)
+        assert (table.entries, table.pair_totals) == want
+
+    def test_q_with_zero_entry(self):
+        cfg = EnsembleConfig(m=1, n=2, k=3, L=7, seed=29)
+        code = sample_code(cfg, j=3, q=InputDist([0.5, 0.0, 0.5]))
+        assert not np.any(code.labels == 1)
+        table = enumerate_pair_types(code, 2)
+        assert (table.entries, table.pair_totals) == _encoded_pair_types(code, 2)
+
+
+def _log2_type_probability(counts, log2_qq):
+    """log2 Pr{a QxQ-i.i.d. pair of length-N vectors has these cell counts}."""
+    counts = np.asarray(counts)
+    total = counts.sum()
+    lg = math.lgamma(total + 1) - sum(math.lgamma(c + 1) for c in counts)
+    lg /= math.log(2.0)
+    finite = counts > 0
+    if np.any(finite & np.isinf(log2_qq)):
+        return -np.inf
+    return lg + float(np.sum(counts[finite] * log2_qq[finite]))
+
+
+def _scored_violations(code, q, epsilon, table):
+    """Per-entry reference for typicality_check's two conditions."""
+    cfg = code.cfg
+    qq = np.outer(q, q).reshape(-1)
+    with np.errstate(divide="ignore"):
+        log2_qq = np.log2(qq)
+    log2_excess = math.log2((1 << cfg.m) - 1)
+    violations = []
+    for (l, key), observed in table.entries.items():
+        nkl = cfg.n * (cfg.k + l)
+        log2_en = math.log2(table.pair_totals[l]) + _log2_type_probability(key, log2_qq)
+        if log2_en < log2_excess - nkl * epsilon:
+            violations.append((l, key, observed, 0.0))
+        elif math.log2(observed) > nkl * epsilon + log2_en:
+            violations.append((l, key, observed, 2.0 ** (nkl * epsilon + log2_en)))
+    return violations
+
+
+class TestTypicalityScorer:
+    # (m, n, k, j, l_max, code Q, scoring Q); n(k+l) eps is never an integer
+    # here, so no type sits exactly on the first-condition threshold
+    CASES = [
+        (1, 2, 2, 2, 2, [0.5, 0.5], [0.5, 0.5]),
+        (1, 2, 3, 2, 1, [0.5, 0.5], [0.7, 0.3]),
+        (2, 2, 2, 2, 1, [0.5, 0.5], [0.5, 0.5]),
+        (1, 3, 2, 3, 2, [0.5, 0.3, 0.2], [0.5, 0.3, 0.2]),
+        (1, 2, 2, 3, 2, [1 / 3, 1 / 3, 1 / 3], [0.5, 0.5, 0.0]),
+    ]
+
+    @pytest.mark.parametrize("epsilon", [0.3, 0.45])
+    def test_matches_per_entry_reference(self, epsilon):
+        kinds = set()
+        for m, n, k, j, l_max, q_code, q_score in self.CASES:
+            assert all((n * (k + l) * epsilon) % 1 > 1e-9 for l in range(1, l_max + 1))
+            cfg = EnsembleConfig(m=m, n=n, k=k, L=20, seed=31)
+            for index in range(6):
+                code = sample_code(cfg, j=j, q=InputDist(q_code), code_index=index)
+                table = enumerate_pair_types(code, l_max)
+                got = typicality_check(code, InputDist(q_score), epsilon, l_max,
+                                       table=table).violations
+                want = _scored_violations(code, np.array(q_score), epsilon, table)
+                assert [v[:3] for v in got] == [v[:3] for v in want]
+                for (*_, bound), (*_, ref) in zip(got, want):
+                    assert bound == pytest.approx(ref, rel=1e-12, abs=0.0)
+                    kinds.add(ref > 0)
+        assert kinds == {False, True}  # both conditions were exercised
+
+    def test_no_types_is_typical(self):
+        cfg = EnsembleConfig(m=1, n=2, k=2, L=20, seed=11)
+        code = sample_code(cfg, j=2, q=UNIFORM2)
+        assert typicality_check(code, UNIFORM2, 0.3, l_max=0).is_typical
