@@ -13,11 +13,11 @@ Channel spec files are JSON documents:
     }
 
 Unknown keys are rejected, and so are keys a command would ignore (exit
-code 2): `curve` and `dominant` use neither `w_tilde` nor `memory`, and
-`simulate` decodes with `w_tilde` but has no use for `memory`.  The
-`memory` block is read by `load_channel_spec` for library callers.  All
-curve output is CSV with the fixed header `rate,kind,value,rho,s` and 12
-significant digits.
+code 2): `curve`, `dominant` and `audit` use neither `w_tilde` nor
+`memory`, and `simulate` decodes with `w_tilde` but has no use for
+`memory`.  The `memory` block is read by `load_channel_spec` for library
+callers.  All curve output is CSV with the fixed header
+`rate,kind,value,rho,s` and 12 significant digits.
 """
 
 import argparse
@@ -199,7 +199,7 @@ def cmd_simulate(args, out=None, err=None) -> int:
 def cmd_audit(args, out=None, err=None) -> int:
     out = out or sys.stdout
     err = err or sys.stderr
-    spec = load_channel_spec(args.channel)
+    spec = _load_spec_for(args, ("w_tilde", "memory"))
     cfg = sim.EnsembleConfig(m=args.m, n=args.n, k=args.k, L=args.L,
                              seed=args.seed)
     frac, reports, bound = sim.typicality_audit(

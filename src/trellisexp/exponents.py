@@ -54,36 +54,67 @@ def gallager_e0(dmc: Dmc, q: InputDist, rho: float) -> float:
     return -np.log(np.sum(inner ** (1.0 + rho)))
 
 
+class _PairTable:
+    """The input pairs of one (W, Q) on which the Bhattacharyya Z is positive.
+
+    Pairs with Z = 0 (disjoint output supports) have QxQ mass 1 - e^{-2 rhat0}
+    and drop out of every Ex-type sum at rho < inf.  On the rest, `weights` is
+    QQ' renormalised and `log_z` is ln Z, so that
+    G(r) = -ln sum QQ' Z^r = 2 rhat0 - ln(1 + sum weights (Z^r - 1)) is
+    evaluated with log1p/expm1 and keeps full relative accuracy at small r.
+    The diagonal pairs on Q's support have Z = 1, so `weights` is never empty.
+    """
+
+    def __init__(self, dmc: Dmc, q: InputDist):
+        z = bhattacharyya_matrix(dmc)
+        qq = np.outer(q.q, q.q)
+        self.on = z > 0
+        self.weights = qq[self.on] / qq[self.on].sum()
+        self.log_z = np.log(z[self.on])
+        self.rhat0 = float(-0.5 * np.log1p(-qq[~self.on].sum()))
+        self.r0 = gallager_e0(dmc, q, 1.0)
+        ex_one = self.g(1.0)
+        if abs(self.r0 - ex_one) > 1e-10:
+            raise ArithmeticError(f"E0(1) and Ex(1) disagree: {self.r0} vs {ex_one}")
+
+    def g(self, r):
+        """G(r) = Ex(1/r)/(1/r), increasing from G(0) = 2 rhat0 to G(1) = R0."""
+        return 2 * self.rhat0 - np.log1p(np.sum(self.weights * np.expm1(r * self.log_z)))
+
+    def ex(self, rho):
+        """Ex(rho) = rho G(1/rho), with Ex(0) = 0."""
+        return rho * self.g(1.0 / rho) if rho > 0 else 0.0
+
+    def tilted(self, r):
+        """Joint type proportional to QQ' Z^r on the Z > 0 pairs, 0 elsewhere;
+        r = 0 gives QxQ restricted to those pairs."""
+        p = np.zeros(self.on.shape)
+        p[self.on] = self.weights * np.exp(r * self.log_z)
+        return p / p.sum()
+
+    def mean_distance(self):
+        """-E[ln Z] over the Z > 0 pairs: the rho -> inf limit of Ex(rho)
+        minus 2 rho rhat0."""
+        return float(-np.sum(self.weights * self.log_z))
+
+
 def expurgated_ex(dmc: Dmc, q: InputDist, rho: float) -> float:
     """Expurgated function Ex(rho, Q) = -rho ln sum QQ' Z(x,x')^{1/rho}."""
     if rho < 0:
         raise ValueError(f"rho must be >= 0, got {rho}")
-    if rho == 0.0:
-        return 0.0
-    z = bhattacharyya_matrix(dmc)
-    qq = np.outer(q.q, q.q)
-    return -rho * np.log(np.sum(qq * z ** (1.0 / rho)))
+    return _PairTable(dmc, q).ex(rho)
 
 
 def expurgated_ex_limit(dmc: Dmc, q: InputDist) -> float:
     """Zero-rate expurgated exponent lim_{rho->inf} Ex(rho, Q) = -E[ln Z]."""
-    z = bhattacharyya_matrix(dmc)
-    qq = np.outer(q.q, q.q)
-    with np.errstate(divide="ignore"):
-        logz = np.log(z)
-    mass = qq > 0
-    if np.any(mass & (z <= 0)):
-        return np.inf
-    return -float(np.sum(qq[mass] * logz[mass]))
+    table = _PairTable(dmc, q)
+    return np.inf if table.rhat0 > 0 else table.mean_distance()
 
 
 def cutoff_rate(dmc: Dmc, q: InputDist) -> float:
-    """Cutoff rate R0(Q) = E0(1, Q) = Ex(1, Q), cross-checked to 1e-10."""
-    r0 = gallager_e0(dmc, q, 1.0)
-    r0x = expurgated_ex(dmc, q, 1.0)
-    if abs(r0 - r0x) > 1e-10:
-        raise ArithmeticError(f"E0(1) and Ex(1) disagree: {r0} vs {r0x}")
-    return r0
+    """Cutoff rate R0(Q) = E0(1, Q), checked against Ex(1, Q) to 1e-10
+    when the pair table of (W, Q) is built."""
+    return _PairTable(dmc, q).r0
 
 
 def critical_rate(dmc: Dmc, q: InputDist) -> float:
@@ -141,6 +172,19 @@ def _argmax_concave(f, lo, hi=None, xatol=1e-10):
                key=lambda point: point[1])
 
 
+def _unit_root(f):
+    """Root r in [0, 1] of an f that crosses zero at most once, upward.
+
+    Returns 1 when f(1) <= 0 (the root lies at or beyond r = 1) and 0 when
+    f(0) >= 0 (no root: rho = 1/r is unbounded); brentq finds it otherwise.
+    """
+    if f(1.0) <= 0:
+        return 1.0
+    if f(0.0) >= 0:
+        return 0.0
+    return brentq(f, 0.0, 1.0, xtol=1e-300, rtol=4 * np.finfo(float).eps)
+
+
 def solve_rho(curve_kind: str, dmc: Dmc, q: InputDist, rate: float) -> RhoValue:
     """Solve the defining rho-equation of a curve at rate R (nats).
 
@@ -148,53 +192,47 @@ def solve_rho(curve_kind: str, dmc: Dmc, q: InputDist, rate: float) -> RhoValue:
     trtc: R = Ex(rho)/(2 rho - 1), rho >= 1
     rtc : R = E0(rho)/rho for R > R0(Q), rho in (0, 1)
 
-    cex and trtc are solved in r = 1/rho on [0, 1].  With
-    G(r) = -ln sum_{Z > 0} QQ' Z^r, increasing from G(0) = 2 rhat0
-    (rhat0 = -1/2 ln QxQ(Z > 0)) to G(1) = R0, Ex(rho) = G(r)/r, so cex
-    reads G(r) = R and trtc reads G(r) = (2 - r) R.  The trtc root exists
-    iff R > rhat0 and the cex root iff R > 2 rhat0; otherwise rho = inf
-    with a nan residual (the exponent is unbounded).  G is evaluated with
-    log1p/expm1, so small roots r (tiny rates) keep full relative accuracy.
+    cex and trtc are solved in r = 1/rho on [0, 1] by `_unit_root`.  With
+    G(r) = -ln sum_{Z > 0} QQ' Z^r (`_PairTable.g`), increasing from
+    G(0) = 2 rhat0 (rhat0 = -1/2 ln QxQ(Z > 0)) to G(1) = R0,
+    Ex(rho) = G(r)/r, so cex reads G(r) = R and trtc reads G(r) = (2 - r) R.
+    The trtc root exists iff R > rhat0 and the cex root iff R > 2 rhat0;
+    otherwise rho = inf with a nan residual (the exponent is unbounded).
     The residual is that of the r-equation.
     """
-    r0 = cutoff_rate(dmc, q)
     if curve_kind in ("cex", "trtc"):
-        if not 0 < rate < r0 + RESIDUAL_TOL:
-            raise RateOutOfRange(f"need 0 < R < R0={r0:.6g}, got R={rate}")
-        z = bhattacharyya_matrix(dmc)
-        qq = np.outer(q.q, q.q)
-        on = z > 0
-        g_zero = -np.log1p(-qq[~on].sum())  # G(0) = 2 rhat0
-        weights, log_z = qq[on] / qq[on].sum(), np.log(z[on])
-        g_of_r = lambda r: g_zero - np.log1p(np.sum(weights * np.expm1(r * log_z)))
-        if curve_kind == "cex":
-            f = lambda r: g_of_r(r) - rate
-        else:
-            f = lambda r: g_of_r(r) - (2 - r) * rate
-        if f(1.0) <= 0:
-            r = 1.0
-        elif f(0.0) >= 0:
-            return RhoValue(np.inf, np.nan)
-        else:
-            r = brentq(f, 0.0, 1.0, xtol=1e-300, rtol=4 * np.finfo(float).eps)
-        return RhoValue(1.0 / r, f(r))
-    elif curve_kind == "rtc":
-        if rate <= r0:
-            raise RateOutOfRange(f"rtc rho branch needs R > R0={r0:.6g}")
-        g = lambda rho: gallager_e0(dmc, q, rho) / rho - rate
-        if g(1e-12) < 0:
-            raise RateOutOfRange("R exceeds the mutual information of (Q, W)")
-        rho = _root_decreasing(g, 1e-12, 1.0, 1.0)
-    else:
+        return _solve_rho(curve_kind, _PairTable(dmc, q), rate)
+    if curve_kind != "rtc":
         raise ValueError(f"unknown curve kind {curve_kind!r}")
-    return RhoValue(rho, g(rho) if np.isfinite(rho) else np.nan)
+    r0 = cutoff_rate(dmc, q)
+    if rate <= r0:
+        raise RateOutOfRange(f"rtc rho branch needs R > R0={r0:.6g}")
+    g = lambda rho: gallager_e0(dmc, q, rho) / rho - rate
+    if g(1e-12) < 0:
+        raise RateOutOfRange("R exceeds the mutual information of (Q, W)")
+    rho = brentq(g, 1e-12, 1.0, xtol=1e-300, rtol=4 * np.finfo(float).eps)
+    return RhoValue(rho, g(rho))
+
+
+def _solve_rho(curve_kind: str, table: _PairTable, rate: float) -> RhoValue:
+    """`solve_rho` for cex and trtc on the pair table of (W, Q)."""
+    if not 0 < rate < table.r0 + RESIDUAL_TOL:
+        raise RateOutOfRange(f"need 0 < R < R0={table.r0:.6g}, got R={rate}")
+    if curve_kind == "cex":
+        f = lambda r: table.g(r) - rate
+    else:
+        f = lambda r: table.g(r) - (2 - r) * rate
+    r = _unit_root(f)
+    return RhoValue(1.0 / r, f(r)) if r > 0 else RhoValue(np.inf, np.nan)
 
 
 def exponent_curve(kind: str, dmc: Dmc, q: InputDist, rate_grid) -> ExponentCurve:
     """Evaluate one exponent curve (or its R-times variant) on a rate grid.
 
-    A point where the rho root does not exist (`solve_rho`) has value inf
-    and rho inf.
+    cex and trtc values are Ex(rho)/R = G(1/rho)/(R/rho) at the root of
+    `solve_rho`, exact to rounding there (rho for cex, 2 rho - 1 for trtc).
+    One pair table of (W, Q) serves every rate of the grid.
+    A point where the root does not exist has value inf and rho inf.
     """
     if kind not in CURVE_KINDS:
         raise ValueError(f"unknown curve kind {kind!r}")
@@ -203,7 +241,8 @@ def exponent_curve(kind: str, dmc: Dmc, q: InputDist, rate_grid) -> ExponentCurv
         raise ValueError("rate grid must be strictly increasing")
     base = kind.removeprefix("rtimes_")
     times_r = kind.startswith("rtimes_")
-    r0 = cutoff_rate(dmc, q)
+    table = _PairTable(dmc, q)
+    r0 = table.r0
     points = []
     for rate in rates:
         if not 0 < rate < r0 + RESIDUAL_TOL:
@@ -211,8 +250,8 @@ def exponent_curve(kind: str, dmc: Dmc, q: InputDist, rate_grid) -> ExponentCurv
         if base == "rtc":
             value, rho = r0 / rate, None
         else:
-            rho = solve_rho(base, dmc, q, rate).rho
-            value = expurgated_ex(dmc, q, rho) / rate if rho < np.inf else np.inf
+            rho = _solve_rho(base, table, rate).rho
+            value = table.ex(rho) / rate if rho < np.inf else np.inf
         if times_r:
             value *= rate
         points.append((float(rate), float(value), rho))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import PROB_ATOL, NonStochasticRow
-from .exponents import RHO_MAX, RateOutOfRange, _argmax_concave, _root_decreasing
+from .exponents import RateOutOfRange, _argmax_concave, _unit_root
 
 S_MAX_DEFAULT = 8.0
 
@@ -144,9 +144,9 @@ def _tilted_family(ch: MarkovChannel, q, s: float):
     def build(r):
         if r < 0:
             raise ValueError(f"r must be >= 0, got {r}")
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf at r = 0
             ent = np.exp(np.clip(-r * d, -745.0, 700.0))
-        ent[inf_d] = 0.0 if r > 0 else 1.0
+        ent[inf_d] = 0.0  # also at r = 0: A_s(0) is the limit r -> 0+
         a = np.where(mask, qq * ent, 0.0)
         return TiltedMatrix(a.reshape(j * j, j * j), s, r)
 
@@ -158,33 +158,10 @@ def build_tilted(ch: MarkovChannel, q, s: float, r: float) -> TiltedMatrix:
     return _tilted_family(ch, q, s)(r)
 
 
-def perron_frobenius(tm: TiltedMatrix, tol: float = 1e-13,
-                     max_iter: int = 100_000) -> float:
-    """Spectral radius of the nonnegative tilted matrix.
-
-    Power iteration from the all-ones vector; if the mask makes the matrix
-    periodic or reducible and the iteration fails to settle, fall back to a
-    dense eigenvalue solve.
-    """
-    a = tm.a
-    n = a.shape[0]
-    v = np.ones(n)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = a @ v
-        norm = w.sum()
-        if norm <= 0.0:
-            return 0.0
-        lam_new = norm / v.sum()
-        w /= norm
-        if abs(lam_new - lam) <= tol * max(lam_new, 1e-300):
-            # accept only if the eigen-residual confirms convergence
-            resid = np.linalg.norm(a @ w - lam_new * w)
-            if resid <= 1e-10 * max(lam_new, 1e-300):
-                return float(lam_new)
-        lam, v = lam_new, w
-    ev = np.linalg.eigvals(a)
-    return float(np.max(np.abs(ev)))
+def perron_frobenius(tm: TiltedMatrix) -> float:
+    """Spectral radius of the nonnegative tilted matrix (its Perron root),
+    from one dense eigenvalue solve; periodic and reducible masks are fine."""
+    return float(np.max(np.abs(np.linalg.eigvals(tm.a))))
 
 
 def g_s(ch: MarkovChannel, q, s: float, r: float) -> float:
@@ -223,21 +200,22 @@ def extended_exponent(ch: MarkovChannel, q, rate: float,
     Returns (value, argmax s, rho at the argmax).  {s : rho_{R,s} >= t} is
     an interval, so the objective is quasi-concave in s and one bounded
     search over [0, s_max] finds its maximum; a boundary-active argmax
-    (s == s_max) is reported as-is.  Where no root rho >= 1 exists the
-    objective takes its continuous extension G_s(1)/R (rho = 1); where the
-    root passes RHO_MAX it is inf.
+    (s == s_max) is reported as-is.  The root is solved in r = 1/rho on
+    [0, 1] by `_unit_root`: G_s(r) = (2 - r) R, value G_s(r)/(r R).  Where
+    no root rho >= 1 exists the objective takes its continuous extension
+    G_s(1)/R (rho = 1); it is inf exactly when G_s(0) >= 2R (no root).
     """
     r0 = extended_cutoff(ch, q, s_max)
     if not 0 < rate < r0 + 1e-12:
         raise RateOutOfRange(f"need 0 < R < R0={r0:.6g}, got {rate}")
 
     def value_at(s):
-        # rho G_s(1/rho) is the perspective of a concave function, so the
-        # root equation is concave in rho: one crossing after rho = 1
+        # rho G_s(1/rho) is the perspective of a concave function, so
+        # G_s(r) - (2 - r) R = [rho G_s(1/rho) - (2 rho - 1) R] / rho crosses
+        # zero at most once on (0, 1], upward
         g = _generator(ch, q, s)
-        h = lambda rho: rho * g(1.0 / rho) - (2 * rho - 1) * rate
-        rho = _root_decreasing(h, 1.0, 2.0, RHO_MAX)
-        return (rho * g(1.0 / rho) / rate if rho < np.inf else np.inf), rho
+        r = _unit_root(lambda r: g(r) - (2 - r) * rate)
+        return (g(r) / (r * rate), 1.0 / r) if r > 0 else (np.inf, np.inf)
 
     s_star, best = _argmax_concave(lambda s: value_at(s)[0], 0.0, s_max, xatol=1e-6)
     return float(best), float(s_star), float(value_at(s_star)[1])

@@ -391,7 +391,9 @@ def enumerate_pair_types(code: TrellisCode, l_max: int, fixed_message=None,
     all correct-path input windows (message-averaged mode); passing
     `fixed_message` (a block-integer sequence covering the window) restricts
     to one correct path.  Distinct count rows come from an exact row sort,
-    so any alphabet size j is safe.
+    so any alphabet size j is safe.  The correct path's window u_0 ..
+    u_{2k+l-2} must lie in the information part of the block, so
+    L >= 2k + l - 1 for every l <= l_max (ValueError otherwise).
     """
     cfg = code.cfg
     m, k = cfg.m, cfg.k
@@ -400,8 +402,9 @@ def enumerate_pair_types(code: TrellisCode, l_max: int, fixed_message=None,
     table = PairTypeTable(j=code.j)
     for l in range(1, l_max + 1):
         span = k + l  # branches from divergence to remerge
-        if node + span > cfg.num_branches:
-            raise ValueError(f"block too short for l={l} at divergence node {node}")
+        if node + span > cfg.L:  # the correct path's inputs end at time L
+            raise ValueError(f"block too short for l={l}: need L >= 2k+l-1 = "
+                             f"{node + span}, got L={cfg.L}")
         pats = _deviation_patterns(l, k, m)
         win_len = node + span  # correct input blocks u_0 .. u_{node+span-1}
         n_windows = u_count ** win_len if fixed_message is None else 1

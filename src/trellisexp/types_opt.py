@@ -10,19 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import PROB_ATOL, Dmc, InputDist, bhattacharyya_matrix, chernoff_matrix
-from .exponents import (
-    RHO_MAX,
-    RateOutOfRange,
-    _argmax_concave,
-    _root_decreasing,
-    cutoff_rate,
-    expurgated_ex,
-)
-
-
-class NormalizerZero(ArithmeticError):
-    pass
+from .channels import PROB_ATOL, Dmc, InputDist, chernoff_matrix
+from .exponents import RHO_MAX, RateOutOfRange, _argmax_concave, _PairTable, _root_decreasing
 
 
 @dataclass(frozen=True)
@@ -102,11 +91,8 @@ def _legendre_edge(dmc: Dmc, q: InputDist) -> tuple[float, float]:
     rhat0 = -1/2 ln QxQ(Z > 0).  So Z is inf below rhat0 and equals that
     limit at rhat0; rhat0 = 0 when every pair of supports overlaps.
     """
-    z = bhattacharyya_matrix(dmc)
-    qq = np.outer(q.q, q.q)
-    rhat0 = -0.5 * np.log1p(-qq[z <= 0].sum())
-    on = (qq > 0) & (z > 0)
-    return float(rhat0), float(-np.sum(qq[on] * np.log(z[on])) / qq[on].sum())
+    table = _PairTable(dmc, q)
+    return table.rhat0, table.mean_distance()
 
 
 def z_of_rhat_legendre(dmc: Dmc, q: InputDist, rhat: float) -> float:
@@ -117,26 +103,23 @@ def z_of_rhat_legendre(dmc: Dmc, q: InputDist, rhat: float) -> float:
     """
     if rhat < 0:
         raise ValueError(f"rhat must be >= 0, got {rhat}")
-    rhat0, z0 = _legendre_edge(dmc, q)
-    if rhat <= rhat0:
-        return np.inf if rhat < rhat0 else z0
+    return _z_legendre(_PairTable(dmc, q), q, rhat)
+
+
+def _z_legendre(table: _PairTable, q: InputDist, rhat: float) -> float:
+    """`z_of_rhat_legendre` on the pair table of (W, Q)."""
+    if rhat <= table.rhat0:
+        return np.inf if rhat < table.rhat0 else table.mean_distance()
     if 2 * rhat >= _diag_divergence(q):
         return 0.0  # objective has nonpositive slope at rho = 0
-    obj = lambda rho: expurgated_ex(dmc, q, rho) - 2 * rho * rhat
+    obj = lambda rho: table.ex(rho) - 2 * rho * rhat
     return max(0.0, float(_argmax_concave(obj, 0.0)[1]))
 
 
 def _tilted_type(dmc: Dmc, q: InputDist, rho: float) -> np.ndarray:
-    """Tilted family member P_rho proportional to Q(x)Q(x') e^{-d_{1/2}/rho}."""
-    d = chernoff_matrix(dmc, 0.5)
-    qq = np.outer(q.q, q.q)
-    with np.errstate(over="ignore"):
-        weights = qq * np.exp(-np.where(np.isinf(d), np.inf, d) / rho)
-    weights[np.isinf(d)] = 0.0  # e^{-inf} = 0: infinite-distance pairs carry no mass
-    norm = weights.sum()
-    if norm <= 0.0:
-        raise NormalizerZero("tilted family degenerate: all mass annihilated")
-    return weights / norm
+    """Tilted family member P_rho proportional to Q(x)Q(x') e^{-d_{1/2}/rho},
+    with d_{1/2} = -ln Z; infinite-distance pairs carry no mass."""
+    return _PairTable(dmc, q).tilted(1.0 / rho)
 
 
 def z_of_rhat_direct(dmc: Dmc, q: InputDist, rhat: float) -> tuple[float, JointType]:
@@ -153,13 +136,11 @@ def z_of_rhat_direct(dmc: Dmc, q: InputDist, rhat: float) -> tuple[float, JointT
     """
     if rhat < 0:
         raise ValueError(f"rhat must be >= 0, got {rhat}")
-    qq = np.outer(q.q, q.q)
-    rhat0, _ = _legendre_edge(dmc, q)
-    if rhat < rhat0:
-        return np.inf, JointType(qq)
-    if rhat == rhat0:
-        p_inf = np.where(bhattacharyya_matrix(dmc) > 0, qq, 0.0)
-        p = JointType(p_inf / p_inf.sum())
+    table = _PairTable(dmc, q)
+    if rhat < table.rhat0:
+        return np.inf, JointType(np.outer(q.q, q.q))
+    if rhat == table.rhat0:
+        p = JointType(table.tilted(0.0))
         return delta_s(p, dmc, 0.5), p
     if 2 * rhat >= _diag_divergence(q) - 1e-13:
         # constraint slack: the zero-Delta diagonal type is feasible
@@ -168,13 +149,13 @@ def z_of_rhat_direct(dmc: Dmc, q: InputDist, rhat: float) -> tuple[float, JointT
 
     target = 2 * rhat
     rho = _root_decreasing(
-        lambda rho: divergence_qq(JointType(_tilted_type(dmc, q, rho)), q) - target,
+        lambda rho: divergence_qq(JointType(table.tilted(1.0 / rho)), q) - target,
         1e-14, 1.0, RHO_MAX)
     if rho == np.inf:
         # the family never gets below the target divergence: every type that
         # meets the constraint puts mass on an infinite distance
-        return np.inf, JointType(qq)
-    p = JointType(_tilted_type(dmc, q, rho))
+        return np.inf, JointType(np.outer(q.q, q.q))
+    p = JointType(table.tilted(1.0 / rho))
     return delta_s(p, dmc, 0.5), p
 
 
@@ -186,16 +167,16 @@ def csiszar_exponent(dmc: Dmc, q: InputDist, rate: float) -> float:
     over the finite part [rhat0, R) of Z, so that a minimum at its edge
     rhat0 is evaluated exactly; the exponent is inf when rhat0 >= R.
     """
-    r0 = cutoff_rate(dmc, q)
-    if not 0 < rate < r0 + 1e-12:
-        raise RateOutOfRange(f"need 0 < R < R0={r0:.6g}, got {rate}")
-    rhat0, _ = _legendre_edge(dmc, q)
+    table = _PairTable(dmc, q)
+    if not 0 < rate < table.r0 + 1e-12:
+        raise RateOutOfRange(f"need 0 < R < R0={table.r0:.6g}, got {rate}")
+    rhat0 = table.rhat0
     hi = rate * (1.0 - 1e-9)
     if rhat0 >= hi:
         return np.inf
 
     def neg_obj(rhat):
-        return -(z_of_rhat_legendre(dmc, q, rhat) + rhat) / (rate - rhat)
+        return -(_z_legendre(table, q, rhat) + rhat) / (rate - rhat)
 
     return -float(_argmax_concave(neg_obj, rhat0, hi, xatol=1e-9)[1])
 
@@ -205,10 +186,11 @@ def dominant_joint_type(dmc: Dmc, q: InputDist, rho: float) -> DominantEvent:
     factor evaluated at the rate R for which rho = rho_trtc(R)."""
     if rho <= 0:
         raise ValueError(f"rho must be > 0, got {rho}")
-    p = JointType(_tilted_type(dmc, q, rho))
+    table = _PairTable(dmc, q)
+    p = JointType(table.tilted(1.0 / rho))
     div = divergence_qq(p, q)
     delta = delta_s(p, dmc, 0.5)
-    rate = expurgated_ex(dmc, q, rho) / (2 * rho - 1) if rho > 0.5 else np.nan
+    rate = table.ex(rho) / (2 * rho - 1) if rho > 0.5 else np.nan
     # span factor 1 + theta(D) with theta(D) = D / (2R - D)
     factor = 2 * rate / (2 * rate - div) if np.isfinite(rate) else np.nan
     return DominantEvent(p, rho, rate, div, delta, factor)

@@ -209,6 +209,16 @@ class TestAudit:
         assert lines[-2].startswith("summary,")
         assert lines[-1].startswith("bound,")
 
+    def test_ignored_keys_rejected(self, tmp_path):
+        # audit reads only Q and the alphabet size
+        for extra in ({"w_tilde": W_TILDE}, {"memory": MEMORY_BLOCK}):
+            rc, out, err = run(["audit", "--channel", _spec_with(tmp_path, **extra),
+                                "--m", "1", "--n", "2", "--k", "2", "--L", "20",
+                                "--codes", "1", "--epsilon", "0.5", "--lmax", "2",
+                                "--seed", "5"])
+            assert rc == 2 and out == ""
+            assert next(iter(extra)) in err
+
 
 class TestDominant:
     def test_report_fields(self):

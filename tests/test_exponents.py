@@ -101,6 +101,15 @@ class TestCutoffRate:
         assert cutoff_rate(dmc, uniform2) == pytest.approx(0.0, abs=1e-12)
 
 
+class TestPairTable:
+    def test_edge_exactly_zero_with_full_overlap(self):
+        from trellisexp.exponents import _PairTable
+        rng = np.random.default_rng(31)
+        for _ in range(10):
+            dmc, q = random_channel(rng)
+            assert _PairTable(dmc, q).rhat0 == 0.0
+
+
 class TestCriticalRate:
     def test_bsc_01(self, bsc01, uniform2):
         assert critical_rate(bsc01, uniform2) == pytest.approx(0.1308, abs=5e-4)
@@ -205,6 +214,17 @@ class TestExponentCurve:
                     exponent_curve(kind, bsc01, uniform2, rates).points]
             assert all(b <= a + 1e-10 for a, b in zip(vals, vals[1:]))
             assert all(v >= r0 - 1e-10 for v in vals)
+
+    @pytest.mark.parametrize("kind", ["trtc", "cex"])
+    def test_value_exact_at_root(self, kind, bsc01, uniform2):
+        # at the root Ex(rho)/R is 2 rho - 1 (trtc) or rho (cex) exactly;
+        # -rho ln sum QQ' Z^{1/rho} loses digits to cancellation at large rho
+        r0 = cutoff_rate(bsc01, uniform2)
+        rates = [1e-7, 1e-6] + list(np.linspace(0.01, 0.99, 25) * r0)
+        for rate in rates:
+            _, value, rho = exponent_curve(kind, bsc01, uniform2, [rate]).points[0]
+            want = 2 * rho - 1 if kind == "trtc" else rho
+            assert value == pytest.approx(want, rel=1e-14, abs=0)
 
     def test_bad_grid(self, bsc01, uniform2):
         with pytest.raises(ValueError):

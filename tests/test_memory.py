@@ -98,6 +98,18 @@ class TestTiltedMatrix:
         tm = build_tilted(lifted_bsc, uniform2, s=0.5, r=0.0)
         assert np.allclose(tm.a, 0.25, atol=1e-12)
 
+    def test_r_zero_is_right_limit(self):
+        # inputs 0 and 1 have disjoint output supports: their pair rows carry
+        # e^{-r inf} = 0 for r > 0, and so must A_s(0)
+        ch = memoryless_lift(Dmc([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [0.0, 0.5, 0.5]]))
+        q = np.full(3, 1 / 3)
+        a = build_tilted(ch, q, s=0.5, r=0.0).a
+        dead = np.zeros((3, 3), bool)
+        dead[0, 1] = dead[1, 0] = True
+        assert np.all(a[dead.ravel()] == 0.0)
+        assert np.allclose(a[~dead.ravel()], 1 / 9, atol=1e-15)
+        assert np.allclose(a, build_tilted(ch, q, s=0.5, r=1e-12).a, atol=1e-12)
+
     def test_masked_lift_zero_pattern(self, bsc01):
         w2 = np.broadcast_to(bsc01.w[:, None, None, :], (2, 2, 2, 2)).copy()
         lifted = lift_memory(w2, 2)
@@ -135,6 +147,11 @@ class TestPerronFrobenius:
                           for x in range(3)])
             want = float(np.sum(np.outer(q.q, q.q) * np.exp(-r * d)))
             assert perron_frobenius(tm) == pytest.approx(want, abs=1e-12)
+
+    def test_periodic(self):
+        # eigenvalues +1 and -1: power iteration from the ones vector oscillates
+        tm = TiltedMatrix(np.array([[0.0, 2.0], [0.5, 0.0]]), 0.5, 1.0)
+        assert perron_frobenius(tm) == pytest.approx(1.0, abs=1e-14)
 
 
 class TestGsFs:
@@ -201,6 +218,29 @@ class TestExtendedExponent:
     def test_rate_out_of_range(self, lifted_bsc, uniform2):
         with pytest.raises(RateOutOfRange):
             extended_exponent(lifted_bsc, uniform2, 0.5)
+
+    def test_tiny_rate_finite(self, bsc01, uniform2, lifted_bsc):
+        # rhat0 = 0 for the BSC: the root rho ~ 1.28e6 exists and is not capped
+        from trellisexp.exponents import exponent_curve
+        value, s_star, rho = extended_exponent(lifted_bsc, uniform2, 1e-7)
+        want = exponent_curve("trtc", bsc01, uniform2, [1e-7]).points[0][1]
+        assert math.isfinite(value) and value == pytest.approx(want, rel=1e-8)
+        assert rho == pytest.approx(1277064.43, rel=1e-8)
+
+    def test_unbounded_exactly_below_edge(self):
+        # rhat0 = 1/2 ln(9/7): the lifted exponent is inf below it (G_s(0) =
+        # 2 rhat0 >= 2R) and equals trtc above it
+        from trellisexp.exponents import exponent_curve
+        dmc = Dmc([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [0.0, 0.5, 0.5]])
+        q = InputDist(np.full(3, 1 / 3))
+        lift = memoryless_lift(dmc)
+        rhat0 = 0.5 * math.log(9 / 7)
+        assert extended_exponent(lift, q, 0.999 * rhat0)[0] == math.inf
+        value, s_star, _ = extended_exponent(lift, q, 1.001 * rhat0)
+        want = exponent_curve("trtc", dmc, q, [1.001 * rhat0]).points[0][1]
+        assert math.isfinite(want)
+        assert value == pytest.approx(want, rel=1e-9)
+        assert s_star == pytest.approx(0.5, abs=1e-4)
 
     def test_isi_channel_vs_grid_oracle(self, uniform2):
         # flip probability depends on the previous input

@@ -445,6 +445,16 @@ class TestPairTypeOracle:
         table = enumerate_pair_types(code, 2)
         assert (table.entries, table.pair_totals) == _encoded_pair_types(code, 2)
 
+    def test_block_shorter_than_window_rejected(self):
+        # the correct window u_0 .. u_{2k+l-2} must avoid the zero tail:
+        # L = 4 holds it at l = 1 but not at l = 2
+        cfg = EnsembleConfig(m=1, n=2, k=2, L=4, seed=3)
+        code = sample_code(cfg, j=2, q=InputDist([0.5, 0.5]))
+        with pytest.raises(ValueError, match="L >= 2k"):
+            enumerate_pair_types(code, 2)
+        table = enumerate_pair_types(code, 1)
+        assert (table.entries, table.pair_totals) == _encoded_pair_types(code, 1)
+
 
 def _log2_type_probability(counts, log2_qq):
     """log2 Pr{a QxQ-i.i.d. pair of length-N vectors has these cell counts}."""
