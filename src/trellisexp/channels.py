@@ -42,7 +42,7 @@ class Dmc:
         if np.any(w < 0):
             raise NegativeEntry("negative channel probability")
         sums = w.sum(axis=1)
-        bad = np.flatnonzero(np.abs(sums - 1.0) > PROB_ATOL)
+        bad = np.flatnonzero(~(np.abs(sums - 1.0) <= PROB_ATOL))  # NaN fails
         if bad.size:
             raise NonStochasticRow(f"row {bad[0]} sums to {sums[bad[0]]!r}")
         w = w / sums[:, None]  # renormalize exactly to kill accumulated drift
@@ -71,7 +71,7 @@ class InputDist:
         if np.any(q < 0):
             raise NegativeEntry("negative probability in q")
         s = q.sum()
-        if abs(s - 1.0) > PROB_ATOL:
+        if not abs(s - 1.0) <= PROB_ATOL:  # NaN fails
             raise NonStochasticRow(f"q sums to {s!r}")
         q = q / s
         q.flags.writeable = False

@@ -55,6 +55,8 @@ class ChannelSpec:
 
 
 def parse_channel_spec(text: str) -> ChannelSpec:
+    """Parse and validate a channel spec; every validation failure, including
+    those of `Dmc`, `InputDist` and `MarkovChannel`, is a ChannelSpecError."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -67,6 +69,15 @@ def parse_channel_spec(text: str) -> ChannelSpec:
     for key in ("input_alphabet_size", "output_alphabet_size", "w", "q"):
         if key not in doc:
             raise ChannelSpecError(f"missing key {key!r}")
+    try:
+        return _build_spec(doc)
+    except ChannelSpecError:
+        raise
+    except (ValueError, TypeError) as e:
+        raise ChannelSpecError(f"{type(e).__name__}: {e}") from e
+
+
+def _build_spec(doc) -> ChannelSpec:
     dmc, q = validate_channel(doc["w"], doc["q"])
     if dmc.num_inputs != doc["input_alphabet_size"]:
         raise ChannelSpecError("input_alphabet_size does not match w")
@@ -146,17 +157,27 @@ def cmd_curve(args, out=None, err=None) -> int:
     scale = LN2 if args.units == "bits" else 1.0
     rmin, rmax = args.rmin * scale, args.rmax * scale  # internal rates in nats
     rates = np.linspace(rmin, rmax, args.points)
+    r0 = exponents.cutoff_rate(spec.dmc, spec.q)
+    errors = []
+    for rate in rates:
+        try:
+            exponents.check_rate(rate, r0)
+            errors.append(None)
+        except RateOutOfRange as e:
+            errors.append(e)
+    # one call per kind on the sorted distinct valid rates; rows keep the
+    # order of the requested grid, which may repeat or decrease
+    grid = np.unique(rates[[e is None for e in errors]])
     out.write("rate,kind,value,rho,s\n")
     failed = 0
     for kind in kinds:
-        for rate in rates:
-            try:
-                curve = exponents.exponent_curve(kind, spec.dmc, spec.q, [rate])
-            except RateOutOfRange as e:
+        points = exponents.exponent_curve(kind, spec.dmc, spec.q, grid).points
+        for rate, e in zip(rates, errors):
+            if e is not None:
                 err.write(f"error: kind={kind} rate={_fmt(rate / scale)}: {e}\n")
                 failed += 1
                 continue
-            r, value, rho = curve.points[0]
+            r, value, rho = points[np.searchsorted(grid, rate)]
             out.write(f"{_fmt(r / scale)},{kind},{_fmt(value / scale)},"
                       f"{_fmt(rho)},\n")
     return 1 if failed else 0

@@ -17,7 +17,7 @@ from scipy.optimize import brentq, minimize_scalar
 from .channels import Dmc, InputDist, bhattacharyya_matrix
 
 RHO_MAX = 1e6
-RESIDUAL_TOL = 1e-10
+RATE_TOL = 1e-10
 
 CURVE_KINDS = ("rtc", "cex", "trtc", "rtimes_rtc", "rtimes_cex", "rtimes_trtc")
 
@@ -62,11 +62,14 @@ class _PairTable:
     QQ' renormalised and `log_z` is ln Z, so that
     G(r) = -ln sum QQ' Z^r = 2 rhat0 - ln(1 + sum weights (Z^r - 1)) is
     evaluated with log1p/expm1 and keeps full relative accuracy at small r.
-    The diagonal pairs on Q's support have Z = 1, so `weights` is never empty.
+    Z is clipped to its Cauchy-Schwarz bound 1 and set to exactly 1 where
+    two rows are equal, the diagonal included, so `log_z` <= 0, `weights`
+    is never empty and the Z = 1 pairs are exactly those with `log_z` == 0.
     """
 
     def __init__(self, dmc: Dmc, q: InputDist):
-        z = bhattacharyya_matrix(dmc)
+        z = np.minimum(bhattacharyya_matrix(dmc), 1.0)
+        z[np.all(dmc.w[:, None, :] == dmc.w[None, :, :], axis=2)] = 1.0
         qq = np.outer(q.q, q.q)
         self.on = z > 0
         self.weights = qq[self.on] / qq[self.on].sum()
@@ -86,10 +89,12 @@ class _PairTable:
         return rho * self.g(1.0 / rho) if rho > 0 else 0.0
 
     def tilted(self, r):
-        """Joint type proportional to QQ' Z^r on the Z > 0 pairs, 0 elsewhere;
-        r = 0 gives QxQ restricted to those pairs."""
+        """Joint type P_r proportional to QQ' Z^r on the Z > 0 pairs, 0
+        elsewhere; r = 0 gives QxQ restricted to those pairs, and r = inf its
+        limit P_inf, QxQ restricted to the Z = 1 pairs."""
         p = np.zeros(self.on.shape)
-        p[self.on] = self.weights * np.exp(r * self.log_z)
+        z_r = np.exp(r * self.log_z) if r < np.inf else self.log_z == 0
+        p[self.on] = self.weights * z_r
         return p / p.sum()
 
     def mean_distance(self):
@@ -132,31 +137,15 @@ def critical_rate(dmc: Dmc, q: InputDist) -> float:
     return float(-np.sum(a * a * log_a - 0.5 * a * b) / np.sum(a * a))
 
 
-def _root_decreasing(g, lo, hi, cap):
-    """Root of g on [lo, inf), where g(lo) >= 0 and g crosses zero once.
-
-    Decreasing and concave objectives both qualify; the callers rely on one
-    of the two.  `hi` doubles until g(hi) <= 0 and brentq then closes the
-    bracket.  Returns lo when g(lo) <= 0, and +inf once hi passes `cap`
-    (g stays positive: the root is unbounded or beyond resolution).
-    """
-    if g(lo) <= 0:
-        return lo
-    while g(hi) > 0:
-        lo, hi = hi, 2 * hi
-        if hi > cap:
-            return np.inf
-    return brentq(g, lo, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps)
-
-
 def _argmax_concave(f, lo, hi=None, xatol=1e-10):
     """Maximise a concave or quasi-concave f on [lo, hi]; returns (x, f(x)).
 
     A quasi-concave f has no local maximum other than the global one, which
-    is all Brent's bounded search needs.  With hi None, the bracket doubles
-    outward from 1 while f still increases, and the result is (inf, inf)
-    once it passes RHO_MAX.  Brent never evaluates the endpoints itself, so
-    f(lo) and f(hi) are compared with its answer.
+    is all Brent's bounded search needs.  Brent never evaluates the endpoints
+    itself, so f(lo) and f(hi) are compared with its answer.  With hi None
+    (only `memory.f_s`, whose r -> inf end has no closed form) the bracket
+    doubles outward from 1 while f still increases, and the result is
+    (inf, inf) once it passes RHO_MAX.
     """
     if hi is None:
         hi = 1.0
@@ -173,16 +162,28 @@ def _argmax_concave(f, lo, hi=None, xatol=1e-10):
 
 
 def _unit_root(f):
-    """Root r in [0, 1] of an f that crosses zero at most once, upward.
+    """Root in [0, 1] of an f that crosses zero at most once, upward.
 
-    Returns 1 when f(1) <= 0 (the root lies at or beyond r = 1) and 0 when
-    f(0) >= 0 (no root: rho = 1/r is unbounded); brentq finds it otherwise.
+    The one root finder of the cex/trtc solves and `memory.extended_exponent`
+    (in r = 1/rho) and of `types_opt.z_of_rhat_direct` (in t = r/(1 + r)).
+    Returns 1 when f(1) <= 0 (the root lies at or beyond 1) and 0 when
+    f(0) >= 0 (for r = 1/rho: no root, rho is unbounded); brentq finds it
+    otherwise.  Its iteration cap is set so that it reaches xtol even for
+    roots near 1e-32, where the default 100 iterations do not.
     """
     if f(1.0) <= 0:
         return 1.0
     if f(0.0) >= 0:
         return 0.0
-    return brentq(f, 0.0, 1.0, xtol=1e-300, rtol=4 * np.finfo(float).eps)
+    return brentq(f, 0.0, 1.0, xtol=1e-300, rtol=4 * np.finfo(float).eps,
+                  maxiter=2000)
+
+
+def check_rate(rate: float, r0: float) -> None:
+    """The rate rule of every exponent route: 0 < R < R0 + RATE_TOL, so that
+    a rate that rounds onto R0 is accepted; NaN fails."""
+    if not 0 < rate < r0 + RATE_TOL:
+        raise RateOutOfRange(f"need 0 < R < R0={r0:.6g}, got R={rate}")
 
 
 def solve_rho(curve_kind: str, dmc: Dmc, q: InputDist, rate: float) -> RhoValue:
@@ -216,8 +217,7 @@ def solve_rho(curve_kind: str, dmc: Dmc, q: InputDist, rate: float) -> RhoValue:
 
 def _solve_rho(curve_kind: str, table: _PairTable, rate: float) -> RhoValue:
     """`solve_rho` for cex and trtc on the pair table of (W, Q)."""
-    if not 0 < rate < table.r0 + RESIDUAL_TOL:
-        raise RateOutOfRange(f"need 0 < R < R0={table.r0:.6g}, got R={rate}")
+    check_rate(rate, table.r0)
     if curve_kind == "cex":
         f = lambda r: table.g(r) - rate
     else:
@@ -245,8 +245,7 @@ def exponent_curve(kind: str, dmc: Dmc, q: InputDist, rate_grid) -> ExponentCurv
     r0 = table.r0
     points = []
     for rate in rates:
-        if not 0 < rate < r0 + RESIDUAL_TOL:
-            raise RateOutOfRange(f"R={rate} outside (0, R0={r0:.6g}) for {kind}")
+        check_rate(rate, r0)
         if base == "rtc":
             value, rho = r0 / rate, None
         else:
@@ -266,8 +265,7 @@ def costello_form_cex(dmc: Dmc, q: InputDist, rate: float) -> float:
     if np.max(np.abs(q.q - 0.5)) > 1e-9:
         raise NotUniformQ(f"q={q.q} is not uniform")
     r0 = cutoff_rate(dmc, q)
-    if not 0 < rate < r0 + RESIDUAL_TOL:
-        raise RateOutOfRange(f"need 0 < R < R0={r0:.6g}, got {rate}")
+    check_rate(rate, r0)
     z = bhattacharyya_matrix(dmc)[0, 1]
     if z >= 1.0:
         return 0.0  # useless channel: identical rows, degenerate form

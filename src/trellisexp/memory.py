@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import PROB_ATOL, NonStochasticRow
-from .exponents import RateOutOfRange, _argmax_concave, _unit_root
+from .channels import PROB_ATOL, NegativeEntry, NonStochasticRow
+from .exponents import _argmax_concave, _unit_root, check_rate
 
 S_MAX_DEFAULT = 8.0
 
@@ -44,12 +44,15 @@ class MarkovChannel:
         j = w.shape[0]
         allowed = self.allowed
         allowed = np.ones((j, j), bool) if allowed is None else np.asarray(allowed, bool)
-        sums = w.sum(axis=2)
-        if np.any(np.abs(sums[allowed] - 1.0) > PROB_ATOL):
-            raise NonStochasticRow("some allowed (x, x_prev) row does not sum to 1")
         wt = w if self.w_tilde is None else np.asarray(self.w_tilde, dtype=float)
         if wt.shape != w.shape:
             raise ValueError("w_tilde shape differs from w")
+        for name, arr in (("w", w), ("w_tilde", wt)):  # w_tilde need not sum to 1
+            if not np.all(np.isfinite(arr) & (arr >= 0)):
+                raise NegativeEntry(f"{name} has a negative or non-finite entry")
+        sums = w.sum(axis=2)
+        if np.any(np.abs(sums[allowed] - 1.0) > PROB_ATOL):
+            raise NonStochasticRow("some allowed (x, x_prev) row does not sum to 1")
         newest = self.newest
         newest = np.arange(j) if newest is None else np.asarray(newest, int)
         base = self.base_size if self.base_size is not None else j
@@ -206,8 +209,7 @@ def extended_exponent(ch: MarkovChannel, q, rate: float,
     G_s(1)/R (rho = 1); it is inf exactly when G_s(0) >= 2R (no root).
     """
     r0 = extended_cutoff(ch, q, s_max)
-    if not 0 < rate < r0 + 1e-12:
-        raise RateOutOfRange(f"need 0 < R < R0={r0:.6g}, got {rate}")
+    check_rate(rate, r0)
 
     def value_at(s):
         # rho G_s(1/rho) is the perspective of a concave function, so

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import PROB_ATOL, Dmc, InputDist, chernoff_matrix
-from .exponents import RHO_MAX, RateOutOfRange, _argmax_concave, _PairTable, _root_decreasing
+from .exponents import _argmax_concave, _PairTable, _unit_root, check_rate
 
 
 @dataclass(frozen=True)
@@ -26,7 +26,7 @@ class JointType:
             raise ValueError(f"joint type must be square, got shape {p.shape}")
         if np.any(p < 0):
             raise ValueError("negative joint-type entry")
-        if abs(p.sum() - 1.0) > PROB_ATOL:
+        if not abs(p.sum() - 1.0) <= PROB_ATOL:
             raise ValueError(f"joint type sums to {p.sum()!r}")
         p = p / p.sum()
         p.flags.writeable = False
@@ -98,8 +98,12 @@ def _legendre_edge(dmc: Dmc, q: InputDist) -> tuple[float, float]:
 def z_of_rhat_legendre(dmc: Dmc, q: InputDist, rhat: float) -> float:
     """Legendre form of Z: sup_{rho >= 0} [Ex(rho, Q) - 2 rho rhat].
 
-    The objective is concave in rho; Z is inf below the edge rhat0 of
-    `_legendre_edge`, and when the maximiser passes RHO_MAX.
+    Z is inf below the edge rhat0 of `_legendre_edge`, equals its limit
+    there, and is finite for every rhat >= rhat0.  Above rhat0 the objective
+    is concave in rho and tends to -inf as rho -> inf, so it is maximised
+    over u = rho/(1 + rho) in [0, 1] with the value -inf at u = 1: a bounded
+    search with no cap on rho.  Only Ex is evaluated, so this form stays an
+    independent check on `z_of_rhat_direct`.
     """
     if rhat < 0:
         raise ValueError(f"rhat must be >= 0, got {rhat}")
@@ -112,8 +116,14 @@ def _z_legendre(table: _PairTable, q: InputDist, rhat: float) -> float:
         return np.inf if rhat < table.rhat0 else table.mean_distance()
     if 2 * rhat >= _diag_divergence(q):
         return 0.0  # objective has nonpositive slope at rho = 0
-    obj = lambda rho: table.ex(rho) - 2 * rho * rhat
-    return max(0.0, float(_argmax_concave(obj, 0.0)[1]))
+
+    def obj(u):
+        if u == 1.0:
+            return -np.inf
+        rho = u / (1.0 - u)
+        return table.ex(rho) - 2 * rho * rhat
+
+    return max(0.0, float(_argmax_concave(obj, 0.0, 1.0)[1]))
 
 
 def _tilted_type(dmc: Dmc, q: InputDist, rho: float) -> np.ndarray:
@@ -125,37 +135,31 @@ def _tilted_type(dmc: Dmc, q: InputDist, rho: float) -> np.ndarray:
 def z_of_rhat_direct(dmc: Dmc, q: InputDist, rhat: float) -> tuple[float, JointType]:
     """Direct form of Z: min Delta_{1/2}(P) s.t. D(P || QxQ) <= 2 rhat.
 
-    Solved through the tilted family P_rho, whose divergence decreases
-    monotonically in rho: the root of D(P_rho || QxQ) = 2 rhat makes the
-    constraint active, unless the zero-Delta diagonal type is feasible.
-    Below the edge rhat0 of `_legendre_edge` every feasible type puts mass
-    on an infinite distance, so Z is inf.  At rhat0 the only feasible type
-    with finite Delta is the family's rho -> inf limit P_inf: QxQ restricted
-    to the finite-distance pairs, renormalised.  Z is inf when no root
-    exists below RHO_MAX.
+    Solved through the tilted family P_r of `_PairTable.tilted` (P_r
+    proportional to QQ' Z^r), whose divergence D(P_r) = G(r) - r G'(r)
+    increases in r (dD/dr = -r G''(r) >= 0, G concave): the root of
+    D(P_r || QxQ) = 2 rhat makes the constraint active, unless the
+    zero-Delta diagonal type is feasible.  The root is found by `_unit_root`
+    in t = r/(1 + r) on [0, 1], with no cap: D runs from 2 rhat0 at t = 0
+    (P_0, QxQ restricted to the finite-distance pairs) to -ln QxQ(Z = 1) at
+    t = 1 (P_inf, whose Delta is 0).  Below the edge rhat0 of
+    `_legendre_edge` every feasible type puts mass on an infinite distance,
+    so Z is inf; at and above it Z is finite, and at rhat0 the root is P_0.
     """
     if rhat < 0:
         raise ValueError(f"rhat must be >= 0, got {rhat}")
     table = _PairTable(dmc, q)
     if rhat < table.rhat0:
         return np.inf, JointType(np.outer(q.q, q.q))
-    if rhat == table.rhat0:
-        p = JointType(table.tilted(0.0))
-        return delta_s(p, dmc, 0.5), p
     if 2 * rhat >= _diag_divergence(q) - 1e-13:
         # constraint slack: the zero-Delta diagonal type is feasible
         diag = np.diag(q.q ** 2 / np.sum(q.q ** 2))
         return 0.0, JointType(diag)
 
-    target = 2 * rhat
-    rho = _root_decreasing(
-        lambda rho: divergence_qq(JointType(table.tilted(1.0 / rho)), q) - target,
-        1e-14, 1.0, RHO_MAX)
-    if rho == np.inf:
-        # the family never gets below the target divergence: every type that
-        # meets the constraint puts mass on an infinite distance
-        return np.inf, JointType(np.outer(q.q, q.q))
-    p = JointType(table.tilted(1.0 / rho))
+    def tilted(t):
+        return JointType(table.tilted(t / (1.0 - t) if t < 1.0 else np.inf))
+
+    p = tilted(_unit_root(lambda t: divergence_qq(tilted(t), q) - 2 * rhat))
     return delta_s(p, dmc, 0.5), p
 
 
@@ -168,8 +172,7 @@ def csiszar_exponent(dmc: Dmc, q: InputDist, rate: float) -> float:
     rhat0 is evaluated exactly; the exponent is inf when rhat0 >= R.
     """
     table = _PairTable(dmc, q)
-    if not 0 < rate < table.r0 + 1e-12:
-        raise RateOutOfRange(f"need 0 < R < R0={table.r0:.6g}, got {rate}")
+    check_rate(rate, table.r0)
     rhat0 = table.rhat0
     hi = rate * (1.0 - 1e-9)
     if rhat0 >= hi:

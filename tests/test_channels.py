@@ -36,6 +36,13 @@ class TestValidateChannel:
         with pytest.raises(NegativeEntry):
             validate_channel([[1.1, -0.1], [0.5, 0.5]], [0.5, 0.5])
 
+    def test_nan_rejected(self):
+        # abs(nan - 1) > tol is False, so the sum checks must test <= instead
+        with pytest.raises(NonStochasticRow):
+            validate_channel([[math.nan, math.nan], [0.1, 0.9]], [0.5, 0.5])
+        with pytest.raises(NonStochasticRow):
+            validate_channel([[0.9, 0.1], [0.1, 0.9]], [math.nan, 0.5])
+
     def test_q_length_mismatch(self):
         with pytest.raises(DimensionMismatch):
             validate_channel([[0.9, 0.1], [0.1, 0.9]], [0.5, 0.3, 0.2])

@@ -8,12 +8,14 @@ import pytest
 
 from trellisexp.cli import (
     ChannelSpecError,
+    _fmt,
     build_parser,
     format_channel_spec,
     load_channel_spec,
     main,
     parse_channel_spec,
 )
+from trellisexp.exponents import CURVE_KINDS, cutoff_rate, exponent_curve
 from conftest import FIXTURES
 
 BSC = os.path.join(FIXTURES, "bsc01.json")
@@ -137,6 +139,68 @@ class TestCurve:
                                 "--points", "2"])
             assert rc == 2 and out == ""
             assert next(iter(extra)) in err
+
+    def test_one_pair_table_per_kind(self, monkeypatch):
+        from trellisexp import exponents
+        built = []
+
+        class Counting(exponents._PairTable):
+            def __init__(self, *args):
+                built.append(1)
+                super().__init__(*args)
+
+        monkeypatch.setattr(exponents, "_PairTable", Counting)
+        rc, out, _ = run(["curve", "--channel", BSC, "--kinds", ",".join(CURVE_KINDS),
+                          "--rmin", "0.01", "--rmax", "0.2", "--points", "20"])
+        assert rc == 0 and len(out.strip().split("\n")) == 1 + 6 * 20
+        assert len(built) <= 7  # R0 once, then one table per kind
+
+    @pytest.mark.parametrize("rmin,rmax", [("0.15", "0.05"), ("0.1", "0.1")])
+    def test_decreasing_and_repeated_grids(self, rmin, rmax):
+        # rows follow the requested grid, one exponent_curve point per rate
+        spec = load_channel_spec(BSC)
+        rc, out, _ = run(["curve", "--channel", BSC, "--kinds", "rtc,trtc,cex",
+                          "--rmin", rmin, "--rmax", rmax, "--points", "4"])
+        want = ["rate,kind,value,rho,s"]
+        for kind in ("rtc", "trtc", "cex"):
+            for rate in np.linspace(float(rmin), float(rmax), 4):
+                r, value, rho = exponent_curve(kind, spec.dmc, spec.q, [rate]).points[0]
+                want.append(f"{_fmt(r)},{kind},{_fmt(value)},{_fmt(rho)},")
+        assert rc == 0
+        assert out.split("\n")[:-1] == want
+
+    def test_rate_rule_at_r0(self):
+        spec = load_channel_spec(BSC)
+        r0 = cutoff_rate(spec.dmc, spec.q)
+        for offset, want_rc in ((5e-11, 0), (2e-10, 1)):
+            rate = repr(float(r0 + offset))
+            rc, out, err = run(["curve", "--channel", BSC, "--kinds", "rtc,trtc",
+                                "--rmin", rate, "--rmax", rate, "--points", "1"])
+            assert rc == want_rc
+            assert len(out.strip().split("\n")) == (3 if want_rc == 0 else 1)
+            assert err.count("error:") == (0 if want_rc == 0 else 2)
+
+
+class TestInvalidChannelValues:
+    """Every validation failure of a spec is a channel spec error, exit 2."""
+
+    @pytest.mark.parametrize("extra", [
+        {"w": [[math.nan, math.nan], [0.1, 0.9]]},
+        {"q": [math.nan, 0.5]},
+        {"w": [[0.8, 0.1], [0.1, 0.9]]},
+        {"w": [[0.9, 0.1], [0.1]]},
+        {"memory": {"w": [[[1.5, -0.5], [0.8, 0.2]], [[0.1, 0.9], [0.2, 0.8]]]}},
+        {"memory": {"w": MEMORY_BLOCK["w"],
+                    "w_tilde": [[[math.inf, 0.1], [0.8, 0.2]], [[0.1, 0.9], [0.2, 0.8]]]}},
+    ])
+    def test_exit_2(self, tmp_path, extra):
+        path = _spec_with(tmp_path, **extra)  # json writes bare NaN/Infinity
+        with pytest.raises(ChannelSpecError):
+            load_channel_spec(path)
+        rc, out, err = run(["curve", "--channel", path, "--kinds", "trtc",
+                            "--rmin", "0.05", "--rmax", "0.1", "--points", "2"])
+        assert (rc, out) == (2, "")
+        assert err.startswith("channel spec error:") and "Traceback" not in err
 
 
 class TestSimulate:

@@ -110,6 +110,29 @@ class TestPairTable:
             assert _PairTable(dmc, q).rhat0 == 0.0
 
 
+class TestRateRule:
+    def test_same_tolerance_on_every_route(self, bsc01, uniform2):
+        from trellisexp.memory import extended_cutoff, extended_exponent, memoryless_lift
+        from trellisexp.types_opt import csiszar_exponent
+        lift = memoryless_lift(bsc01)
+        r0 = cutoff_rate(bsc01, uniform2)
+        ext_r0 = extended_cutoff(lift, uniform2)
+        routes = [
+            lambda r: solve_rho("cex", bsc01, uniform2, r0 + r),
+            lambda r: solve_rho("trtc", bsc01, uniform2, r0 + r),
+            lambda r: exponent_curve("rtc", bsc01, uniform2, [r0 + r]),
+            lambda r: costello_form_cex(bsc01, uniform2, r0 + r),
+            lambda r: csiszar_exponent(bsc01, uniform2, r0 + r),
+            lambda r: extended_exponent(lift, uniform2, ext_r0 + r),
+        ]
+        for route in routes:
+            route(5e-11)
+            with pytest.raises(RateOutOfRange):
+                route(2e-10)
+            with pytest.raises(RateOutOfRange):
+                route(math.nan)
+
+
 class TestCriticalRate:
     def test_bsc_01(self, bsc01, uniform2):
         assert critical_rate(bsc01, uniform2) == pytest.approx(0.1308, abs=5e-4)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from trellisexp.channels import Dmc, InputDist, chernoff_distance
+from trellisexp.channels import Dmc, InputDist, NegativeEntry, chernoff_distance
 from trellisexp.exponents import RateOutOfRange, cutoff_rate, expurgated_ex
 from trellisexp.memory import (
     MarkovChannel,
@@ -35,6 +35,23 @@ class TestMarkovChannel:
         w[..., 1] = 0.3
         with pytest.raises(Exception):
             MarkovChannel(w)
+
+    def test_rejects_negative_or_nonfinite(self):
+        good = np.array([[[0.9, 0.1], [0.8, 0.2]], [[0.1, 0.9], [0.2, 0.8]]])
+        bad = good.copy()
+        bad[0, 0] = [1.5, -0.5]  # sums to 1
+        with pytest.raises(NegativeEntry):
+            MarkovChannel(bad)
+        bad[0, 0] = [math.inf, 0.0]
+        with pytest.raises(NegativeEntry):
+            MarkovChannel(bad)
+        for value in (-0.1, math.nan, math.inf):
+            wt = good.copy()
+            wt[1, 1, 0] = value
+            with pytest.raises(NegativeEntry):
+                MarkovChannel(good, w_tilde=wt)
+        # a metric need not sum to 1
+        assert not MarkovChannel(good, w_tilde=2 * good).matched
 
     def test_matched_default(self, lifted_bsc):
         assert lifted_bsc.matched

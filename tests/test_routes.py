@@ -11,7 +11,12 @@ from hypothesis import strategies as st
 from trellisexp.channels import Dmc, InputDist
 from trellisexp.exponents import cutoff_rate, exponent_curve
 from trellisexp.memory import extended_exponent, memoryless_lift
-from trellisexp.types_opt import csiszar_exponent, z_of_rhat_direct, z_of_rhat_legendre
+from trellisexp.types_opt import (
+    _legendre_edge,
+    csiszar_exponent,
+    z_of_rhat_direct,
+    z_of_rhat_legendre,
+)
 
 NOISELESS = Dmc([[1.0, 0.0], [0.0, 1.0]])
 UNIFORM2 = InputDist([0.5, 0.5])
@@ -72,3 +77,38 @@ def test_routes_agree_on_random_channels(channel, fraction):
     assert _close(csiszar_exponent(dmc, q, rate), trtc)
     if dmc.num_inputs == 2:
         assert _close(extended_exponent(memoryless_lift(dmc), q, rate)[0], trtc)
+
+
+@st.composite
+def channels_with_copies(draw):
+    """`channels()` draws, half of them with one row copied onto another."""
+    dmc, q = draw(channels())
+    if draw(st.booleans()):
+        src, dst = draw(st.permutations(range(dmc.num_inputs)))[:2]
+        w = dmc.w.copy()
+        w[dst] = w[src]
+        dmc = Dmc(w)
+    return dmc, q
+
+
+# fraction of the way from rhat0 to D_diag/2, with offsets down to 1e-60
+RHAT_FRACTIONS = st.one_of(
+    st.sampled_from([0.0, 1.0]),
+    st.floats(0.0, 1.0),
+    st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 9.9), st.integers(-60, -2)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(channels_with_copies(), RHAT_FRACTIONS)
+def test_legendre_and_direct_z_agree(channel, fraction):
+    dmc, q = channel
+    rhat0, _ = _legendre_edge(dmc, q)
+    d_diag = -math.log(np.sum(q.q ** 2))
+    rhat = rhat0 + fraction * (d_diag / 2 - rhat0)
+    legendre = z_of_rhat_legendre(dmc, q, rhat)
+    direct = z_of_rhat_direct(dmc, q, rhat)[0]
+    if legendre == math.inf:
+        assert direct == math.inf
+    else:
+        assert abs(direct - legendre) <= 1e-6 * max(1.0, legendre)

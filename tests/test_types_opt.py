@@ -37,6 +37,10 @@ class TestJointType:
         with pytest.raises(ValueError):
             JointType([[0.5, 0.2], [0.2, 0.2]])
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError):
+            JointType([[math.nan, 0.5], [0.25, 0.25]])
+
 
 class TestDeltaS:
     def test_diagonal_zero(self, bsc01, uniform2):
@@ -165,6 +169,20 @@ class TestZOfRhat:
             zl = z_of_rhat_legendre(dmc, q, rhat)
             zd, _ = z_of_rhat_direct(dmc, q, rhat)
             assert zd == pytest.approx(zl, abs=1e-6)
+
+    def test_tiny_rhat_finite_both_forms(self, bsc01, uniform2):
+        # rhat0 = 0 and Z is continuous at 0, with no cap on rho to run into.
+        # ln Z is 0 or ln 0.6 with probability 1/2 each under QxQ, so its mean
+        # and standard deviation are both z0, and Z(rhat) = z0 (1 - 2 sqrt(rhat))
+        # + O(rhat): the maximiser is rho* = 1/(2 sqrt(rhat)), near 1e20 at 1e-40
+        z0 = 0.255412811883
+        assert z_of_rhat_legendre(bsc01, uniform2, 0.0) == pytest.approx(z0, abs=1e-12)
+        for rhat in (1e-40, 3e-14, 2e-14, 1e-14):
+            want = z0 * (1 - 2 * math.sqrt(rhat))
+            assert z_of_rhat_legendre(bsc01, uniform2, rhat) == pytest.approx(
+                want, abs=1e-8)
+            assert z_of_rhat_direct(bsc01, uniform2, rhat)[0] == pytest.approx(
+                want, abs=1e-8)
 
     def test_nonincreasing_in_rhat(self, bsc01, uniform2):
         vals = [z_of_rhat_legendre(bsc01, uniform2, rh)
