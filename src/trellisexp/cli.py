@@ -16,7 +16,8 @@ Unknown keys are rejected, and so are keys a command would ignore (exit
 code 2): `curve`, `dominant` and `audit` use neither `w_tilde` nor
 `memory`, and `simulate` decodes with `w_tilde` but has no use for
 `memory`.  The `memory` block is read by `load_channel_spec` for library
-callers.  All curve output is CSV with the fixed header
+callers.  `units` sets the units of the rates `curve` and `dominant` read
+and print (`curve --units` overrides it).  All curve output is CSV with the fixed header
 `rate,kind,value,rho,s` and 12 significant digits.
 """
 
@@ -142,19 +143,17 @@ def _load_spec_for(args, unused):
     return spec
 
 
-def cmd_curve(args, out=None, err=None) -> int:
-    out = out or sys.stdout
-    err = err or sys.stderr
+def cmd_curve(args) -> int:
     spec = _load_spec_for(args, ("w_tilde", "memory"))
     kinds = [k for k in args.kinds.split(",") if k]
     if not kinds:
-        err.write("error: empty kinds list\n")
+        sys.stderr.write("error: empty kinds list\n")
         return 2
     for kind in kinds:
         if kind not in CURVE_KINDS:
-            err.write(f"error: unknown curve kind {kind!r}\n")
+            sys.stderr.write(f"error: unknown curve kind {kind!r}\n")
             return 2
-    scale = LN2 if args.units == "bits" else 1.0
+    scale = LN2 if (args.units or spec.units) == "bits" else 1.0
     rmin, rmax = args.rmin * scale, args.rmax * scale  # internal rates in nats
     rates = np.linspace(rmin, rmax, args.points)
     r0 = exponents.cutoff_rate(spec.dmc, spec.q)
@@ -168,32 +167,30 @@ def cmd_curve(args, out=None, err=None) -> int:
     # one call per kind on the sorted distinct valid rates; rows keep the
     # order of the requested grid, which may repeat or decrease
     grid = np.unique(rates[[e is None for e in errors]])
-    out.write("rate,kind,value,rho,s\n")
+    sys.stdout.write("rate,kind,value,rho,s\n")
     failed = 0
     for kind in kinds:
         points = exponents.exponent_curve(kind, spec.dmc, spec.q, grid).points
         for rate, e in zip(rates, errors):
             if e is not None:
-                err.write(f"error: kind={kind} rate={_fmt(rate / scale)}: {e}\n")
+                sys.stderr.write(f"error: kind={kind} rate={_fmt(rate / scale)}: {e}\n")
                 failed += 1
                 continue
             r, value, rho = points[np.searchsorted(grid, rate)]
-            out.write(f"{_fmt(r / scale)},{kind},{_fmt(value / scale)},"
-                      f"{_fmt(rho)},\n")
+            sys.stdout.write(f"{_fmt(r / scale)},{kind},{_fmt(value / scale)},"
+                             f"{_fmt(rho)},\n")
     return 1 if failed else 0
 
 
-def cmd_simulate(args, out=None, err=None) -> int:
-    out = out or sys.stdout
-    err = err or sys.stderr
+def cmd_simulate(args) -> int:
     spec = _load_spec_for(args, ("memory",))  # w_tilde is the decoding metric
     blocks = args.blocks
     cfg = sim.EnsembleConfig(m=args.m, n=args.n, k=args.k, L=args.L,
                              linear=args.linear, seed=args.seed)
     if args.trials is not None:
         blocks = max(1, math.ceil(args.trials / cfg.L))
-    out.write("code,seed,m,n,k,p_e,exponent,no_errors,typical,"
-              "events,nodes,wilson_low,wilson_high\n")
+    sys.stdout.write("code,seed,m,n,k,p_e,exponent,no_errors,typical,"
+                     "events,nodes,wilson_low,wilson_high\n")
     p_es, exps = [], []
     for i in range(args.codes):
         code = sim.sample_code(cfg, j=spec.dmc.num_inputs, q=spec.q, code_index=i)
@@ -206,59 +203,54 @@ def cmd_simulate(args, out=None, err=None) -> int:
             typical = "1" if rep.is_typical else "0"
         p_es.append(est.p_e)
         exps.append(est.exponent)
-        out.write(f"{i},{cfg.seed},{cfg.m},{cfg.n},{cfg.k},{_fmt(est.p_e)},"
-                  f"{_fmt(est.exponent)},{int(est.no_errors)},{typical},"
-                  f"{est.events},{est.nodes},{_fmt(est.wilson_low)},"
-                  f"{_fmt(est.wilson_high)}\n")
-    out.write(f"summary_mean,{cfg.seed},{cfg.m},{cfg.n},{cfg.k},"
-              f"{_fmt(statistics.mean(p_es))},{_fmt(statistics.mean(exps))},,,,,,\n")
-    out.write(f"summary_median,{cfg.seed},{cfg.m},{cfg.n},{cfg.k},"
-              f"{_fmt(statistics.median(p_es))},{_fmt(statistics.median(exps))},,,,,,\n")
+        sys.stdout.write(f"{i},{cfg.seed},{cfg.m},{cfg.n},{cfg.k},{_fmt(est.p_e)},"
+                         f"{_fmt(est.exponent)},{int(est.no_errors)},{typical},"
+                         f"{est.events},{est.nodes},{_fmt(est.wilson_low)},"
+                         f"{_fmt(est.wilson_high)}\n")
+    for name, stat in (("mean", statistics.mean), ("median", statistics.median)):
+        sys.stdout.write(f"summary_{name},{cfg.seed},{cfg.m},{cfg.n},{cfg.k},"
+                         f"{_fmt(stat(p_es))},{_fmt(stat(exps))},,,,,,\n")
     return 0
 
 
-def cmd_audit(args, out=None, err=None) -> int:
-    out = out or sys.stdout
-    err = err or sys.stderr
+def cmd_audit(args) -> int:
     spec = _load_spec_for(args, ("w_tilde", "memory"))
     cfg = sim.EnsembleConfig(m=args.m, n=args.n, k=args.k, L=args.L,
                              seed=args.seed)
     frac, reports, bound = sim.typicality_audit(
         cfg, spec.dmc.num_inputs, spec.q, args.codes, args.epsilon, args.lmax)
-    out.write("code,is_typical,violations\n")
+    sys.stdout.write("code,is_typical,violations\n")
     for i, rep in enumerate(reports):
-        out.write(f"{i},{int(rep.is_typical)},{len(rep.violations)}\n")
-    out.write(f"summary,{_fmt(1.0 - frac)},{_fmt(frac)}\n")
-    out.write(f"bound,,{_fmt(bound)}\n")
+        sys.stdout.write(f"{i},{int(rep.is_typical)},{len(rep.violations)}\n")
+    sys.stdout.write(f"summary,{_fmt(1.0 - frac)},{_fmt(frac)}\n")
+    sys.stdout.write(f"bound,,{_fmt(bound)}\n")
     return 0
 
 
-def cmd_dominant(args, out=None, err=None) -> int:
-    out = out or sys.stdout
-    err = err or sys.stderr
+def cmd_dominant(args) -> int:
     spec = _load_spec_for(args, ("w_tilde", "memory"))
     scale = LN2 if spec.units == "bits" else 1.0
     rate = args.rate * scale
     try:
         rho = exponents.solve_rho("trtc", spec.dmc, spec.q, rate).rho
     except RateOutOfRange as e:
-        err.write(f"error: {e}\n")
+        sys.stderr.write(f"error: {e}\n")
         return 1
     if rho == math.inf:
         rhat0 = types_opt._legendre_edge(spec.dmc, spec.q)[0] / scale
-        err.write(f"error: R={args.rate} <= rhat0={rhat0:.12g}: no trtc root, "
-                  "the exponent is unbounded\n")
+        sys.stderr.write(f"error: R={args.rate} <= rhat0={rhat0:.12g}: no trtc root, "
+                         "the exponent is unbounded\n")
         return 1
     ev = types_opt.dominant_joint_type(spec.dmc, spec.q, rho)
     report = {
-        "rate": rate / scale,
+        "rate": args.rate,
         "rho_trtc": rho,
         "p_star": ev.p_star.p.tolist(),
         "divergence": ev.divergence / scale,
         "delta_half": ev.delta_half / scale,
         "critical_length_factor": ev.critical_length_factor,
     }
-    out.write(json.dumps(report, indent=2) + "\n")
+    sys.stdout.write(json.dumps(report, indent=2) + "\n")
     return 0
 
 
@@ -274,7 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--rmin", type=float, required=True)
     c.add_argument("--rmax", type=float, required=True)
     c.add_argument("--points", type=int, default=50)
-    c.add_argument("--units", choices=("nats", "bits"), default="nats")
+    c.add_argument("--units", choices=("nats", "bits"), default=None,
+                   help="units of the rates and values (default: the spec's)")
     c.set_defaults(func=cmd_curve)
 
     s = sub.add_parser("simulate", help="Monte-Carlo ensemble simulation")

@@ -37,7 +37,6 @@ class NotUniformQ(ValueError):
 @dataclass(frozen=True)
 class RhoValue:
     rho: float
-    residual: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -97,10 +96,15 @@ class _PairTable:
         p[self.on] = self.weights * z_r
         return p / p.sum()
 
-    def mean_distance(self):
-        """-E[ln Z] over the Z > 0 pairs: the rho -> inf limit of Ex(rho)
-        minus 2 rho rhat0."""
-        return float(-np.sum(self.weights * self.log_z))
+    def tilted_point(self, r):
+        """(D(P_r || QxQ), Delta(P_r)) of the tilted type, read off G:
+        Delta = -E_{P_r}[ln Z] = G'(r) and D = G(r) - r Delta.  At r = 0,
+        Delta is the rho -> inf limit of Ex(rho) - 2 rho rhat0.  D carries
+        an absolute rounding error of about eps r Delta, which can exceed
+        D - 2 rhat0 ~ r^2 at tiny r, so D is held at its minimum 2 rhat0."""
+        mass = self.weights * np.exp(r * self.log_z)
+        delta = float(-np.sum(mass * self.log_z) / np.sum(mass))
+        return max(float(self.g(r)) - r * delta, 2 * self.rhat0), delta
 
 
 def expurgated_ex(dmc: Dmc, q: InputDist, rho: float) -> float:
@@ -113,7 +117,7 @@ def expurgated_ex(dmc: Dmc, q: InputDist, rho: float) -> float:
 def expurgated_ex_limit(dmc: Dmc, q: InputDist) -> float:
     """Zero-rate expurgated exponent lim_{rho->inf} Ex(rho, Q) = -E[ln Z]."""
     table = _PairTable(dmc, q)
-    return np.inf if table.rhat0 > 0 else table.mean_distance()
+    return np.inf if table.rhat0 > 0 else table.tilted_point(0.0)[1]
 
 
 def cutoff_rate(dmc: Dmc, q: InputDist) -> float:
@@ -165,7 +169,8 @@ def _unit_root(f):
     """Root in [0, 1] of an f that crosses zero at most once, upward.
 
     The one root finder of the cex/trtc solves and `memory.extended_exponent`
-    (in r = 1/rho) and of `types_opt.z_of_rhat_direct` (in t = r/(1 + r)).
+    (in r = 1/rho), of `types_opt.z_of_rhat_direct` (in t = r/(1 + r)) and
+    of the rate edge of `types_opt.csiszar_exponent` (in r).
     Returns 1 when f(1) <= 0 (the root lies at or beyond 1) and 0 when
     f(0) >= 0 (for r = 1/rho: no root, rho is unbounded); brentq finds it
     otherwise.  Its iteration cap is set so that it reaches xtol even for
@@ -198,8 +203,7 @@ def solve_rho(curve_kind: str, dmc: Dmc, q: InputDist, rate: float) -> RhoValue:
     G(0) = 2 rhat0 (rhat0 = -1/2 ln QxQ(Z > 0)) to G(1) = R0,
     Ex(rho) = G(r)/r, so cex reads G(r) = R and trtc reads G(r) = (2 - r) R.
     The trtc root exists iff R > rhat0 and the cex root iff R > 2 rhat0;
-    otherwise rho = inf with a nan residual (the exponent is unbounded).
-    The residual is that of the r-equation.
+    otherwise rho = inf (the exponent is unbounded).
     """
     if curve_kind in ("cex", "trtc"):
         return _solve_rho(curve_kind, _PairTable(dmc, q), rate)
@@ -211,8 +215,7 @@ def solve_rho(curve_kind: str, dmc: Dmc, q: InputDist, rate: float) -> RhoValue:
     g = lambda rho: gallager_e0(dmc, q, rho) / rho - rate
     if g(1e-12) < 0:
         raise RateOutOfRange("R exceeds the mutual information of (Q, W)")
-    rho = brentq(g, 1e-12, 1.0, xtol=1e-300, rtol=4 * np.finfo(float).eps)
-    return RhoValue(rho, g(rho))
+    return RhoValue(brentq(g, 1e-12, 1.0, xtol=1e-300, rtol=4 * np.finfo(float).eps))
 
 
 def _solve_rho(curve_kind: str, table: _PairTable, rate: float) -> RhoValue:
@@ -223,7 +226,7 @@ def _solve_rho(curve_kind: str, table: _PairTable, rate: float) -> RhoValue:
     else:
         f = lambda r: table.g(r) - (2 - r) * rate
     r = _unit_root(f)
-    return RhoValue(1.0 / r, f(r)) if r > 0 else RhoValue(np.inf, np.nan)
+    return RhoValue(1.0 / r if r > 0 else np.inf)
 
 
 def exponent_curve(kind: str, dmc: Dmc, q: InputDist, rate_grid) -> ExponentCurve:

@@ -35,7 +35,6 @@ class MarkovChannel:
     w_tilde: np.ndarray = None
     allowed: np.ndarray = None
     newest: np.ndarray = None
-    base_size: int = None
 
     def __post_init__(self):
         w = np.asarray(self.w, dtype=float)
@@ -55,12 +54,10 @@ class MarkovChannel:
             raise NonStochasticRow("some allowed (x, x_prev) row does not sum to 1")
         newest = self.newest
         newest = np.arange(j) if newest is None else np.asarray(newest, int)
-        base = self.base_size if self.base_size is not None else j
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "w_tilde", wt)
         object.__setattr__(self, "allowed", allowed)
         object.__setattr__(self, "newest", newest)
-        object.__setattr__(self, "base_size", base)
 
     @property
     def num_symbols(self):
@@ -239,29 +236,10 @@ def lift_memory(w, p: int, w_tilde=None) -> MarkovChannel:
     j = w.shape[0]
     if w.shape[:-1] != (j,) * (p + 1):
         raise ValueError(f"inconsistent input axes in shape {w.shape}")
-    ny = w.shape[-1]
     wt = None if w_tilde is None else np.asarray(w_tilde, dtype=float)
-    if p == 1:
-        return MarkovChannel(w, w_tilde=wt)
-
-    jl = j ** p
-    digits = np.empty((jl, p), dtype=int)  # newest-first base-J digits
-    for idx in range(jl):
-        rem = idx
-        for pos in range(p - 1, -1, -1):
-            digits[idx, pos] = rem % j
-            rem //= j
-    allowed = np.zeros((jl, jl), dtype=bool)
-    wl = np.zeros((jl, jl, ny))
-    wtl = None if wt is None else np.zeros((jl, jl, ny))
-    for cur in range(jl):
-        for prev in range(jl):
-            consistent = np.array_equal(digits[cur, 1:], digits[prev, :-1])
-            raw = tuple(digits[cur]) + (digits[prev, -1],)
-            wl[cur, prev] = w[raw]
-            if wtl is not None:
-                wtl[cur, prev] = wt[raw]
-            if consistent:
-                allowed[cur, prev] = True
-    return MarkovChannel(wl, w_tilde=wtl, allowed=allowed,
-                         newest=digits[:, 0], base_size=j)
+    digits = np.stack(np.unravel_index(np.arange(j ** p), (j,) * p), axis=1)
+    allowed = np.all(digits[:, None, 1:] == digits[None, :, :-1], axis=2)
+    # [cur, prev] reads w at the raw inputs (cur's p digits, prev's oldest)
+    raw = (*digits.T[:, :, None], digits[None, :, -1])
+    return MarkovChannel(w[raw], w_tilde=None if wt is None else wt[raw],
+                         allowed=allowed, newest=digits[:, 0])

@@ -20,6 +20,8 @@ from .channels import Dmc, InputDist
 from .memory import MarkovChannel
 
 ENUM_BUDGET = 10_000_000
+DECODE_BATCH = 256  # blocks per viterbi_decode call in estimate_error_exponent
+UNION_TAIL_TERMS = 10_000  # most terms of the union-bound series summed
 
 
 class LengthMismatch(ValueError):
@@ -268,7 +270,7 @@ def _wilson(successes, trials, z=1.959963984540054):
 
 
 def estimate_error_exponent(code: TrellisCode, channel, trials: int, rng,
-                            metric=None, batch: int = 256) -> ErrorEstimate:
+                            metric=None) -> ErrorEstimate:
     """Monte-Carlo per-node first-error-event probability over `trials` blocks.
 
     An event is charged to the node where the decoded path first diverges
@@ -283,7 +285,7 @@ def estimate_error_exponent(code: TrellisCode, channel, trials: int, rng,
     events = 0
     done = 0
     while done < trials:
-        b = min(batch, trials - done)
+        b = min(DECODE_BATCH, trials - done)
         info = rng.integers(0, 2, size=(b, cfg.m * cfg.L), dtype=np.int8)
         x = encode(code, info)
         y = transmit(channel, x, rng)
@@ -472,11 +474,10 @@ def typicality_check(code: TrellisCode, q, epsilon: float, l_max: int,
         (*items[i][0], items[i][1], float(bound[i])) for i in np.flatnonzero(bad)))
 
 
-def typicality_union_bound(cfg: EnsembleConfig, j: int, epsilon: float,
-                           tail_terms: int = 10_000) -> float:
+def typicality_union_bound(cfg: EnsembleConfig, j: int, epsilon: float) -> float:
     """Analytic union bound (2^m - 1) sum_{l >= k+1} (n l + 1)^{J^2} 2^{-n l eps}."""
     total = 0.0
-    for l in range(cfg.k + 1, cfg.k + 1 + tail_terms):
+    for l in range(cfg.k + 1, cfg.k + 1 + UNION_TAIL_TERMS):
         term = (cfg.n * l + 1) ** (j * j) * 2.0 ** (-cfg.n * l * epsilon)
         total += term
         if term < 1e-18 * max(total, 1.0):

@@ -3,7 +3,8 @@
 Everything here works on joint distributions P(x, x') of a correct/incorrect
 symbol pair: the pairwise-distance average Delta_s(P), the divergence
 D(P || QxQ), the constrained minimum Z(.) in its direct (tilted-family) and
-Legendre forms, the nested rate optimization, and the dominant joint type.
+Legendre forms, the rate optimization over the tilted family, and the
+dominant joint type.
 """
 
 from dataclasses import dataclass
@@ -92,7 +93,7 @@ def _legendre_edge(dmc: Dmc, q: InputDist) -> tuple[float, float]:
     limit at rhat0; rhat0 = 0 when every pair of supports overlaps.
     """
     table = _PairTable(dmc, q)
-    return table.rhat0, table.mean_distance()
+    return table.rhat0, table.tilted_point(0.0)[1]
 
 
 def z_of_rhat_legendre(dmc: Dmc, q: InputDist, rhat: float) -> float:
@@ -107,13 +108,9 @@ def z_of_rhat_legendre(dmc: Dmc, q: InputDist, rhat: float) -> float:
     """
     if rhat < 0:
         raise ValueError(f"rhat must be >= 0, got {rhat}")
-    return _z_legendre(_PairTable(dmc, q), q, rhat)
-
-
-def _z_legendre(table: _PairTable, q: InputDist, rhat: float) -> float:
-    """`z_of_rhat_legendre` on the pair table of (W, Q)."""
+    table = _PairTable(dmc, q)
     if rhat <= table.rhat0:
-        return np.inf if rhat < table.rhat0 else table.mean_distance()
+        return np.inf if rhat < table.rhat0 else table.tilted_point(0.0)[1]
     if 2 * rhat >= _diag_divergence(q):
         return 0.0  # objective has nonpositive slope at rho = 0
 
@@ -164,24 +161,31 @@ def z_of_rhat_direct(dmc: Dmc, q: InputDist, rhat: float) -> tuple[float, JointT
 
 
 def csiszar_exponent(dmc: Dmc, q: InputDist, rate: float) -> float:
-    """Nested types-form exponent inf_{rhat < R} (Z(2 rhat) + rhat)/(R - rhat).
+    """Types-form exponent inf_{rhat < R} (Z(rhat) + rhat)/(R - rhat).
 
-    Z is evaluated in Legendre form.  Z is convex in rhat (a supremum of
-    affine functions), so the objective is quasi-convex.  The search runs
-    over the finite part [rhat0, R) of Z, so that a minimum at its edge
-    rhat0 is evaluated exactly; the exponent is inf when rhat0 >= R.
+    The minimiser of Z(rhat) lies on the tilted family P_r of
+    `_PairTable.tilted` for every rhat, so the infimum is one search over r
+    of (Delta(P_r) + D(P_r)/2)/(R - D(P_r)/2), with (D, Delta) from
+    `_PairTable.tilted_point`.  D increases in r from 2 rhat0, and the
+    exponent is inf when rhat0 >= R(1 - 1e-9).  Otherwise the search runs
+    over [0, r_R], where r_R <= 1 solves D(P_r) = 2R(1 - 1e-9) or is 1:
+    the objective is quasi-convex in r with its minimum at r = 1/rho_trtc,
+    and rho_trtc >= 1 below R0.  The absolute tolerance in r is far below
+    any minimiser, so Brent's relative tolerance governs at every rate.
     """
     table = _PairTable(dmc, q)
     check_rate(rate, table.r0)
-    rhat0 = table.rhat0
     hi = rate * (1.0 - 1e-9)
-    if rhat0 >= hi:
+    if table.rhat0 >= hi:
         return np.inf
+    r_hi = _unit_root(lambda r: table.tilted_point(r)[0] - 2 * hi)
 
-    def neg_obj(rhat):
-        return -(_z_legendre(table, q, rhat) + rhat) / (rate - rhat)
+    def neg_obj(r):
+        div, delta = table.tilted_point(r)
+        # +inf objective where rounding puts D past 2R (near r_R, R < ~1e-13)
+        return -(delta + div / 2) / (rate - div / 2) if div < 2 * rate else -np.inf
 
-    return -float(_argmax_concave(neg_obj, rhat0, hi, xatol=1e-9)[1])
+    return -float(_argmax_concave(neg_obj, 0.0, r_hi, xatol=1e-300)[1])
 
 
 def dominant_joint_type(dmc: Dmc, q: InputDist, rho: float) -> DominantEvent:
@@ -191,8 +195,7 @@ def dominant_joint_type(dmc: Dmc, q: InputDist, rho: float) -> DominantEvent:
         raise ValueError(f"rho must be > 0, got {rho}")
     table = _PairTable(dmc, q)
     p = JointType(table.tilted(1.0 / rho))
-    div = divergence_qq(p, q)
-    delta = delta_s(p, dmc, 0.5)
+    div, delta = table.tilted_point(1.0 / rho)
     rate = table.ex(rho) / (2 * rho - 1) if rho > 0.5 else np.nan
     # span factor 1 + theta(D) with theta(D) = D / (2R - D)
     factor = 2 * rate / (2 * rate - div) if np.isfinite(rate) else np.nan

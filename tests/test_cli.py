@@ -114,6 +114,17 @@ class TestCurve:
             vb = float(lb.split(",")[2])
             assert vb == pytest.approx(vn / ln2, rel=1e-9)
 
+    def test_spec_units_are_the_default(self, tmp_path):
+        # a bits spec reads --rmin/--rmax in bits unless --units overrides
+        def curve(channel, *units):
+            return run(["curve", "--channel", channel, "--kinds", "trtc",
+                        "--rmin", "0.1", "--rmax", "0.2", "--points", "2", *units])
+
+        bits = _spec_with(tmp_path, units="bits")
+        assert curve(bits) == curve(BSC, "--units", "bits")
+        assert curve(bits, "--units", "nats") == curve(BSC)
+        assert curve(bits)[0] == 0 and curve(bits) != curve(BSC)
+
     def test_empty_kinds_usage_error(self):
         rc, _, err = run(["curve", "--channel", BSC, "--kinds", "",
                           "--rmin", "0.01", "--rmax", "0.1"])
@@ -293,6 +304,18 @@ class TestDominant:
         p = np.array(doc["p_star"])
         assert p[0, 1] == pytest.approx(0.1875, abs=2e-3)
         assert doc["critical_length_factor"] >= 1.0
+
+    def test_bits_spec_echoes_rate(self, tmp_path):
+        # the rate is read in the spec's units and echoed as given
+        rc, out, _ = run(["dominant", "--channel", _spec_with(tmp_path, units="bits"),
+                          "--rate", "0.1"])
+        assert rc == 0
+        doc = json.loads(out)
+        assert doc["rate"] == 0.1
+        spec = load_channel_spec(BSC)
+        rho = exponent_curve("trtc", spec.dmc, spec.q, [0.1 * math.log(2.0)]).points[0][2]
+        assert doc["rho_trtc"] == pytest.approx(rho, rel=1e-12)
+        assert rho == pytest.approx(2.237, abs=1e-3)
 
     def test_low_rate_near_product(self):
         rc, out, _ = run(["dominant", "--channel", BSC, "--rate", "0.0001"])

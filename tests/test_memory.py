@@ -296,3 +296,42 @@ class TestLiftMemory:
         lifted = lift_memory(w2, 2)
         want = extended_cutoff(memoryless_lift(bsc01), uniform2)
         assert extended_cutoff(lifted, uniform2) == pytest.approx(want, abs=1e-6)
+
+    @pytest.mark.parametrize("j", [2, 3])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_matches_loop_reference(self, j, p):
+        rng = np.random.default_rng(10 * j + p)
+        w = rng.random((j,) * (p + 1) + (3,))
+        w /= w.sum(axis=-1, keepdims=True)
+        wt = rng.random(w.shape)
+        for w_tilde in (None, wt):
+            got = lift_memory(w, p, w_tilde=w_tilde)
+            want_w, want_wt, allowed, newest = _lift_by_loops(w, p, w_tilde)
+            assert np.array_equal(got.w, want_w)
+            assert np.array_equal(got.w_tilde, want_wt)
+            assert np.array_equal(got.allowed, allowed)
+            assert np.array_equal(got.newest, newest)
+
+
+def _lift_by_loops(w, p, w_tilde):
+    """Reference lift, one (cur, prev) pair of lifted symbols at a time:
+    (w, w_tilde, allowed, newest), with w_tilde = w when it is None."""
+    j, ny = w.shape[0], w.shape[-1]
+    wt = w if w_tilde is None else w_tilde
+    jl = j ** p
+    digits = np.empty((jl, p), dtype=int)  # newest-first base-J digits
+    for idx in range(jl):
+        rem = idx
+        for pos in range(p - 1, -1, -1):
+            digits[idx, pos] = rem % j
+            rem //= j
+    allowed = np.zeros((jl, jl), dtype=bool)
+    wl = np.zeros((jl, jl, ny))
+    wtl = np.zeros((jl, jl, ny))
+    for cur in range(jl):
+        for prev in range(jl):
+            raw = tuple(digits[cur]) + (digits[prev, -1],)
+            wl[cur, prev] = w[raw]
+            wtl[cur, prev] = wt[raw]
+            allowed[cur, prev] = np.array_equal(digits[cur, 1:], digits[prev, :-1])
+    return wl, wtl, allowed, digits[:, 0]

@@ -9,6 +9,7 @@ from trellisexp.exponents import (
     cutoff_rate,
     expurgated_ex_limit,
     exponent_curve,
+    solve_rho,
 )
 from trellisexp.types_opt import (
     JointType,
@@ -202,6 +203,15 @@ class TestZOfRhat:
             assert best == pytest.approx(cutoff_rate(dmc, q), abs=1e-6)
 
 
+W3 = (Dmc([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [0.0, 0.5, 0.5]]),
+      InputDist([1 / 3, 1 / 3, 1 / 3]))  # rows 0 and 1 disjoint: rhat0 > 0
+
+
+@pytest.fixture(params=["bsc", "asym3", "w3"])
+def channel(request, bsc01, uniform2, asym3):
+    return {"bsc": (bsc01, uniform2), "asym3": asym3, "w3": W3}[request.param]
+
+
 class TestCsiszarExponent:
     def test_bsc_mid_rate(self, bsc01, uniform2):
         trtc = exponent_curve("trtc", bsc01, uniform2, [0.15]).points[0][1]
@@ -222,6 +232,55 @@ class TestCsiszarExponent:
     def test_rate_out_of_range(self, bsc01, uniform2):
         with pytest.raises(RateOutOfRange):
             csiszar_exponent(bsc01, uniform2, 0.5)
+
+    @pytest.mark.parametrize("rate", [1e-3, 1e-5, 1e-7, 1e-9, 1e-11, 1e-20, 1e-60, 1e-300])
+    def test_exact_at_low_rates(self, bsc01, uniform2, rate):
+        # the minimiser sits at r = 1/rho_trtc ~ 1e-10 at R = 1e-11, far
+        # inside any fixed tolerance in rhat; below R ~ 1e-13 the rounding
+        # of D near the rate edge exceeds R's margin, and below ~1e-30 R
+        # itself
+        trtc = exponent_curve("trtc", bsc01, uniform2, [rate]).points[0][1]
+        assert csiszar_exponent(bsc01, uniform2, rate) == pytest.approx(trtc, rel=1e-12)
+
+    def test_equals_trtc_below_r0(self, channel):
+        dmc, q = channel
+        rates = cutoff_rate(dmc, q) * np.linspace(0.0, 1.0, 27)[1:-1]
+        for rate, trtc, _ in exponent_curve("trtc", dmc, q, rates).points:
+            got = csiszar_exponent(dmc, q, rate)
+            if trtc == math.inf:
+                assert got == math.inf
+            else:
+                assert got == pytest.approx(trtc, rel=1e-13)
+
+    def test_dominant_type_attains_minimum(self, channel):
+        # D and Delta of P* come from the type itself, not from G
+        dmc, q = channel
+        for rate in cutoff_rate(dmc, q) * np.linspace(0.05, 0.95, 19):
+            rho = solve_rho("trtc", dmc, q, rate).rho
+            got = csiszar_exponent(dmc, q, rate)
+            if rho == math.inf:
+                assert got == math.inf
+                continue
+            p = dominant_joint_type(dmc, q, rho).p_star
+            div, delta = divergence_qq(p, q), delta_s(p, dmc, 0.5)
+            assert got == pytest.approx((delta + div / 2) / (rate - div / 2), rel=1e-8)
+
+    def test_few_g_evaluations(self, monkeypatch, bsc01, uniform2, asym3):
+        from trellisexp import types_opt
+        calls = []
+
+        class Counting(types_opt._PairTable):
+            def g(self, r):
+                calls.append(r)
+                return super().g(r)
+
+        monkeypatch.setattr(types_opt, "_PairTable", Counting)
+        for dmc, q in ((bsc01, uniform2), asym3):
+            r0 = cutoff_rate(dmc, q)
+            for rate in (1e-11, 1e-7, 1e-3, 0.1 * r0, 0.5 * r0, 0.9 * r0, r0):
+                calls.clear()
+                csiszar_exponent(dmc, q, rate)
+                assert len(calls) <= 150
 
 
 class TestDominantJointType:
