@@ -14,7 +14,7 @@ import numpy as np
 from .channels import PROB_ATOL, NegativeEntry, NonStochasticRow
 from .exponents import _argmax_concave, _unit_root, check_rate
 
-S_MAX_DEFAULT = 8.0
+S_MAX = 8.0  # upper end of the search over the Chernoff parameter s
 
 
 class MetricZeroInRatio(ArithmeticError):
@@ -187,25 +187,24 @@ def f_s(ch: MarkovChannel, q, s: float, d: float) -> float:
     return max(0.0, float(_argmax_concave(lambda r: g(r) - r * d, 0.0)[1]))
 
 
-def extended_cutoff(ch: MarkovChannel, q, s_max: float = S_MAX_DEFAULT) -> float:
-    """Extended cutoff rate sup_{s >= 0} G_s(1), concave in s, over [0, s_max]."""
-    return float(_argmax_concave(lambda s: g_s(ch, q, s, 1.0), 0.0, s_max,
+def extended_cutoff(ch: MarkovChannel, q) -> float:
+    """Extended cutoff rate sup_{s >= 0} G_s(1), concave in s, over [0, S_MAX]."""
+    return float(_argmax_concave(lambda s: g_s(ch, q, s, 1.0), 0.0, S_MAX,
                                  xatol=1e-8)[1])
 
 
-def extended_exponent(ch: MarkovChannel, q, rate: float,
-                      s_max: float = S_MAX_DEFAULT):
+def extended_exponent(ch: MarkovChannel, q, rate: float):
     """Typical-code exponent bound sup_{s >= 0} rho_{R,s} G_s(1/rho_{R,s}) / R.
 
     Returns (value, argmax s, rho at the argmax).  {s : rho_{R,s} >= t} is
     an interval, so the objective is quasi-concave in s and one bounded
-    search over [0, s_max] finds its maximum; a boundary-active argmax
-    (s == s_max) is reported as-is.  The root is solved in r = 1/rho on
+    search over [0, S_MAX] finds its maximum; a boundary-active argmax
+    (s == S_MAX) is reported as-is.  The root is solved in r = 1/rho on
     [0, 1] by `_unit_root`: G_s(r) = (2 - r) R, value G_s(r)/(r R).  Where
     no root rho >= 1 exists the objective takes its continuous extension
     G_s(1)/R (rho = 1); it is inf exactly when G_s(0) >= 2R (no root).
     """
-    r0 = extended_cutoff(ch, q, s_max)
+    r0 = extended_cutoff(ch, q)
     check_rate(rate, r0)
 
     def value_at(s):
@@ -216,7 +215,7 @@ def extended_exponent(ch: MarkovChannel, q, rate: float,
         r = _unit_root(lambda r: g(r) - (2 - r) * rate)
         return (g(r) / (r * rate), 1.0 / r) if r > 0 else (np.inf, np.inf)
 
-    s_star, best = _argmax_concave(lambda s: value_at(s)[0], 0.0, s_max, xatol=1e-6)
+    s_star, best = _argmax_concave(lambda s: value_at(s)[0], 0.0, S_MAX, xatol=1e-6)
     return float(best), float(s_star), float(value_at(s_star)[1])
 
 

@@ -54,10 +54,6 @@ class EnsembleConfig:
         return self.m * self.k
 
     @property
-    def rate_bits(self):
-        return self.m / self.n
-
-    @property
     def rate_nats(self):
         return self.m / self.n * math.log(2.0)
 
@@ -74,10 +70,15 @@ class EnsembleConfig:
 class TrellisCode:
     """Sampled ensemble member: full branch-label table.
 
-    labels[t, window] is the n-symbol branch output at time t, where the
-    K-bit window packs (current input block, previous k-1 blocks) with the
-    current block in the most significant bits.  Linear codes also carry
-    their generator matrices and offsets.
+    labels[t, window] is the n-symbol branch output at time t.  The K-bit
+    window of branch t packs the input blocks (u_t, u_{t-1}, ..., u_{t-k+1})
+    with u_t in the top m bits: window = (u_t << m(k-1)) | state, where the
+    state, the low m(k-1) bits (window & (num_states - 1)), holds the k-1
+    previous blocks, and the next state is window >> m.  Two paths agree at
+    a node iff their states there are equal, so an incorrect path has left
+    the correct one where the window of the input difference is nonzero and
+    its state bits are zero.  Linear codes also carry their generator
+    matrices and offsets.
     """
 
     cfg: EnsembleConfig
@@ -92,6 +93,13 @@ def _rng(seed, *stream):
                                                 counter=list(stream) + [0] * (4 - len(stream))))
 
 
+def _digits(values, width, count):
+    """Base-2^width digits of integer `values`, most significant first:
+    shape values.shape + (count,)."""
+    shifts = width * np.arange(count - 1, -1, -1)
+    return (np.asarray(values)[..., None] >> shifts) & ((1 << width) - 1)
+
+
 def sample_code(cfg: EnsembleConfig, j: int = 2, q=None, code_index: int = 0) -> TrellisCode:
     """Draw one code. General codes: labels i.i.d. Q^n per (t, window) cell.
     Linear codes: equiprobable generator matrices and offsets over GF(2)."""
@@ -103,8 +111,9 @@ def sample_code(cfg: EnsembleConfig, j: int = 2, q=None, code_index: int = 0) ->
             raise ValueError("linear codes require a binary channel alphabet")
         gens = rng.integers(0, 2, size=(t_total, cfg.k, cfg.m, cfg.n), dtype=np.int8)
         offs = rng.integers(0, 2, size=(t_total, cfg.n), dtype=np.int8)
-        # window bit w: bit (K-1-i) is the i-th bit of the (current..oldest) blocks
-        win_bits = ((np.arange(cells)[:, None] >> np.arange(cfg.constraint_length - 1, -1, -1)[None, :]) & 1)
+        # bit i of a window, most significant first, meets row i of the
+        # (current..oldest) generators
+        win_bits = _digits(np.arange(cells), 1, cfg.constraint_length)
         gflat = gens.reshape(t_total, cfg.constraint_length, cfg.n)
         labels = (np.einsum("wb,tbn->twn", win_bits, gflat) + offs[:, None, :]) % 2
         return TrellisCode(cfg, j, labels.astype(np.int8), gens, offs)
@@ -188,7 +197,7 @@ def viterbi_decode(code: TrellisCode, metric, outputs) -> np.ndarray:
     `metric` is a Dmc (use its W as the decoding metric) or a (J, Y) matrix.
     Accepts a single output sequence or a batch (B, n*(L+k-1)).
 
-    A state holds the last k-1 input blocks, the newest in the high bits.
+    States and windows are laid out as in `TrellisCode`.
     For k >= 2 the 2^m predecessors of state s' are
     ((s' & low_mask) << m) | low, low < 2^m, with low_mask = 2^{m(k-2)} - 1;
     the branch from each carries input s' >> m(k-2) and window
@@ -242,9 +251,7 @@ def viterbi_decode(code: TrellisCode, metric, outputs) -> np.ndarray:
         win = (state << cfg.m) | choice[rows, t, state]
         blocks[:, t] = win >> (cfg.m * (cfg.k - 1))
         state = win & (s_count - 1)
-    info = blocks[:, : cfg.L]
-    bits = ((info[:, :, None] >> np.arange(cfg.m - 1, -1, -1)[None, None, :]) & 1)
-    bits = bits.reshape(b, cfg.m * cfg.L).astype(np.int8)
+    bits = _digits(blocks[:, :cfg.L], 1, cfg.m).reshape(b, cfg.m * cfg.L).astype(np.int8)
     return bits[0] if single else bits
 
 
@@ -274,7 +281,8 @@ def estimate_error_exponent(code: TrellisCode, channel, trials: int, rng,
     """Monte-Carlo per-node first-error-event probability over `trials` blocks.
 
     An event is charged to the node where the decoded path first diverges
-    from the correct one (inputs differ while the trellis states agree).
+    from the correct one: the window of the input difference is nonzero
+    while its state bits are zero (the paths agree at that node).
     With zero events the reported p_e is the one-sided 95% Clopper-Pearson
     ceiling and the exponent is the matching lower bound.
     """
@@ -290,15 +298,10 @@ def estimate_error_exponent(code: TrellisCode, channel, trials: int, rng,
         x = encode(code, info)
         y = transmit(channel, x, rng)
         dec = viterbi_decode(code, metric, y)
-        tb = _info_to_blocks(info, cfg.m, cfg.L)
-        db = _info_to_blocks(dec, cfg.m, cfg.L)
-        diff = tb != db  # (b, L)
-        merged = np.ones_like(diff)
-        for back in range(1, cfg.k):
-            shifted = np.zeros_like(diff)
-            shifted[:, back:] = diff[:, :-back]
-            merged &= ~shifted
-        events += int(np.sum(diff & merged))
+        # blocks sit in disjoint bit fields, so the window of the bit XOR
+        # is the XOR of the two paths' windows
+        wins = _block_windows(_info_to_blocks(info ^ dec, cfg.m, cfg.L), cfg)
+        events += int(np.count_nonzero((wins != 0) & ((wins & (cfg.num_states - 1)) == 0)))
         done += b
     nodes = trials * cfg.L
     no_errors = events == 0
@@ -327,29 +330,17 @@ class PairTypeTable:
 
 
 def _deviation_patterns(l, k, m):
-    """Input-difference patterns over the l+1 free branches of an incorrect
-    path that remerges exactly after k+l branches: nonzero first and last
-    block, no k-1 consecutive zero blocks strictly inside."""
-    u_count = 1 << m
-    pats = []
-    for code_int in range(u_count ** (l + 1)):
-        digits = []
-        rem = code_int
-        for _ in range(l + 1):
-            digits.append(rem % u_count)
-            rem //= u_count
-        if digits[0] == 0 or digits[-1] == 0:
-            continue
-        run = 0
-        ok = True
-        for d in digits[1:-1]:
-            run = run + 1 if d == 0 else 0
-            if run >= k - 1:
-                ok = False
-                break
-        if ok:
-            pats.append(tuple(digits))
-    return pats
+    """Input-difference patterns (d_0, ..., d_l) over the l+1 free branches
+    of an incorrect path that remerges exactly after k+l branches: d_0 and
+    d_l nonzero, and the state bits of windows 1..l nonzero (the paths
+    disagree at nodes 1..l; d_l != 0 keeps them apart up to node k+l-1).
+    At k = 1 the state is empty, so only l = 0 has patterns.  Listed with
+    d_0 as the least significant base-2^m digit."""
+    cfg = EnsembleConfig(m=m, n=1, k=k, L=1)
+    seqs = _digits(np.arange(1 << m * (l + 1)), m, l + 1)[:, ::-1]
+    states = _block_windows(seqs, cfg)[:, 1:] & (cfg.num_states - 1)
+    keep = (seqs[:, 0] != 0) & (seqs[:, -1] != 0) & np.all(states != 0, axis=1)
+    return list(map(tuple, seqs[keep].tolist()))
 
 
 def _pair_counts(code: TrellisCode, u, pats, l) -> np.ndarray:
@@ -414,7 +405,7 @@ def enumerate_pair_types(code: TrellisCode, l_max: int, fixed_message=None,
         if total > budget:
             raise EnumerationBudgetExceeded(f"l={l}: {total} pairs exceed budget {budget}")
         if fixed_message is None:
-            u = (np.arange(n_windows)[:, None] >> (m * np.arange(win_len))) & (u_count - 1)
+            u = _digits(np.arange(n_windows), m, win_len)
         else:
             u = np.asarray(fixed_message, dtype=np.int64)[None, :win_len]
             if u.shape[1] != win_len:

@@ -167,18 +167,18 @@ def csiszar_exponent(dmc: Dmc, q: InputDist, rate: float) -> float:
     `_PairTable.tilted` for every rhat, so the infimum is one search over r
     of (Delta(P_r) + D(P_r)/2)/(R - D(P_r)/2), with (D, Delta) from
     `_PairTable.tilted_point`.  D increases in r from 2 rhat0, and the
-    exponent is inf when rhat0 >= R(1 - 1e-9).  Otherwise the search runs
-    over [0, r_R], where r_R <= 1 solves D(P_r) = 2R(1 - 1e-9) or is 1:
-    the objective is quasi-convex in r with its minimum at r = 1/rho_trtc,
-    and rho_trtc >= 1 below R0.  The absolute tolerance in r is far below
-    any minimiser, so Brent's relative tolerance governs at every rate.
+    exponent is inf exactly when R <= rhat0, the rule of trtc.  Otherwise
+    the search runs over [0, r_R], where r_R <= 1 solves D(P_r) = 2R or is
+    1: the objective is quasi-convex in r with its minimum at
+    r = 1/rho_trtc, and rho_trtc >= 1 below R0.  The absolute tolerance in
+    r is far below any minimiser, so Brent's relative tolerance governs at
+    every rate.
     """
     table = _PairTable(dmc, q)
     check_rate(rate, table.r0)
-    hi = rate * (1.0 - 1e-9)
-    if table.rhat0 >= hi:
+    if rate <= table.rhat0:
         return np.inf
-    r_hi = _unit_root(lambda r: table.tilted_point(r)[0] - 2 * hi)
+    r_hi = _unit_root(lambda r: table.tilted_point(r)[0] - 2 * rate)
 
     def neg_obj(r):
         div, delta = table.tilted_point(r)

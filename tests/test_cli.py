@@ -284,6 +284,15 @@ class TestAudit:
         assert lines[-2].startswith("summary,")
         assert lines[-1].startswith("bound,")
 
+    def test_k1_every_code_typical(self):
+        # at k = 1 no incorrect path stays unmerged past one branch, so no
+        # pair type is enumerated and no code can violate a condition
+        rc, out, _ = run(["audit", "--channel", BSC, "--m", "1", "--n", "2",
+                          "--k", "1", "--L", "20", "--codes", "50",
+                          "--epsilon", "0.3", "--lmax", "2", "--seed", "3"])
+        assert rc == 0
+        assert out.strip().split("\n")[-2] == "summary,1,0"
+
     def test_ignored_keys_rejected(self, tmp_path):
         # audit reads only Q and the alphabet size
         for extra in ({"w_tilde": W_TILDE}, {"memory": MEMORY_BLOCK}):

@@ -7,6 +7,7 @@ import pytest
 from trellisexp.channels import Dmc, InputDist
 from trellisexp.memory import MarkovChannel, memoryless_lift
 from trellisexp.sim import (
+    DECODE_BATCH,
     EnsembleConfig,
     EnumerationBudgetExceeded,
     LengthMismatch,
@@ -286,6 +287,29 @@ class TestEstimate:
         est = estimate_error_exponent(code, bsc01, 100, _rng(2, 0, 1))
         assert est.wilson_low <= est.p_e <= est.wilson_high
 
+    @pytest.mark.parametrize("m,k", [(1, 1), (1, 2), (1, 4), (2, 1), (2, 2), (2, 4)])
+    def test_event_count_matches_per_node_loop(self, m, k):
+        # replay the estimator's random stream; a first event at node t is
+        # a differing block t whose k-1 previous blocks agree
+        channel = Dmc([[0.8, 0.2], [0.2, 0.8]])
+        cfg = EnsembleConfig(m=m, n=2, k=k, L=12, seed=41)
+        code = sample_code(cfg, j=2, q=UNIFORM2)
+        trials = DECODE_BATCH + 44  # two batches
+        got = estimate_error_exponent(code, channel, trials, np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        want = done = 0
+        while done < trials:
+            b = min(DECODE_BATCH, trials - done)
+            info = rng.integers(0, 2, size=(b, m * cfg.L), dtype=np.int8)
+            dec = viterbi_decode(code, channel, transmit(channel, encode(code, info), rng))
+            differ = (info != dec).reshape(b, cfg.L, m).any(axis=2)
+            for row in differ.tolist():
+                for t in range(cfg.L):
+                    if row[t] and not any(row[max(0, t - k + 1):t]):
+                        want += 1
+            done += b
+        assert got.events == want > 0
+
     def test_jensen_ordering(self, bsc01):
         # mean(-ln p)/K >= -ln(mean p)/K exactly, by concavity of -ln
         cfg = EnsembleConfig(m=1, n=2, k=3, L=100, seed=3)
@@ -311,6 +335,31 @@ class TestPairTypes:
         for k in (2, 3):
             for l in range(1, 5):
                 assert len(_deviation_patterns(l, k, 1)) <= 2 ** l
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_patterns_match_state_walk(self, m):
+        # reference without windows: walk the states (d_{i-1}, ..., d_{i-k+1})
+        # of each candidate (d_i = 0 outside 0..l); valid iff d_0 != 0, the
+        # states at nodes 1..k+l-1 are nonzero and the state at k+l is zero
+        for k in range(1, 6):
+            for l in range(6):
+                want = []
+                for rev in itertools.product(range(1 << m), repeat=l + 1):
+                    d = rev[::-1] + (0,) * k  # d_0 least significant
+                    states = [any(d[i - b] for b in range(1, k) if i - b >= 0)
+                              for i in range(k + l + 1)]
+                    if d[0] and all(states[1:k + l]) and not states[k + l]:
+                        want.append(d[:l + 1])
+                assert _deviation_patterns(l, k, m) == want, (k, l)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_k1_has_no_unmerged_extensions(self, m):
+        # one state: every path remerges one branch after it diverges
+        cfg = EnsembleConfig(m=m, n=2, k=1, L=20, seed=3)
+        code = sample_code(cfg, j=2, q=UNIFORM2)
+        table = enumerate_pair_types(code, l_max=2)
+        assert table.entries == {} and table.pair_totals == {1: 0, 2: 0}
+        assert typicality_check(code, UNIFORM2, 0.3, l_max=2, table=table).is_typical
 
     def test_partition_identity(self):
         cfg = EnsembleConfig(m=1, n=2, k=2, L=20, seed=5)

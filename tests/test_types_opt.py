@@ -13,6 +13,7 @@ from trellisexp.exponents import (
 )
 from trellisexp.types_opt import (
     JointType,
+    _legendre_edge,
     csiszar_exponent,
     delta_max,
     delta_s,
@@ -251,6 +252,20 @@ class TestCsiszarExponent:
                 assert got == math.inf
             else:
                 assert got == pytest.approx(trtc, rel=1e-13)
+
+    def test_equals_trtc_just_above_rhat0(self):
+        # the inputs never share an output, so R0 = 2 rhat0 and trtc is
+        # finite, and huge, for every R > rhat0: both routes must use that
+        # one rule at the edge
+        dmc, q = Dmc([[0.0, 1.0], [1.0, 0.0]]), InputDist([3 / 7, 4 / 7])
+        rhat0 = _legendre_edge(dmc, q)[0]
+        rates = [cutoff_rate(dmc, q) / 2]
+        rates += [rhat0 * (1 + f) for f in (1e-12, 1e-10, 1e-9)]
+        for rate, trtc, _ in exponent_curve("trtc", dmc, q, rates).points:
+            assert trtc < math.inf
+            assert csiszar_exponent(dmc, q, rate) == pytest.approx(trtc, rel=1e-12)
+        assert exponent_curve("trtc", dmc, q, [rhat0]).points[0][1] == math.inf
+        assert csiszar_exponent(dmc, q, rhat0) == math.inf
 
     def test_dominant_type_attains_minimum(self, channel):
         # D and Delta of P* come from the type itself, not from G
