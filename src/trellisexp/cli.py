@@ -254,13 +254,25 @@ def cmd_dominant(args) -> int:
     return 0
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="trellisexp",
                                 description="Trellis-code error exponents")
     sub = p.add_subparsers(dest="command", required=True)
+    channel = argparse.ArgumentParser(add_help=False)
+    channel.add_argument("--channel", required=True)
+    ensemble = argparse.ArgumentParser(add_help=False)
+    for name in ("--m", "--n", "--k", "--seed"):
+        ensemble.add_argument(name, type=int, required=True)
+    ensemble.add_argument("--L", type=int, default=None)
 
-    c = sub.add_parser("curve", help="emit exponent curves as CSV")
-    c.add_argument("--channel", required=True)
+    c = sub.add_parser("curve", parents=[channel], help="emit exponent curves as CSV")
     c.add_argument("--kinds", required=True,
                    help="comma list from " + ",".join(CURVE_KINDS))
     c.add_argument("--rmin", type=float, required=True)
@@ -270,37 +282,26 @@ def build_parser() -> argparse.ArgumentParser:
                    help="units of the rates and values (default: the spec's)")
     c.set_defaults(func=cmd_curve)
 
-    s = sub.add_parser("simulate", help="Monte-Carlo ensemble simulation")
-    s.add_argument("--channel", required=True)
-    s.add_argument("--m", type=int, required=True)
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--k", type=int, required=True)
-    s.add_argument("--L", type=int, default=None)
-    s.add_argument("--blocks", type=int, default=100)
-    s.add_argument("--codes", type=int, default=1)
-    s.add_argument("--trials", type=int, default=None,
+    s = sub.add_parser("simulate", parents=[channel, ensemble],
+                       help="Monte-Carlo ensemble simulation")
+    s.add_argument("--blocks", type=_positive_int, default=100)
+    s.add_argument("--codes", type=_positive_int, default=1)
+    s.add_argument("--trials", type=_positive_int, default=None,
                    help="total node-trial target; overrides --blocks")
-    s.add_argument("--seed", type=int, required=True)
     s.add_argument("--linear", action="store_true")
     s.add_argument("--epsilon", type=float, default=0.3)
     s.add_argument("--lmax", type=int, default=0,
                    help="typicality check depth; 0 skips the flag")
     s.set_defaults(func=cmd_simulate)
 
-    a = sub.add_parser("audit", help="typicality audit of sampled codes")
-    a.add_argument("--channel", required=True)
-    a.add_argument("--m", type=int, required=True)
-    a.add_argument("--n", type=int, required=True)
-    a.add_argument("--k", type=int, required=True)
-    a.add_argument("--L", type=int, default=None)
-    a.add_argument("--codes", type=int, required=True)
+    a = sub.add_parser("audit", parents=[channel, ensemble],
+                       help="typicality audit of sampled codes")
+    a.add_argument("--codes", type=_positive_int, required=True)
     a.add_argument("--epsilon", type=float, required=True)
     a.add_argument("--lmax", type=int, required=True)
-    a.add_argument("--seed", type=int, required=True)
     a.set_defaults(func=cmd_audit)
 
-    d = sub.add_parser("dominant", help="dominant error-event report")
-    d.add_argument("--channel", required=True)
+    d = sub.add_parser("dominant", parents=[channel], help="dominant error-event report")
     d.add_argument("--rate", type=float, required=True)
     d.set_defaults(func=cmd_dominant)
     return p
@@ -312,6 +313,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except ChannelSpecError as e:
         sys.stderr.write(f"channel spec error: {e}\n")
+        return 2
+    except (ValueError, sim.EnumerationBudgetExceeded) as e:
+        # bad ensemble arguments, found by `sim` (curve and dominant report
+        # their out-of-range rates themselves, with exit 1)
+        sys.stderr.write(f"error: {e}\n")
         return 2
 
 

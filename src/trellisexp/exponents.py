@@ -169,19 +169,23 @@ def _unit_root(f):
     """Root in [0, 1] of an f that crosses zero at most once, upward.
 
     The one root finder of the cex/trtc solves and `memory.extended_exponent`
-    (in r = 1/rho), of `types_opt.z_of_rhat_direct` (in t = r/(1 + r)) and
-    of the rate edge of `types_opt.csiszar_exponent` (in r).
+    (in r = 1/rho) and of `types_opt.z_of_rhat_direct` (in t = r/(1 + r)).
     Returns 1 when f(1) <= 0 (the root lies at or beyond 1) and 0 when
     f(0) >= 0 (for r = 1/rho: no root, rho is unbounded); brentq finds it
-    otherwise.  Its iteration cap is set so that it reaches xtol even for
-    roots near 1e-32, where the default 100 iterations do not.
+    otherwise.  f is evaluated once at each end: brentq opens with f(0) and
+    f(1) and is handed the values already computed, so its iterates, and the
+    root, are those of a plain call.  Its iteration cap is set so that it
+    reaches xtol even for roots near 1e-32, where the default 100 iterations
+    do not.
     """
-    if f(1.0) <= 0:
+    f1 = f(1.0)
+    if f1 <= 0:
         return 1.0
-    if f(0.0) >= 0:
+    f0 = f(0.0)
+    if f0 >= 0:
         return 0.0
-    return brentq(f, 0.0, 1.0, xtol=1e-300, rtol=4 * np.finfo(float).eps,
-                  maxiter=2000)
+    return brentq(lambda r: f0 if r == 0.0 else f1 if r == 1.0 else f(r), 0.0, 1.0,
+                  xtol=1e-300, rtol=4 * np.finfo(float).eps, maxiter=2000)
 
 
 def check_rate(rate: float, r0: float) -> None:

@@ -203,6 +203,10 @@ def extended_exponent(ch: MarkovChannel, q, rate: float):
     [0, 1] by `_unit_root`: G_s(r) = (2 - r) R, value G_s(r)/(r R).  Where
     no root rho >= 1 exists the objective takes its continuous extension
     G_s(1)/R (rho = 1); it is inf exactly when G_s(0) >= 2R (no root).
+    rho is read off the maximised value, not solved again at s*: at an
+    interior root the value is (2 - r)/r = 2 rho - 1, where the root clamps
+    at r = 1 the value G_s(1)/R is at most 1, so rho = max(1, (1 + value)/2),
+    which is also inf where the value is.
     """
     r0 = extended_cutoff(ch, q)
     check_rate(rate, r0)
@@ -213,10 +217,10 @@ def extended_exponent(ch: MarkovChannel, q, rate: float):
         # zero at most once on (0, 1], upward
         g = _generator(ch, q, s)
         r = _unit_root(lambda r: g(r) - (2 - r) * rate)
-        return (g(r) / (r * rate), 1.0 / r) if r > 0 else (np.inf, np.inf)
+        return g(r) / (r * rate) if r > 0 else np.inf
 
-    s_star, best = _argmax_concave(lambda s: value_at(s)[0], 0.0, S_MAX, xatol=1e-6)
-    return float(best), float(s_star), float(value_at(s_star)[1])
+    s_star, best = _argmax_concave(value_at, 0.0, S_MAX, xatol=1e-6)
+    return float(best), float(s_star), max(1.0, (1.0 + float(best)) / 2)
 
 
 def lift_memory(w, p: int, w_tilde=None) -> MarkovChannel:

@@ -336,6 +336,8 @@ def _deviation_patterns(l, k, m):
     disagree at nodes 1..l; d_l != 0 keeps them apart up to node k+l-1).
     At k = 1 the state is empty, so only l = 0 has patterns.  Listed with
     d_0 as the least significant base-2^m digit."""
+    if k == 1 and l > 0:
+        return []
     cfg = EnsembleConfig(m=m, n=1, k=k, L=1)
     seqs = _digits(np.arange(1 << m * (l + 1)), m, l + 1)[:, ::-1]
     states = _block_windows(seqs, cfg)[:, 1:] & (cfg.num_states - 1)
@@ -404,6 +406,9 @@ def enumerate_pair_types(code: TrellisCode, l_max: int, fixed_message=None,
         total = n_windows * len(pats)
         if total > budget:
             raise EnumerationBudgetExceeded(f"l={l}: {total} pairs exceed budget {budget}")
+        table.pair_totals[l] = total
+        if not pats:  # k = 1: no windows to build
+            continue
         if fixed_message is None:
             u = _digits(np.arange(n_windows), m, win_len)
         else:
@@ -413,7 +418,6 @@ def enumerate_pair_types(code: TrellisCode, l_max: int, fixed_message=None,
         keys, mult = _distinct_rows(_pair_counts(code, u, pats, l))
         for key, c in zip(keys.tolist(), mult.tolist()):
             table.entries[(l, tuple(key))] = c
-        table.pair_totals[l] = total
     return table
 
 

@@ -168,21 +168,25 @@ def csiszar_exponent(dmc: Dmc, q: InputDist, rate: float) -> float:
     of (Delta(P_r) + D(P_r)/2)/(R - D(P_r)/2), with (D, Delta) from
     `_PairTable.tilted_point`.  D increases in r from 2 rhat0, and the
     exponent is inf exactly when R <= rhat0, the rule of trtc.  Otherwise
-    the search runs over [0, r_R], where r_R <= 1 solves D(P_r) = 2R or is
-    1: the objective is quasi-convex in r with its minimum at
-    r = 1/rho_trtc, and rho_trtc >= 1 below R0.  The absolute tolerance in
-    r is far below any minimiser, so Brent's relative tolerance governs at
-    every rate.
+    the objective is quasi-convex in r with its minimum at the trtc root
+    r* = 1/rho_trtc, where G(r*) = (2 - r*) R.  G is concave with
+    G(0) = 2 rhat0 and G(1) = R0, so it lies above its chord,
+    G(r) >= 2 rhat0 + r (R0 - 2 rhat0), and at r* that gives
+    r* <= 2 (R - rhat0)/(R0 - 2 rhat0 + R), whose denominator is at least
+    R > 0.  The search runs over [0, r_hi], r_hi the smaller of that bound
+    and 1, with no root solved for the rate edge; where D(P_r) >= 2R inside
+    the bracket the objective is +inf.  The absolute tolerance in r is far
+    below any minimiser, so Brent's relative tolerance governs at every
+    rate.
     """
     table = _PairTable(dmc, q)
     check_rate(rate, table.r0)
     if rate <= table.rhat0:
         return np.inf
-    r_hi = _unit_root(lambda r: table.tilted_point(r)[0] - 2 * rate)
+    r_hi = min(1.0, 2 * (rate - table.rhat0) / (table.r0 - 2 * table.rhat0 + rate))
 
     def neg_obj(r):
         div, delta = table.tilted_point(r)
-        # +inf objective where rounding puts D past 2R (near r_R, R < ~1e-13)
         return -(delta + div / 2) / (rate - div / 2) if div < 2 * rate else -np.inf
 
     return -float(_argmax_concave(neg_obj, 0.0, r_hi, xatol=1e-300)[1])

@@ -304,6 +304,40 @@ class TestAudit:
             assert next(iter(extra)) in err
 
 
+AUDIT = ["audit", "--channel", BSC, "--m", "1", "--n", "2", "--epsilon", "0.3",
+         "--seed", "1"]
+SIMULATE = ["simulate", "--channel", BSC, "--m", "1", "--n", "2", "--seed", "1"]
+
+
+class TestBadEnsembleArguments:
+    @pytest.mark.parametrize("argv", [
+        # found by sim: one "error:" line
+        AUDIT + ["--k", "4", "--L", "5", "--lmax", "4", "--codes", "1"],
+        SIMULATE + ["--k", "0"],
+        # over the enumeration budget at l = 1, before anything is built
+        AUDIT + ["--k", "12", "--L", "40", "--lmax", "1", "--codes", "1"],
+    ])
+    def test_sim_error_exits_2(self, argv):
+        rc, out, err = run(argv)
+        assert rc == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        # rejected by argparse: usage and one "error:" line, no traceback
+        AUDIT + ["--k", "2", "--lmax", "2", "--codes", "0"],
+        SIMULATE + ["--k", "2", "--codes", "0"],
+        SIMULATE + ["--k", "2", "--blocks", "0"],
+        SIMULATE + ["--k", "2", "--trials", "0"],
+        SIMULATE + ["--k", "2", "--trials", "-5"],
+    ])
+    def test_count_below_one_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert "must be >= 1" in err.splitlines()[-1] and "Traceback" not in err
+
+
 class TestDominant:
     def test_report_fields(self):
         rc, out, _ = run(["dominant", "--channel", BSC, "--rate", "0.22"])

@@ -197,6 +197,26 @@ class TestSolveRho:
         assert math.isfinite(solve_rho("cex", dmc, q, 2.01 * rhat0).rho)
 
 
+class TestUnitRoot:
+    def test_each_end_evaluated_once(self, bsc01, uniform2):
+        # a trtc-shaped f with an interior root: brentq is handed f(0) and
+        # f(1) and takes the same iterates as a plain call
+        from scipy.optimize import brentq
+        from trellisexp.exponents import _PairTable, _unit_root
+        table = _PairTable(bsc01, uniform2)
+        calls = []
+
+        def f(r):
+            calls.append(r)
+            return table.g(r) - (2 - r) * 0.15
+
+        r = _unit_root(f)
+        assert 0 < r < 1
+        assert calls.count(0.0) == 1 and calls.count(1.0) == 1
+        assert r == brentq(f, 0.0, 1.0, xtol=1e-300, rtol=4 * np.finfo(float).eps,
+                           maxiter=2000)
+
+
 class TestExponentCurve:
     def test_rtimes_rtc_constant(self, bsc01, uniform2):
         r0 = cutoff_rate(bsc01, uniform2)

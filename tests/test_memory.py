@@ -218,12 +218,17 @@ class TestExtendedExponent:
         assert extended_cutoff(ch, [0.5, 0.5]) == pytest.approx(0.0, abs=1e-9)
 
     def test_matched_reduces_to_trtc(self, bsc01, uniform2, lifted_bsc):
-        from trellisexp.exponents import exponent_curve
+        from trellisexp.exponents import exponent_curve, solve_rho
         for rate in (0.08, 0.15, 0.2):
             value, s_star, rho = extended_exponent(lifted_bsc, uniform2, rate)
             want = exponent_curve("trtc", bsc01, uniform2, [rate]).points[0][1]
             assert value == pytest.approx(want, abs=1e-3)
             assert s_star == pytest.approx(0.5, abs=0.02)
+            want_rho = solve_rho("trtc", bsc01, uniform2, rate).rho
+            assert rho == pytest.approx(want_rho, rel=1e-9)
+        # at the extended cutoff the root clamps at r = 1
+        cutoff = extended_cutoff(lifted_bsc, uniform2)
+        assert extended_exponent(lifted_bsc, uniform2, cutoff)[2] == 1.0
 
     def test_mismatched_cutoff_not_better(self, bsc01, uniform2, lifted_bsc):
         wt = np.broadcast_to(np.array([[0.8, 0.2], [0.2, 0.8]])[:, None, :],

@@ -361,6 +361,21 @@ class TestPairTypes:
         assert table.entries == {} and table.pair_totals == {1: 0, 2: 0}
         assert typicality_check(code, UNIFORM2, 0.3, l_max=2, table=table).is_typical
 
+    def test_k1_builds_no_windows(self):
+        # with no patterns the budget (windows x patterns = 0) never trips,
+        # so nothing may be built: the windows of l = 16 alone fill ~100 MiB
+        import tracemalloc
+        cfg = EnsembleConfig(m=1, n=2, k=1, L=40, seed=3)
+        code = sample_code(cfg, j=2, q=UNIFORM2)
+        tracemalloc.start()
+        try:
+            table = enumerate_pair_types(code, l_max=16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.entries == {} and table.pair_totals == dict.fromkeys(range(1, 17), 0)
+        assert peak < 1 << 20
+
     def test_partition_identity(self):
         cfg = EnsembleConfig(m=1, n=2, k=2, L=20, seed=5)
         code = sample_code(cfg, j=2, q=UNIFORM2)

@@ -267,6 +267,16 @@ class TestCsiszarExponent:
         assert exponent_curve("trtc", dmc, q, [rhat0]).points[0][1] == math.inf
         assert csiszar_exponent(dmc, q, rhat0) == math.inf
 
+    def test_equals_trtc_near_rhat0_where_d_varies(self):
+        # on W3, D grows along the tilted family, and most of [0, 2R/R0]
+        # lies where D >= 2R near rhat0; the chord bound on r* keeps the
+        # search off that region
+        dmc, q = W3
+        rhat0 = _legendre_edge(dmc, q)[0]
+        rates = [rhat0 * (1 + f) for f in (1e-3, 1e-2, 1e-1)]
+        for rate, trtc, _ in exponent_curve("trtc", dmc, q, rates).points:
+            assert csiszar_exponent(dmc, q, rate) == pytest.approx(trtc, rel=1e-11)
+
     def test_dominant_type_attains_minimum(self, channel):
         # D and Delta of P* come from the type itself, not from G
         dmc, q = channel
@@ -290,12 +300,13 @@ class TestCsiszarExponent:
                 return super().g(r)
 
         monkeypatch.setattr(types_opt, "_PairTable", Counting)
-        for dmc, q in ((bsc01, uniform2), asym3):
+        for dmc, q in ((bsc01, uniform2), asym3, W3):
             r0 = cutoff_rate(dmc, q)
-            for rate in (1e-11, 1e-7, 1e-3, 0.1 * r0, 0.5 * r0, 0.9 * r0, r0):
+            for rate in (1e-300, 1e-60, 1e-20, 1e-11, 1e-7, 1e-3,
+                         0.1 * r0, 0.5 * r0, 0.9 * r0, r0):
                 calls.clear()
                 csiszar_exponent(dmc, q, rate)
-                assert len(calls) <= 150
+                assert len(calls) <= 60
 
 
 class TestDominantJointType:
