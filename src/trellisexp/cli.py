@@ -261,6 +261,13 @@ def _positive_int(text):
     return value
 
 
+def _finite_float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="trellisexp",
                                 description="Trellis-code error exponents")
@@ -289,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--trials", type=_positive_int, default=None,
                    help="total node-trial target; overrides --blocks")
     s.add_argument("--linear", action="store_true")
-    s.add_argument("--epsilon", type=float, default=0.3)
+    s.add_argument("--epsilon", type=_finite_float, default=0.3)
     s.add_argument("--lmax", type=int, default=0,
                    help="typicality check depth; 0 skips the flag")
     s.set_defaults(func=cmd_simulate)
@@ -297,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     a = sub.add_parser("audit", parents=[channel, ensemble],
                        help="typicality audit of sampled codes")
     a.add_argument("--codes", type=_positive_int, required=True)
-    a.add_argument("--epsilon", type=float, required=True)
+    a.add_argument("--epsilon", type=_finite_float, required=True)
     a.add_argument("--lmax", type=int, required=True)
     a.set_defaults(func=cmd_audit)
 

@@ -59,8 +59,10 @@ class _PairTable:
     Pairs with Z = 0 (disjoint output supports) have QxQ mass 1 - e^{-2 rhat0}
     and drop out of every Ex-type sum at rho < inf.  On the rest, `weights` is
     QQ' renormalised and `log_z` is ln Z, so that
-    G(r) = -ln sum QQ' Z^r = 2 rhat0 - ln(1 + sum weights (Z^r - 1)) is
-    evaluated with log1p/expm1 and keeps full relative accuracy at small r.
+    G(r) = -ln sum QQ' Z^r = 2 rhat0 - ln(1 + sum weights (Z^r - 1)).
+    Every quantity is measured from the edge 2 rhat0: `g` is G(r) - 2 rhat0,
+    evaluated with log1p/expm1, so it keeps full relative accuracy at small r
+    and no caller cancels 2 rhat0 against a rate near it.
     Z is clipped to its Cauchy-Schwarz bound 1 and set to exactly 1 where
     two rows are equal, the diagonal included, so `log_z` <= 0, `weights`
     is never empty and the Z = 1 pairs are exactly those with `log_z` == 0.
@@ -75,17 +77,18 @@ class _PairTable:
         self.log_z = np.log(z[self.on])
         self.rhat0 = float(-0.5 * np.log1p(-qq[~self.on].sum()))
         self.r0 = gallager_e0(dmc, q, 1.0)
-        ex_one = self.g(1.0)
+        ex_one = self.ex(1.0)
         if abs(self.r0 - ex_one) > 1e-10:
             raise ArithmeticError(f"E0(1) and Ex(1) disagree: {self.r0} vs {ex_one}")
 
     def g(self, r):
-        """G(r) = Ex(1/r)/(1/r), increasing from G(0) = 2 rhat0 to G(1) = R0."""
-        return 2 * self.rhat0 - np.log1p(np.sum(self.weights * np.expm1(r * self.log_z)))
+        """G(r) - 2 rhat0, with G(r) = Ex(1/r)/(1/r) increasing from
+        G(0) = 2 rhat0 to G(1) = R0."""
+        return -np.log1p(np.sum(self.weights * np.expm1(r * self.log_z)))
 
     def ex(self, rho):
         """Ex(rho) = rho G(1/rho), with Ex(0) = 0."""
-        return rho * self.g(1.0 / rho) if rho > 0 else 0.0
+        return rho * (self.g(1.0 / rho) + 2 * self.rhat0) if rho > 0 else 0.0
 
     def tilted(self, r):
         """Joint type P_r proportional to QQ' Z^r on the Z > 0 pairs, 0
@@ -97,14 +100,14 @@ class _PairTable:
         return p / p.sum()
 
     def tilted_point(self, r):
-        """(D(P_r || QxQ), Delta(P_r)) of the tilted type, read off G:
-        Delta = -E_{P_r}[ln Z] = G'(r) and D = G(r) - r Delta.  At r = 0,
+        """(D(P_r || QxQ) - 2 rhat0, Delta(P_r)) of the tilted type, read off
+        G: Delta = -E_{P_r}[ln Z] = G'(r) and D = G(r) - r Delta.  At r = 0,
         Delta is the rho -> inf limit of Ex(rho) - 2 rho rhat0.  D carries
         an absolute rounding error of about eps r Delta, which can exceed
-        D - 2 rhat0 ~ r^2 at tiny r, so D is held at its minimum 2 rhat0."""
+        D - 2 rhat0 ~ r^2 at tiny r, so D - 2 rhat0 is floored at 0."""
         mass = self.weights * np.exp(r * self.log_z)
         delta = float(-np.sum(mass * self.log_z) / np.sum(mass))
-        return max(float(self.g(r)) - r * delta, 2 * self.rhat0), delta
+        return max(float(self.g(r)) - r * delta, 0.0), delta
 
 
 def expurgated_ex(dmc: Dmc, q: InputDist, rho: float) -> float:
@@ -203,9 +206,12 @@ def solve_rho(curve_kind: str, dmc: Dmc, q: InputDist, rate: float) -> RhoValue:
     rtc : R = E0(rho)/rho for R > R0(Q), rho in (0, 1)
 
     cex and trtc are solved in r = 1/rho on [0, 1] by `_unit_root`.  With
-    G(r) = -ln sum_{Z > 0} QQ' Z^r (`_PairTable.g`), increasing from
-    G(0) = 2 rhat0 (rhat0 = -1/2 ln QxQ(Z > 0)) to G(1) = R0,
-    Ex(rho) = G(r)/r, so cex reads G(r) = R and trtc reads G(r) = (2 - r) R.
+    G(r) = -ln sum_{Z > 0} QQ' Z^r, increasing from G(0) = 2 rhat0
+    (rhat0 = -1/2 ln QxQ(Z > 0)) to G(1) = R0, Ex(rho) = G(r)/r, so cex
+    reads G(r) = R and trtc reads G(r) = (2 - r) R.  Both are solved from
+    the edge, on g = G - 2 rhat0 (`_PairTable.g`): cex as g(r) = R - 2 rhat0
+    and trtc as g(r) = (2 - r)(R - rhat0) - r rhat0, so that no rate near
+    the edge is cancelled against 2 rhat0.
     The trtc root exists iff R > rhat0 and the cex root iff R > 2 rhat0;
     otherwise rho = inf (the exponent is unbounded).
     """
@@ -226,9 +232,10 @@ def _solve_rho(curve_kind: str, table: _PairTable, rate: float) -> RhoValue:
     """`solve_rho` for cex and trtc on the pair table of (W, Q)."""
     check_rate(rate, table.r0)
     if curve_kind == "cex":
-        f = lambda r: table.g(r) - rate
+        f = lambda r: table.g(r) - (rate - 2 * table.rhat0)
     else:
-        f = lambda r: table.g(r) - (2 - r) * rate
+        gap = rate - table.rhat0
+        f = lambda r: table.g(r) - ((2 - r) * gap - r * table.rhat0)
     r = _unit_root(f)
     return RhoValue(1.0 / r if r > 0 else np.inf)
 

@@ -207,9 +207,12 @@ def extended_exponent(ch: MarkovChannel, q, rate: float):
     interior root the value is (2 - r)/r = 2 rho - 1, where the root clamps
     at r = 1 the value G_s(1)/R is at most 1, so rho = max(1, (1 + value)/2),
     which is also inf where the value is.
+    The rate rule R < R0_ext (`extended_cutoff`) is read off the same
+    search: R >= R0_ext clamps every s at r = 1, so the maximum is
+    max_s G_s(1)/R = R0_ext/R <= 1, while R < R0_ext gives a maximum
+    above 1.  A value of at most 1 is therefore checked as R0_ext/R.
     """
-    r0 = extended_cutoff(ch, q)
-    check_rate(rate, r0)
+    check_rate(rate, np.inf)  # sign and NaN, before any search
 
     def value_at(s):
         # rho G_s(1/rho) is the perspective of a concave function, so
@@ -220,6 +223,8 @@ def extended_exponent(ch: MarkovChannel, q, rate: float):
         return g(r) / (r * rate) if r > 0 else np.inf
 
     s_star, best = _argmax_concave(value_at, 0.0, S_MAX, xatol=1e-6)
+    if best <= 1:
+        check_rate(rate, best * rate)
     return float(best), float(s_star), max(1.0, (1.0 + float(best)) / 2)
 
 

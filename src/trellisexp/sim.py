@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln
 
-from .channels import Dmc, InputDist
-from .memory import MarkovChannel
+from .channels import Dmc
+from .memory import MarkovChannel, memoryless_lift
 
 ENUM_BUDGET = 10_000_000
 DECODE_BATCH = 256  # blocks per viterbi_decode call in estimate_error_exponent
@@ -122,12 +122,20 @@ def sample_code(cfg: EnsembleConfig, j: int = 2, q=None, code_index: int = 0) ->
     return TrellisCode(cfg, j, labels)
 
 
-def _info_to_blocks(info_bits, m, length):
-    bits = np.asarray(info_bits).reshape(-1, length * m) if np.asarray(info_bits).ndim > 1 else np.asarray(info_bits)[None, :]
-    if bits.shape[-1] != length * m:
-        raise LengthMismatch(f"expected {length * m} info bits, got {bits.shape[-1]}")
+def _batch(values, width, what):
+    """`values` as a (B, width) array, and whether they were one sequence
+    (shape (width,)) rather than a batch (shape (B, width))."""
+    a = np.asarray(values)
+    if a.ndim not in (1, 2) or a.shape[-1] != width:
+        raise LengthMismatch(f"expected {width} {what} or a (B, {width}) batch, "
+                             f"got shape {a.shape}")
+    return a.reshape(-1, width), a.ndim == 1
+
+
+def _info_to_blocks(bits, m, length):
+    """Block integers (B, length) from checked info bits (B, m*length)."""
     weights = 1 << np.arange(m - 1, -1, -1)
-    return (bits.reshape(bits.shape[0], length, m) * weights).sum(axis=2)
+    return (bits.reshape(len(bits), length, m) * weights).sum(axis=2)
 
 
 def _block_windows(blocks, cfg):
@@ -141,10 +149,11 @@ def _block_windows(blocks, cfg):
 
 
 def encode(code: TrellisCode, info_bits) -> np.ndarray:
-    """Encode m*L info bits into n*(L+k-1) channel symbols (zero-tail)."""
+    """Encode m*L info bits, or a (B, m*L) batch, into n*(L+k-1) channel
+    symbols per message (zero-tail)."""
     cfg = code.cfg
-    blocks = _info_to_blocks(info_bits, cfg.m, cfg.L)
-    single = np.asarray(info_bits).ndim == 1
+    bits, single = _batch(info_bits, cfg.m * cfg.L, "info bits")
+    blocks = _info_to_blocks(bits, cfg.m, cfg.L)
     tail = np.zeros((blocks.shape[0], cfg.k - 1), dtype=np.int64)
     blocks = np.concatenate([blocks, tail], axis=1)
     wins = _block_windows(blocks, cfg)
@@ -155,26 +164,23 @@ def encode(code: TrellisCode, info_bits) -> np.ndarray:
 
 
 def transmit(channel, symbols, rng) -> np.ndarray:
-    """Draw channel outputs for a symbol sequence (Dmc or MarkovChannel).
+    """Draw channel outputs for a symbol sequence or a batch (B, N) of them.
 
-    For a batch (B, N), each row is its own sequence: a MarkovChannel sees
-    x_prev = 0 before the first symbol of every row.
+    Every channel is drawn in one form, W(y | x, x_prev): a Dmc is run as
+    its `memoryless_lift`.  Each row of a batch is its own sequence, with
+    x_prev = 0 before its first symbol.
     """
-    x = np.asarray(symbols)
     if isinstance(channel, Dmc):
-        cum = np.cumsum(channel.w, axis=1)
-        cum[:, -1] = 1.0  # u < 1 never lands beyond the last output
-        rows = cum[x]
-    elif isinstance(channel, MarkovChannel):
-        prev = np.zeros_like(x)
-        prev[..., 1:] = x[..., :-1]
-        cum = np.cumsum(channel.w, axis=2)
-        cum[..., -1] = 1.0
-        rows = cum[x, prev]
-    else:
+        channel = memoryless_lift(channel)
+    elif not isinstance(channel, MarkovChannel):
         raise TypeError(f"unsupported channel type {type(channel).__name__}")
+    x = np.asarray(symbols)
+    prev = np.zeros_like(x)
+    prev[..., 1:] = x[..., :-1]
+    cum = np.cumsum(channel.w, axis=2)
+    cum[..., -1] = 1.0  # u < 1 never lands beyond the last output
     u = rng.random(x.size).reshape(x.shape)
-    return (u[..., None] > rows).sum(axis=-1)
+    return (u[..., None] > cum[x, prev]).sum(axis=-1)
 
 
 def _log_metric(metric) -> np.ndarray:
@@ -211,14 +217,7 @@ def viterbi_decode(code: TrellisCode, metric, outputs) -> np.ndarray:
     """
     cfg = code.cfg
     logw = _log_metric(metric)
-    ys = np.asarray(outputs)
-    single = ys.ndim == 1
-    if single:
-        ys = ys[None, :]
-    if ys.shape[1] != cfg.n * cfg.num_branches:
-        raise LengthMismatch(
-            f"expected {cfg.n * cfg.num_branches} output symbols, got {ys.shape[1]}"
-        )
+    ys, single = _batch(outputs, cfg.n * cfg.num_branches, "output symbols")
     b = ys.shape[0]
     ys = ys.reshape(b, cfg.num_branches, cfg.n)
     s_count, u_count = cfg.num_states, 1 << cfg.m
@@ -386,35 +385,42 @@ def enumerate_pair_types(code: TrellisCode, l_max: int, fixed_message=None,
     all correct-path input windows (message-averaged mode); passing
     `fixed_message` (a block-integer sequence covering the window) restricts
     to one correct path.  Distinct count rows come from an exact row sort,
-    so any alphabet size j is safe.  The correct path's window u_0 ..
-    u_{2k+l-2} must lie in the information part of the block, so
-    L >= 2k + l - 1 for every l <= l_max (ValueError otherwise).
+    so any alphabet size j is safe.
+
+    Every check is settled for every l before anything is built: a first
+    pass over l = 1..l_max requires l_max >= 0 and L >= 2k + l - 1 (the
+    correct path's window u_0 .. u_{2k+l-2} must lie in the information
+    part of the block; ValueError otherwise), a fixed message covering that
+    window (LengthMismatch), and a pair total (windows x deviation
+    patterns) within `budget` (EnumerationBudgetExceeded).  It stops at the
+    first l that fails.  The second pass builds windows and counts types
+    only for the l that have patterns.
     """
+    if l_max < 0:
+        raise ValueError(f"l_max must be >= 0, got {l_max}")
     cfg = code.cfg
     m, k = cfg.m, cfg.k
-    node = k - 1
-    u_count = 1 << m
+    fixed = None if fixed_message is None else np.asarray(fixed_message, dtype=np.int64)
     table = PairTypeTable(j=code.j)
+    plan = []
     for l in range(1, l_max + 1):
-        span = k + l  # branches from divergence to remerge
-        if node + span > cfg.L:  # the correct path's inputs end at time L
+        win_len = 2 * k + l - 1  # correct blocks from u_0 to the remerge
+        if win_len > cfg.L:  # the correct path's inputs end at time L
             raise ValueError(f"block too short for l={l}: need L >= 2k+l-1 = "
-                             f"{node + span}, got L={cfg.L}")
+                             f"{win_len}, got L={cfg.L}")
+        if fixed is not None and len(fixed) < win_len:
+            raise LengthMismatch(f"fixed message must cover {win_len} blocks")
+        n_windows = (1 << m) ** win_len if fixed is None else 1
         pats = _deviation_patterns(l, k, m)
-        win_len = node + span  # correct input blocks u_0 .. u_{node+span-1}
-        n_windows = u_count ** win_len if fixed_message is None else 1
         total = n_windows * len(pats)
         if total > budget:
             raise EnumerationBudgetExceeded(f"l={l}: {total} pairs exceed budget {budget}")
         table.pair_totals[l] = total
-        if not pats:  # k = 1: no windows to build
-            continue
-        if fixed_message is None:
-            u = _digits(np.arange(n_windows), m, win_len)
-        else:
-            u = np.asarray(fixed_message, dtype=np.int64)[None, :win_len]
-            if u.shape[1] != win_len:
-                raise LengthMismatch(f"fixed message must cover {win_len} blocks")
+        if pats:  # none at k = 1: no windows to build
+            plan.append((l, win_len, pats))
+    for l, win_len, pats in plan:
+        u = (_digits(np.arange((1 << m) ** win_len), m, win_len) if fixed is None
+             else fixed[None, :win_len])
         keys, mult = _distinct_rows(_pair_counts(code, u, pats, l))
         for key, c in zip(keys.tolist(), mult.tolist()):
             table.entries[(l, tuple(key))] = c
@@ -443,8 +449,10 @@ def typicality_check(code: TrellisCode, q, epsilon: float, l_max: int,
     first-condition threshold (2^m - 1) 2^{-n(k+l) eps} (possible when
     n(k+l) eps is an integer) is decided by the last-bit rounding of
     ln Gamma; choose eps with n(k+l) eps non-integer for a decision that
-    does not hang on it.
+    does not hang on it.  A non-finite epsilon raises ValueError.
     """
+    if not math.isfinite(epsilon):
+        raise ValueError(f"epsilon must be finite, got {epsilon}")
     cfg = code.cfg
     if table is None:
         table = enumerate_pair_types(code, l_max)
@@ -470,14 +478,18 @@ def typicality_check(code: TrellisCode, q, epsilon: float, l_max: int,
 
 
 def typicality_union_bound(cfg: EnsembleConfig, j: int, epsilon: float) -> float:
-    """Analytic union bound (2^m - 1) sum_{l >= k+1} (n l + 1)^{J^2} 2^{-n l eps}."""
+    """Analytic union bound (2^m - 1) sum_{l >= k+1} (n l + 1)^{J^2} 2^{-n l eps}.
+
+    inf when the series has not converged within UNION_TAIL_TERMS terms,
+    as at every eps <= 0, where it diverges.
+    """
     total = 0.0
     for l in range(cfg.k + 1, cfg.k + 1 + UNION_TAIL_TERMS):
         term = (cfg.n * l + 1) ** (j * j) * 2.0 ** (-cfg.n * l * epsilon)
         total += term
         if term < 1e-18 * max(total, 1.0):
-            break
-    return ((1 << cfg.m) - 1) * total
+            return ((1 << cfg.m) - 1) * total
+    return math.inf
 
 
 def typicality_audit(cfg: EnsembleConfig, j, q, num_codes: int, epsilon: float,

@@ -177,17 +177,20 @@ def csiszar_exponent(dmc: Dmc, q: InputDist, rate: float) -> float:
     and 1, with no root solved for the rate edge; where D(P_r) >= 2R inside
     the bracket the objective is +inf.  The absolute tolerance in r is far
     below any minimiser, so Brent's relative tolerance governs at every
-    rate.
+    rate.  Both D and R are measured from the edge, with e = D - 2 rhat0
+    and gap = R - rhat0, so the objective reads
+    (Delta + rhat0 + e/2)/(gap - e/2) and keeps full accuracy as R -> rhat0.
     """
     table = _PairTable(dmc, q)
     check_rate(rate, table.r0)
-    if rate <= table.rhat0:
+    gap = rate - table.rhat0
+    if gap <= 0:
         return np.inf
-    r_hi = min(1.0, 2 * (rate - table.rhat0) / (table.r0 - 2 * table.rhat0 + rate))
+    r_hi = min(1.0, 2 * gap / (table.r0 - 2 * table.rhat0 + rate))
 
     def neg_obj(r):
-        div, delta = table.tilted_point(r)
-        return -(delta + div / 2) / (rate - div / 2) if div < 2 * rate else -np.inf
+        e, delta = table.tilted_point(r)
+        return -(delta + table.rhat0 + e / 2) / (gap - e / 2) if e < 2 * gap else -np.inf
 
     return -float(_argmax_concave(neg_obj, 0.0, r_hi, xatol=1e-300)[1])
 
@@ -199,7 +202,8 @@ def dominant_joint_type(dmc: Dmc, q: InputDist, rho: float) -> DominantEvent:
         raise ValueError(f"rho must be > 0, got {rho}")
     table = _PairTable(dmc, q)
     p = JointType(table.tilted(1.0 / rho))
-    div, delta = table.tilted_point(1.0 / rho)
+    e, delta = table.tilted_point(1.0 / rho)
+    div = 2 * table.rhat0 + e
     rate = table.ex(rho) / (2 * rho - 1) if rho > 0.5 else np.nan
     # span factor 1 + theta(D) with theta(D) = D / (2R - D)
     factor = 2 * rate / (2 * rate - div) if np.isfinite(rate) else np.nan

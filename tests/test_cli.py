@@ -316,6 +316,8 @@ class TestBadEnsembleArguments:
         SIMULATE + ["--k", "0"],
         # over the enumeration budget at l = 1, before anything is built
         AUDIT + ["--k", "12", "--L", "40", "--lmax", "1", "--codes", "1"],
+        AUDIT + ["--k", "9", "--L", "40", "--lmax", "6", "--codes", "1"],
+        AUDIT + ["--k", "2", "--lmax", "-1", "--codes", "1"],
     ])
     def test_sim_error_exits_2(self, argv):
         rc, out, err = run(argv)
@@ -336,6 +338,16 @@ class TestBadEnsembleArguments:
         out, err = capsys.readouterr()
         assert exc.value.code == 2 and out == ""
         assert "must be >= 1" in err.splitlines()[-1] and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", [AUDIT + ["--k", "2", "--lmax", "2", "--codes", "1"],
+                                         SIMULATE + ["--k", "2", "--lmax", "2"]])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_epsilon_is_usage_error(self, command, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--epsilon", value])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert "must be finite" in err.splitlines()[-1] and "Traceback" not in err
 
 
 class TestDominant:

@@ -196,6 +196,20 @@ class TestSolveRho:
         assert solve_rho("cex", dmc, q, 1.99 * rhat0).rho == math.inf
         assert math.isfinite(solve_rho("cex", dmc, q, 2.01 * rhat0).rho)
 
+    @pytest.mark.parametrize("j", range(3, 15))
+    def test_cex_exact_just_above_edge(self, j):
+        # W4: the Z > 0 off-diagonal pairs share z = sqrt(1/2) with
+        # renormalised weight w = 4/7, so g(r) = G(r) - 2 rhat0 =
+        # -ln(1 + w (z^r - 1)) and the cex root has a closed form
+        from trellisexp.exponents import _PairTable
+        dmc = Dmc([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.5, 0.0]])
+        q = InputDist(np.full(3, 1 / 3))
+        rhat0 = _PairTable(dmc, q).rhat0
+        rate = 2 * rhat0 * (1 + 10.0 ** -j)
+        r = math.log1p(math.expm1(-(rate - 2 * rhat0)) / (4 / 7)) / math.log(math.sqrt(0.5))
+        value = exponent_curve("cex", dmc, q, [rate]).points[0][1]
+        assert value == pytest.approx(1 / r, rel=1e-13)
+
 
 class TestUnitRoot:
     def test_each_end_evaluated_once(self, bsc01, uniform2):

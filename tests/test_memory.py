@@ -241,6 +241,25 @@ class TestExtendedExponent:
         with pytest.raises(RateOutOfRange):
             extended_exponent(lifted_bsc, uniform2, 0.5)
 
+    def test_rate_rule_from_own_search(self, monkeypatch, lifted_bsc, uniform2):
+        from trellisexp import memory
+
+        def no_cutoff(*args):
+            raise AssertionError("extended_cutoff called")
+
+        monkeypatch.setattr(memory, "extended_cutoff", no_cutoff)
+        value, _, rho = extended_exponent(lifted_bsc, uniform2, 0.1)
+        assert value > 1 and rho > 1
+
+    @pytest.mark.parametrize("w_tilde", [None, [[0.8, 0.2], [0.3, 0.7]]])
+    def test_rate_rule_at_extended_cutoff(self, lifted_bsc, uniform2, w_tilde):
+        wt = None if w_tilde is None else memoryless_lift(w_tilde).w
+        ch = MarkovChannel(lifted_bsc.w, w_tilde=wt)
+        r0 = extended_cutoff(ch, uniform2)
+        assert extended_exponent(ch, uniform2, r0 * (1 + 1e-12))[2] == 1.0
+        with pytest.raises(RateOutOfRange):
+            extended_exponent(ch, uniform2, r0 * (1 + 1e-9))
+
     def test_tiny_rate_finite(self, bsc01, uniform2, lifted_bsc):
         # rhat0 = 0 for the BSC: the root rho ~ 1.28e6 exists and is not capped
         from trellisexp.exponents import exponent_curve

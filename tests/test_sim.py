@@ -86,6 +86,14 @@ class TestEncode:
         with pytest.raises(LengthMismatch):
             encode(code, np.zeros(5, dtype=np.int8))
 
+    @pytest.mark.parametrize("shape", [(2, 5), (3, 7), (2, 2, 10)])
+    def test_batch_must_be_rows_of_m_l_bits(self, shape):
+        # m*L = 10: a batch is (B, 10); two 5-bit rows are not one message
+        cfg = EnsembleConfig(m=1, n=2, k=2, L=10, seed=0)
+        code = sample_code(cfg, j=2, q=UNIFORM2)
+        with pytest.raises(LengthMismatch):
+            encode(code, np.zeros(shape, dtype=np.int8))
+
     def test_affine_linearity(self):
         cfg = EnsembleConfig(m=1, n=2, k=3, L=8, seed=13, linear=True)
         code = sample_code(cfg, j=2)
@@ -155,6 +163,13 @@ class TestTransmit:
 
         y = transmit(Dmc([row, row[::-1]]), np.array([0, 1, 1, 0]), TopDraw())
         assert np.array_equal(y, [3, 3, 3, 3])
+
+    @pytest.mark.parametrize("name", ["bsc", "asym3"])
+    def test_dmc_draws_as_its_memoryless_lift(self, name, bsc01, asym3):
+        dmc = {"bsc": bsc01, "asym3": asym3[0]}[name]
+        x = _rng(2, 0).integers(0, dmc.num_inputs, size=(64, 406))
+        assert np.array_equal(transmit(dmc, x, _rng(3, 0)),
+                              transmit(memoryless_lift(dmc), x, _rng(3, 0)))
 
 
 class TestViterbi:
@@ -251,6 +266,13 @@ class TestViterbi:
         batch = viterbi_decode(code, bsc01, ys)
         singles = np.stack([viterbi_decode(code, bsc01, y) for y in ys])
         assert np.array_equal(batch, singles)
+
+    def test_three_dim_batch_rejected(self, bsc01):
+        cfg = EnsembleConfig(m=1, n=2, k=2, L=10, seed=8)
+        code = sample_code(cfg, j=2, q=UNIFORM2)
+        ys = np.zeros((2, 2, cfg.n * cfg.num_branches), dtype=np.int64)
+        with pytest.raises(LengthMismatch):
+            viterbi_decode(code, bsc01, ys)
 
     def test_memory_channel_metric_rejected(self, bsc01):
         cfg = EnsembleConfig(m=1, n=2, k=2, L=5, seed=1)
@@ -404,6 +426,33 @@ class TestPairTypes:
         with pytest.raises(EnumerationBudgetExceeded):
             enumerate_pair_types(code, l_max=12, budget=1000)
 
+    @pytest.mark.parametrize("L,kwargs,error", [
+        # k = 2, m = 1: one pattern per l and 2^(l+3) windows, so the pair
+        # totals are 16, 32, 64 and l = 3 alone breaks a budget of 40
+        (40, {"budget": 40}, EnumerationBudgetExceeded),
+        (5, {}, ValueError),  # L >= 2k + l - 1 fails at l = 3
+        (40, {"fixed_message": np.zeros(5, dtype=int)}, LengthMismatch),
+    ])
+    def test_every_check_before_any_build(self, monkeypatch, L, kwargs, error):
+        from trellisexp import sim
+        counted = []
+        real = sim._pair_counts
+
+        def counting(code, u, pats, l):
+            counted.append(l)
+            return real(code, u, pats, l)
+
+        monkeypatch.setattr(sim, "_pair_counts", counting)
+        code = sample_code(EnsembleConfig(m=1, n=2, k=2, L=L, seed=5), j=2, q=UNIFORM2)
+        with pytest.raises(error, match="l=3|6 blocks"):
+            enumerate_pair_types(code, l_max=3, **kwargs)
+        assert counted == []
+
+    def test_negative_l_max_rejected(self):
+        code = sample_code(EnsembleConfig(m=1, n=2, k=2, L=20, seed=5), j=2, q=UNIFORM2)
+        with pytest.raises(ValueError, match="l_max"):
+            enumerate_pair_types(code, l_max=-1)
+
     def test_large_alphabet_no_diagonal_types(self):
         # with J large, branch-label collisions on diverged spans are unlikely,
         # so types with all mass on the diagonal should not appear
@@ -429,6 +478,20 @@ class TestTypicality:
                                          2, 0.3)
                   for k in (3, 4, 5, 6)]
         assert all(b < a for a, b in zip(bounds, bounds[1:]))
+
+    def test_union_bound_inf_unless_converged(self):
+        # the series diverges at eps = 0 and is still growing after
+        # UNION_TAIL_TERMS terms at eps = 0.001
+        cfg = EnsembleConfig(m=1, n=2, k=3, L=10)
+        assert typicality_union_bound(cfg, 2, 0.0) == math.inf
+        assert typicality_union_bound(cfg, 2, 0.001) == math.inf
+        assert typicality_union_bound(cfg, 2, 0.3) == pytest.approx(36981.61984374667, rel=1e-15)
+
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf])
+    def test_non_finite_epsilon_rejected(self, epsilon):
+        code = sample_code(EnsembleConfig(m=1, n=2, k=2, L=20, seed=11), j=2, q=UNIFORM2)
+        with pytest.raises(ValueError, match="epsilon"):
+            typicality_check(code, UNIFORM2, epsilon, l_max=2)
 
     def test_audit_fraction_between_zero_and_one(self):
         cfg = EnsembleConfig(m=1, n=2, k=2, L=20, seed=13)

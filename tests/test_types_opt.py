@@ -277,6 +277,15 @@ class TestCsiszarExponent:
         for rate, trtc, _ in exponent_curve("trtc", dmc, q, rates).points:
             assert csiszar_exponent(dmc, q, rate) == pytest.approx(trtc, rel=1e-11)
 
+    @pytest.mark.parametrize("j", range(3, 15))
+    def test_equals_trtc_just_above_rhat0_where_d_varies(self, j):
+        # both routes measure the rate from the edge, so neither cancels
+        # R against rhat0
+        dmc, q = W3
+        rate = _legendre_edge(dmc, q)[0] * (1 + 10.0 ** -j)
+        trtc = exponent_curve("trtc", dmc, q, [rate]).points[0][1]
+        assert csiszar_exponent(dmc, q, rate) == pytest.approx(trtc, rel=1e-12)
+
     def test_dominant_type_attains_minimum(self, channel):
         # D and Delta of P* come from the type itself, not from G
         dmc, q = channel
