@@ -12,7 +12,6 @@ all per unit of constraint length, with rates in nats/channel-use.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .channels import Dmc, InputDist, bhattacharyya_matrix
 
@@ -161,9 +160,12 @@ def _argmax_concave(f, lo, hi=None, xatol=1e-10):
             if hi > RHO_MAX:
                 return np.inf, np.inf
         hi *= 2
+    # scipy.optimize is imported at first use here, in `_unit_root` and in
+    # `solve_rho`, so importing the package (and `simulate`) does not load it
+    import scipy.optimize
     with np.errstate(invalid="ignore"):  # inf values: Brent falls back to golden steps
-        res = minimize_scalar(lambda x: -f(x), bounds=(lo, hi), method="bounded",
-                              options={"xatol": xatol})
+        res = scipy.optimize.minimize_scalar(lambda x: -f(x), bounds=(lo, hi),
+                                             method="bounded", options={"xatol": xatol})
     return max((lo, f(lo)), (hi, f(hi)), (float(res.x), -float(res.fun)),
                key=lambda point: point[1])
 
@@ -187,8 +189,10 @@ def _unit_root(f):
     f0 = f(0.0)
     if f0 >= 0:
         return 0.0
-    return brentq(lambda r: f0 if r == 0.0 else f1 if r == 1.0 else f(r), 0.0, 1.0,
-                  xtol=1e-300, rtol=4 * np.finfo(float).eps, maxiter=2000)
+    import scipy.optimize
+    return scipy.optimize.brentq(lambda r: f0 if r == 0.0 else f1 if r == 1.0 else f(r),
+                                 0.0, 1.0, xtol=1e-300, rtol=4 * np.finfo(float).eps,
+                                 maxiter=2000)
 
 
 def check_rate(rate: float, r0: float) -> None:
@@ -225,7 +229,9 @@ def solve_rho(curve_kind: str, dmc: Dmc, q: InputDist, rate: float) -> RhoValue:
     g = lambda rho: gallager_e0(dmc, q, rho) / rho - rate
     if g(1e-12) < 0:
         raise RateOutOfRange("R exceeds the mutual information of (Q, W)")
-    return RhoValue(brentq(g, 1e-12, 1.0, xtol=1e-300, rtol=4 * np.finfo(float).eps))
+    import scipy.optimize
+    return RhoValue(scipy.optimize.brentq(g, 1e-12, 1.0, xtol=1e-300,
+                                          rtol=4 * np.finfo(float).eps))
 
 
 def _solve_rho(curve_kind: str, table: _PairTable, rate: float) -> RhoValue:

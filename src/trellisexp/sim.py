@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .channels import Dmc
 from .memory import MarkovChannel, memoryless_lift
@@ -163,24 +162,46 @@ def encode(code: TrellisCode, info_bits) -> np.ndarray:
     return out[0] if single else out
 
 
+def _check_symbols(symbols, size, what, alphabet):
+    """ValueError unless every entry of the integer array `symbols` lies in
+    [0, size): numpy would read a negative symbol from the end of a table."""
+    if not np.issubdtype(symbols.dtype, np.integer):
+        raise ValueError(f"{what} must be integers, got dtype {symbols.dtype}")
+    if symbols.size and (symbols.min() < 0 or symbols.max() >= size):
+        raise ValueError(f"{what} must lie in [0, {size}), the {alphabet} of size "
+                         f"{size}; got values in [{symbols.min()}, {symbols.max()}]")
+
+
 def transmit(channel, symbols, rng) -> np.ndarray:
     """Draw channel outputs for a symbol sequence or a batch (B, N) of them.
 
     Every channel is drawn in one form, W(y | x, x_prev): a Dmc is run as
     its `memoryless_lift`.  Each row of a batch is its own sequence, with
-    x_prev = 0 before its first symbol.
+    x_prev = 0 before its first symbol.  Symbols outside [0, J) raise
+    ValueError.
+
+    One uniform u per symbol picks the output: y is the number of
+    cumulative sums W(0 | .) + ... + W(c | .), c < Y - 1, that u exceeds,
+    counted one threshold column at a time over the flat (x, x_prev) cell
+    x J + x_prev.  The last cumulative sum is never compared, since u < 1
+    never passes it, so y = Y - 1 is reached even where rounding leaves
+    that sum below 1.
     """
     if isinstance(channel, Dmc):
         channel = memoryless_lift(channel)
     elif not isinstance(channel, MarkovChannel):
         raise TypeError(f"unsupported channel type {type(channel).__name__}")
+    j, _, y_count = channel.w.shape
     x = np.asarray(symbols)
-    prev = np.zeros_like(x)
-    prev[..., 1:] = x[..., :-1]
-    cum = np.cumsum(channel.w, axis=2)
-    cum[..., -1] = 1.0  # u < 1 never lands beyond the last output
+    _check_symbols(x, j, "channel input symbols", "channel's input alphabet")
+    cell = x.astype(np.intp) * j
+    cell[..., 1:] += x[..., :-1]
+    thresholds = np.cumsum(channel.w, axis=2).reshape(j * j, y_count)
     u = rng.random(x.size).reshape(x.shape)
-    return (u[..., None] > cum[x, prev]).sum(axis=-1)
+    y = np.zeros(x.shape, dtype=np.intp)
+    for c in range(y_count - 1):
+        y += u > thresholds[:, c][cell]
+    return y
 
 
 def _log_metric(metric) -> np.ndarray:
@@ -193,6 +214,8 @@ def _log_metric(metric) -> np.ndarray:
                         "viterbi_decode does not do")
     else:
         w = np.asarray(metric, dtype=float)
+        if not np.all((w >= 0) & (w < np.inf)):
+            raise ValueError("decoding metric entries must be finite and >= 0")
     with np.errstate(divide="ignore"):
         return np.log(w)
 
@@ -200,24 +223,36 @@ def _log_metric(metric) -> np.ndarray:
 def viterbi_decode(code: TrellisCode, metric, outputs) -> np.ndarray:
     """Maximum-metric path with zero terminal state; returns m*L info bits.
 
-    `metric` is a Dmc (use its W as the decoding metric) or a (J, Y) matrix.
-    Accepts a single output sequence or a batch (B, n*(L+k-1)).
+    `metric` is a Dmc (use its W as the decoding metric) or a (J, Y) matrix
+    with J = code.j.  Accepts a single output sequence or a batch
+    (B, n*(L+k-1)) of symbols in [0, Y); anything else raises ValueError.
 
     States and windows are laid out as in `TrellisCode`.
     For k >= 2 the 2^m predecessors of state s' are
     ((s' & low_mask) << m) | low, low < 2^m, with low_mask = 2^{m(k-2)} - 1;
     the branch from each carries input s' >> m(k-2) and window
-    (s' << m) | low.  So a predecessor block of the path metrics and the
-    windows of s' are both contiguous, and add-compare-select is a reshape.
-    For k = 1 the one state is its own predecessor and the choice is the
-    input.  Ties are broken toward the predecessor with the smaller state
-    index (the smaller `low`).  Branch metrics come from a table
+    (s' << m) | low.  So the windows of s' are contiguous, and the
+    predecessor of window w is w & (S - 1): the add step adds the path
+    metrics to the branch metrics, viewed as (B, 2^m, S), in place, and
+    views the sums as (B, S, 2^m) candidates.  For k = 1 the one state is
+    its own predecessor and the choice is the input.
+
+    Compare-select is a binary tournament over the m bits of `low`: at each
+    level the candidates pair up as (even, odd) neighbours, the odd one
+    wins only if strictly greater, and the winner's `low` gains that
+    level's bit.  So a tie keeps the predecessor with the smaller state
+    index (the smaller `low`), and the survivor is the first maximiser, the
+    one an argmax would pick.  Branch metrics come from a table
     ln W~(y | labels[t, w, i]) of T*n*Y*2^K float64s (1.7 MB at k = 8,
     L = 200, n = Y = 2), built once per call.
     """
     cfg = code.cfg
     logw = _log_metric(metric)
+    if logw.ndim != 2 or logw.shape[0] != code.j:
+        raise ValueError(f"the decoding metric must be a (J, Y) matrix with J = {code.j} "
+                         f"rows, the code's alphabet size; got shape {logw.shape}")
     ys, single = _batch(outputs, cfg.n * cfg.num_branches, "output symbols")
+    _check_symbols(ys, logw.shape[1], "output symbols", "metric's output alphabet")
     b = ys.shape[0]
     ys = ys.reshape(b, cfg.num_branches, cfg.n)
     s_count, u_count = cfg.num_states, 1 << cfg.m
@@ -231,14 +266,19 @@ def viterbi_decode(code: TrellisCode, metric, outputs) -> np.ndarray:
         bm = tab[t, 0][ys[:, t, 0]]  # (B, 2^K), summed left to right
         for i in range(1, cfg.n):
             bm += tab[t, i][ys[:, t, i]]
-        if cfg.k > 1:
-            cand = alpha.reshape(b, 1, -1, u_count) + bm.reshape(b, u_count, -1, u_count)
-        else:
-            cand = alpha[:, :, None] + bm[:, None, :]
-        cand = cand.reshape(b, s_count, u_count)
-        best = cand.argmax(axis=2)  # first occurrence = smallest predecessor
-        choice[:, t] = best
-        alpha = np.take_along_axis(cand, best[:, :, None], axis=2)[:, :, 0]
+        # add: the predecessor state of window w is w & (S - 1)
+        cand = bm.reshape(b, u_count, s_count)
+        cand += alpha[:, None, :]
+        vals = bm.reshape(b, s_count, u_count)  # [s', low] of window (s' << m) | low
+        # tournament over the bits of `low`; the strict > keeps ties left
+        for level in range(cfg.m):
+            left, right = vals[..., 0::2], vals[..., 1::2]
+            take = right > left
+            vals = np.maximum(left, right)
+            low = take if level == 0 else np.where(take, low[..., 1::2] + (1 << level),
+                                                   low[..., 0::2])
+        choice[:, t] = low[..., 0]
+        alpha = vals[..., 0]
 
     # traceback from the zero terminal state: the chosen window is
     # (s' << m) | low, its top m bits the input, its low m(k-1) bits the
@@ -458,12 +498,14 @@ def typicality_check(code: TrellisCode, q, epsilon: float, l_max: int,
         table = enumerate_pair_types(code, l_max)
     if not table.entries:
         return TypicalityReport(epsilon, ())
+    import scipy.special  # imported on first use, as in `exponents`
     qv = np.asarray(getattr(q, "q", q), dtype=float)
     qq = np.outer(qv, qv).reshape(-1)
     log2_qq = np.log2(qq, out=np.full_like(qq, -np.inf), where=qq > 0)
     ls, counts = map(np.array, zip(*table.entries))  # counts: (types, j^2)
     observed = np.fromiter(table.entries.values(), dtype=float, count=len(ls))
-    log_multinomial = gammaln(counts.sum(axis=1) + 1) - gammaln(counts + 1).sum(axis=1)
+    log_multinomial = (scipy.special.gammaln(counts.sum(axis=1) + 1)
+                       - scipy.special.gammaln(counts + 1).sum(axis=1))
     log2_p = (np.where(counts > 0, log2_qq, 0.0) * counts).sum(axis=1)  # -inf off Q's support
     log2_en = (np.log2([table.pair_totals[l] for l in ls.tolist()])
                + (log_multinomial / math.log(2.0) + log2_p))

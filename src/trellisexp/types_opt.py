@@ -197,14 +197,24 @@ def csiszar_exponent(dmc: Dmc, q: InputDist, rate: float) -> float:
 
 def dominant_joint_type(dmc: Dmc, q: InputDist, rho: float) -> DominantEvent:
     """Dominant error-event joint type P* at tilt rho, with the critical-length
-    factor evaluated at the rate R for which rho = rho_trtc(R)."""
+    factor evaluated at the rate R for which rho = rho_trtc(R).
+
+    The factor is 1 + theta(D) = 2R/(2R - D), theta(D) = D/(2R - D).  Near
+    the edge both R and D/2 approach rhat0, so 2R - D is taken from the
+    edge: 2R - D = 2(R - rhat0) - e, with e = D - 2 rhat0 and
+    R - rhat0 = (rho g(1/rho) + rhat0)/(2 rho - 1), g = `_PairTable.g`,
+    a sum of nonnegative terms.  Where rhat0 = 0 this is the plain form.
+    """
     if rho <= 0:
         raise ValueError(f"rho must be > 0, got {rho}")
     table = _PairTable(dmc, q)
     p = JointType(table.tilted(1.0 / rho))
     e, delta = table.tilted_point(1.0 / rho)
     div = 2 * table.rhat0 + e
-    rate = table.ex(rho) / (2 * rho - 1) if rho > 0.5 else np.nan
-    # span factor 1 + theta(D) with theta(D) = D / (2R - D)
-    factor = 2 * rate / (2 * rate - div) if np.isfinite(rate) else np.nan
+    if rho > 0.5:
+        rate = table.ex(rho) / (2 * rho - 1)
+        gap = (rho * table.g(1.0 / rho) + table.rhat0) / (2 * rho - 1)
+        factor = 2 * rate / (2 * gap - e)
+    else:
+        rate = factor = np.nan
     return DominantEvent(p, rho, rate, div, delta, factor)

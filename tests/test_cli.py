@@ -2,6 +2,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -407,3 +409,23 @@ class TestDominant:
                                 "--rate", "0.1"])
             assert rc == 2 and out == ""
             assert next(iter(extra)) in err
+
+
+class TestImports:
+    def test_scipy_loaded_on_first_use(self):
+        # `simulate` and `audit` need no scipy.optimize, and `simulate` no
+        # scipy.special: importing the package loads neither
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        script = (
+            "import sys\n"
+            "import trellisexp.cli\n"
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.special') if m in sys.modules))\n"
+            "from trellisexp.channels import Dmc, InputDist\n"
+            "from trellisexp.exponents import solve_rho\n"
+            "solve_rho('trtc', Dmc([[0.9, 0.1], [0.1, 0.9]]), InputDist([0.5, 0.5]), 0.1)\n"
+            "print('scipy.optimize' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.split("\n")[:2] == ["[]", "True"]

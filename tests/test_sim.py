@@ -5,14 +5,16 @@ import numpy as np
 import pytest
 
 from trellisexp.channels import Dmc, InputDist
-from trellisexp.memory import MarkovChannel, memoryless_lift
+from trellisexp.memory import MarkovChannel, lift_memory, memoryless_lift
 from trellisexp.sim import (
     DECODE_BATCH,
     EnsembleConfig,
     EnumerationBudgetExceeded,
     LengthMismatch,
+    _batch,
     _block_windows,
     _deviation_patterns,
+    _digits,
     _log_metric,
     _rng,
     encode,
@@ -646,3 +648,187 @@ class TestTypicalityScorer:
         cfg = EnsembleConfig(m=1, n=2, k=2, L=20, seed=11)
         code = sample_code(cfg, j=2, q=UNIFORM2)
         assert typicality_check(code, UNIFORM2, 0.3, l_max=0).is_typical
+
+
+def _viterbi_argmax_reference(code, metric, outputs):
+    """Add-compare-select by argmax over the 2^m predecessors and a
+    take_along_axis of the survivors, with the same traceback."""
+    cfg = code.cfg
+    logw = _log_metric(metric)
+    ys, single = _batch(outputs, cfg.n * cfg.num_branches, "output symbols")
+    b = ys.shape[0]
+    ys = ys.reshape(b, cfg.num_branches, cfg.n)
+    s_count, u_count = cfg.num_states, 1 << cfg.m
+    tab = np.ascontiguousarray(logw.T[:, code.labels].transpose(1, 3, 0, 2))
+    alpha = np.full((b, s_count), -1e30)
+    alpha[:, 0] = 0.0
+    choice = np.empty((b, cfg.num_branches, s_count), dtype=np.min_scalar_type(u_count - 1))
+    for t in range(cfg.num_branches):
+        bm = tab[t, 0][ys[:, t, 0]]
+        for i in range(1, cfg.n):
+            bm += tab[t, i][ys[:, t, i]]
+        if cfg.k > 1:
+            cand = alpha.reshape(b, 1, -1, u_count) + bm.reshape(b, u_count, -1, u_count)
+        else:
+            cand = alpha[:, :, None] + bm[:, None, :]
+        cand = cand.reshape(b, s_count, u_count)
+        best = cand.argmax(axis=2)
+        choice[:, t] = best
+        alpha = np.take_along_axis(cand, best[:, :, None], axis=2)[:, :, 0]
+    blocks = np.empty((b, cfg.num_branches), dtype=np.int64)
+    state = np.zeros(b, dtype=np.int64)
+    rows = np.arange(b)
+    for t in range(cfg.num_branches - 1, -1, -1):
+        win = (state << cfg.m) | choice[rows, t, state]
+        blocks[:, t] = win >> (cfg.m * (cfg.k - 1))
+        state = win & (s_count - 1)
+    bits = _digits(blocks[:, :cfg.L], 1, cfg.m).reshape(b, cfg.m * cfg.L).astype(np.int8)
+    return bits[0] if single else bits
+
+
+def _transmit_gather_reference(channel, symbols, rng):
+    """Channel draw that gathers the (..., Y) cumulative rows of every
+    symbol and counts the thresholds below u, with the last one set to 1."""
+    if isinstance(channel, Dmc):
+        channel = memoryless_lift(channel)
+    x = np.asarray(symbols)
+    prev = np.zeros_like(x)
+    prev[..., 1:] = x[..., :-1]
+    cum = np.cumsum(channel.w, axis=2)
+    cum[..., -1] = 1.0
+    u = rng.random(x.size).reshape(x.shape)
+    return (u[..., None] > cum[x, prev]).sum(axis=-1)
+
+
+ZEROS3 = Dmc([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [0.0, 0.5, 0.5]])  # -inf metrics
+USELESS = Dmc([[0.5, 0.5], [0.5, 0.5]])  # every path ties
+BINARY3 = Dmc([[0.7, 0.2, 0.1], [0.1, 0.2, 0.7]])
+MISMATCHED = np.array([[0.5, 0.4, 0.1], [0.3, 0.3, 0.4]])  # (J, Y) = (2, 3), not BINARY3
+
+
+def _isi():
+    w = np.empty((2, 2, 2))
+    for x, x_prev in itertools.product(range(2), repeat=2):
+        flip = 0.05 if x == x_prev else 0.15
+        w[x, x_prev] = [1 - flip, flip] if x == 0 else [flip, 1 - flip]
+    return MarkovChannel(w)
+
+
+def _memory2():
+    w = np.empty((2, 2, 2, 2))
+    for x, a, b in itertools.product(range(2), repeat=3):
+        flip = 0.04 + 0.05 * ((a != x) + (b != x))
+        w[x, a, b] = [1 - flip, flip] if x == 0 else [flip, 1 - flip]
+    return lift_memory(w, 2)
+
+
+class TestKernelsMatchReference:
+    """The tournament add-compare-select and the threshold-count channel
+    draw give bit for bit what argmax and the (B, N, Y) gather gave."""
+
+    @pytest.fixture
+    def pairs(self, bsc01, asym3):
+        # channel, decoding metric
+        return {"bsc": (bsc01, bsc01), "asym3": (asym3[0], asym3[0]),
+                "zeros": (ZEROS3, ZEROS3), "useless": (USELESS, USELESS),
+                "mismatched": (BINARY3, MISMATCHED)}
+
+    # m = 8, k = 5 is left out: its 2^40 windows cannot be tabled
+    @pytest.mark.parametrize("m,k", [(m, k) for m in (1, 2, 3, 8) for k in (1, 2, 5)
+                                     if m * k <= 16])
+    @pytest.mark.parametrize("name", ["bsc", "asym3", "zeros", "useless", "mismatched"])
+    def test_viterbi_matches_argmax(self, m, k, name, pairs):
+        channel, metric = pairs[name]
+        L = 3 if m * k > 10 else 6
+        cfg = EnsembleConfig(m=m, n=2, k=k, L=L, seed=m * 10 + k)
+        code = sample_code(cfg, j=channel.num_inputs)
+        rng = _rng(8, m, k)
+        info = rng.integers(0, 2, size=(12, m * L), dtype=np.int8)
+        ys = transmit(channel, encode(code, info), rng)
+        got = viterbi_decode(code, metric, ys)
+        assert got.dtype == np.int8
+        assert np.array_equal(got, _viterbi_argmax_reference(code, metric, ys))
+
+    @pytest.mark.parametrize("m,k", [(1, 8), (2, 3), (1, 4)])
+    def test_viterbi_matches_argmax_at_benchmark_sizes(self, m, k, bsc01, asym3):
+        for channel in (bsc01, asym3[0]):
+            cfg = EnsembleConfig(m=m, n=2 * m, k=k, L=40, seed=k)
+            code = sample_code(cfg, j=channel.num_inputs)
+            rng = _rng(9, m, k)
+            info = rng.integers(0, 2, size=(32, m * cfg.L), dtype=np.int8)
+            ys = transmit(channel, encode(code, info), rng)
+            assert np.array_equal(viterbi_decode(code, channel, ys),
+                                  _viterbi_argmax_reference(code, channel, ys))
+
+    @pytest.mark.parametrize("name", ["bsc", "asym3", "zeros", "useless", "isi", "memory2"])
+    def test_transmit_matches_gather(self, name, bsc01, asym3):
+        channel = {"bsc": bsc01, "asym3": asym3[0], "zeros": ZEROS3, "useless": USELESS,
+                   "isi": _isi(), "memory2": _memory2()}[name]
+        j = channel.num_inputs if isinstance(channel, Dmc) else channel.w.shape[0]
+        for shape in [(64, 414), (37,), (3, 1), (0,)]:
+            x = _rng(4, j).integers(0, j, size=shape)
+            got = transmit(channel, x, _rng(5, 0))
+            assert got.dtype == np.intp
+            assert np.array_equal(got, _transmit_gather_reference(channel, x, _rng(5, 0)))
+
+    def test_transmit_matches_gather_at_top_draw(self):
+        row = [0.02594467158518534, 0.21986429110201317,
+               0.39611424082905455, 0.35807679648374696]
+
+        class TopDraw:
+            def random(self, size):
+                return np.full(size, np.nextafter(1.0, 0.0))
+
+        dmc = Dmc([row, row[::-1]])
+        x = np.array([[0, 1, 1, 0], [1, 1, 0, 0]])
+        assert np.array_equal(transmit(dmc, x, TopDraw()),
+                              _transmit_gather_reference(dmc, x, TopDraw()))
+
+
+class TestSymbolRange:
+    """Symbols outside the alphabet raise ValueError instead of being read
+    from the end of a table by numpy's negative indexing."""
+
+    @pytest.mark.parametrize("x", [[0, 1, -1, 1], [0, 2, 1], [[0, 1], [1, 5]]])
+    def test_transmit_rejects_out_of_range_inputs(self, x, bsc01):
+        with pytest.raises(ValueError, match=r"\[0, 2\).*size 2"):
+            transmit(bsc01, np.array(x), _rng(0, 0))
+
+    def test_transmit_rejects_non_integer_symbols(self, bsc01):
+        with pytest.raises(ValueError, match="integers"):
+            transmit(bsc01, np.array([0.0, 1.0]), _rng(0, 0))
+
+    def test_markov_channel_range_is_its_input_alphabet(self):
+        with pytest.raises(ValueError, match=r"\[0, 4\)"):
+            transmit(_memory2(), np.array([0, 3, 4]), _rng(0, 0))
+
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_viterbi_rejects_out_of_range_outputs(self, bad, bsc01):
+        cfg = EnsembleConfig(m=1, n=2, k=2, L=5, seed=1)
+        code = sample_code(cfg, j=2, q=UNIFORM2)
+        y = np.zeros((2, cfg.n * cfg.num_branches), dtype=np.int64)
+        y[1, 3] = bad
+        with pytest.raises(ValueError, match=r"\[0, 2\).*size 2"):
+            viterbi_decode(code, bsc01, y)
+
+    @pytest.mark.parametrize("metric", [[[0.9, 0.1]], np.full((3, 2), 0.5), [0.5, 0.5]])
+    def test_viterbi_rejects_metric_rows_other_than_j(self, metric):
+        cfg = EnsembleConfig(m=1, n=2, k=2, L=5, seed=1)
+        code = sample_code(cfg, j=2, q=UNIFORM2)
+        y = np.zeros(cfg.n * cfg.num_branches, dtype=np.int64)
+        with pytest.raises(ValueError, match="J = 2"):
+            viterbi_decode(code, metric, y)
+
+    @pytest.mark.parametrize("entry", [-0.1, np.nan, np.inf])
+    def test_viterbi_rejects_metric_entries(self, entry):
+        cfg = EnsembleConfig(m=1, n=2, k=2, L=5, seed=1)
+        code = sample_code(cfg, j=2, q=UNIFORM2)
+        y = np.zeros(cfg.n * cfg.num_branches, dtype=np.int64)
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            viterbi_decode(code, [[0.9, entry], [0.1, 0.9]], y)
+
+    def test_estimate_rejects_channel_smaller_than_code_alphabet(self, bsc01):
+        cfg = EnsembleConfig(m=1, n=2, k=2, L=5, seed=1)
+        code = sample_code(cfg, j=3, q=InputDist([1 / 3, 1 / 3, 1 / 3]))
+        with pytest.raises(ValueError, match="size 2"):
+            estimate_error_exponent(code, bsc01, 4, _rng(1, 0), metric=np.full((3, 2), 0.5))

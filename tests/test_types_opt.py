@@ -332,6 +332,22 @@ class TestDominantJointType:
         ev = dominant_joint_type(bsc01, uniform2, 1e-3)
         assert np.allclose(ev.p_star.p, np.diag([0.5, 0.5]), atol=1e-9)
 
+    # rho = rho_trtc(R) on W3 at R = rhat0 (1 + 1e-14), (1 + 1e-6) and (1 + 0.1),
+    # and the factor 2R/(2R - D) at that rho from an 80-digit evaluation
+    @pytest.mark.parametrize("rho,factor", [
+        (169223373100997.8, 100606183605220.3842478),
+        (1682037.8969856044, 1000001.058659654928895),
+        (17.2242559655313, 11.06163038584005977039),
+    ])
+    def test_factor_accurate_near_the_edge(self, rho, factor):
+        ev = dominant_joint_type(*W3, rho)
+        assert ev.critical_length_factor == pytest.approx(factor, rel=1e-13)
+
+    def test_factor_undefined_at_or_below_half(self, bsc01, uniform2):
+        for rho in (0.5, 0.25):
+            ev = dominant_joint_type(bsc01, uniform2, rho)
+            assert math.isnan(ev.rate) and math.isnan(ev.critical_length_factor)
+
     def test_symmetric_and_factor_at_least_one(self, bsc01, uniform2):
         for rho in (1.0, 1.5, 3.0):
             ev = dominant_joint_type(bsc01, uniform2, rho)
