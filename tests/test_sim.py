@@ -15,6 +15,7 @@ from trellisexp.sim import (
     _block_windows,
     _deviation_patterns,
     _digits,
+    _key_layout,
     _log_metric,
     _rng,
     encode,
@@ -434,21 +435,33 @@ class TestPairTypes:
         (40, {"budget": 40}, EnumerationBudgetExceeded),
         (5, {}, ValueError),  # L >= 2k + l - 1 fails at l = 3
         (40, {"fixed_message": np.zeros(5, dtype=int)}, LengthMismatch),
+        (40, {"fixed_message": np.full(12, 2)}, ValueError),  # a block outside [0, 2)
     ])
     def test_every_check_before_any_build(self, monkeypatch, L, kwargs, error):
         from trellisexp import sim
         counted = []
-        real = sim._pair_counts
+        real = sim._pair_keys
 
-        def counting(code, u, pats, l):
+        def counting(code, l, *args):
             counted.append(l)
-            return real(code, u, pats, l)
+            return real(code, l, *args)
 
-        monkeypatch.setattr(sim, "_pair_counts", counting)
+        monkeypatch.setattr(sim, "_pair_keys", counting)
         code = sample_code(EnsembleConfig(m=1, n=2, k=2, L=L, seed=5), j=2, q=UNIFORM2)
-        with pytest.raises(error, match="l=3|6 blocks"):
+        with pytest.raises(error, match=r"l=3|6 blocks|in \[0, 2\)"):
             enumerate_pair_types(code, l_max=3, **kwargs)
         assert counted == []
+
+    @pytest.mark.parametrize("m,block", [(1, -1), (1, 0.7), (1, 2), (2, 4), (2, -1)])
+    def test_fixed_message_blocks_in_range(self, m, block):
+        # a negative block would read a window from the end of a table, a
+        # fraction would be truncated, and 2^m would index past it
+        code = sample_code(EnsembleConfig(m=m, n=2, k=3, L=12, seed=5), j=2, q=UNIFORM2)
+        message = [1] * 11 + [block]
+        with pytest.raises(ValueError, match="fixed message blocks"):
+            enumerate_pair_types(code, l_max=2, fixed_message=message)
+        message[-1] = (1 << m) - 1
+        assert enumerate_pair_types(code, l_max=2, fixed_message=message).pair_totals
 
     def test_negative_l_max_rejected(self):
         code = sample_code(EnsembleConfig(m=1, n=2, k=2, L=20, seed=5), j=2, q=UNIFORM2)
@@ -494,6 +507,13 @@ class TestTypicality:
         code = sample_code(EnsembleConfig(m=1, n=2, k=2, L=20, seed=11), j=2, q=UNIFORM2)
         with pytest.raises(ValueError, match="epsilon"):
             typicality_check(code, UNIFORM2, epsilon, l_max=2)
+
+    @pytest.mark.parametrize("q", [[1.0], [0.2, 0.3, 0.5], [[0.5, 0.5]]])
+    def test_q_length_must_be_code_alphabet(self, q):
+        # a length-1 q used to broadcast and call the code typical
+        code = sample_code(EnsembleConfig(m=1, n=2, k=2, L=20, seed=11), j=2, q=UNIFORM2)
+        with pytest.raises(ValueError, match="one probability per code symbol"):
+            typicality_check(code, q, 0.3, l_max=2)
 
     def test_audit_fraction_between_zero_and_one(self):
         cfg = EnsembleConfig(m=1, n=2, k=2, L=20, seed=13)
@@ -583,6 +603,152 @@ class TestPairTypeOracle:
             enumerate_pair_types(code, 2)
         table = enumerate_pair_types(code, 1)
         assert (table.entries, table.pair_totals) == _encoded_pair_types(code, 1)
+
+
+def _pair_counts(code, u, pats, l):
+    """Pattern-major (pairs, j^2) symbol-pair counts over the k+l branches
+    from node k-1, for correct input blocks u (windows, 2k+l-1): one label
+    gather and one bincount per deviation pattern."""
+    cfg, j = code.cfg, code.j
+    node, span, jj = cfg.k - 1, cfg.k + l, j * j
+    t_span = np.arange(node, node + span)
+    wins_u = _block_windows(u, cfg)[:, node:]  # (W, span)
+    diffs = np.zeros((len(pats), u.shape[1]), dtype=np.int64)
+    diffs[:, node:node + l + 1] = np.reshape(pats, (-1, l + 1))
+    wins_diff = _block_windows(diffs, cfg)[:, node:]  # (patterns, span)
+    # cell x*j + x' of each symbol pair, offset by j^2 per window so that
+    # one bincount counts every window
+    base = (np.arange(len(u))[:, None, None] * jj
+            + code.labels[t_span, wins_u].astype(np.int64) * j)
+    counts = np.empty((len(pats), len(u), jj), dtype=np.int32)
+    for pi, diff in enumerate(wins_diff):
+        cells = base + code.labels[t_span, wins_u ^ diff]
+        counts[pi] = np.bincount(cells.ravel(), minlength=len(u) * jj).reshape(-1, jj)
+    return counts.reshape(-1, jj)
+
+
+def _distinct_rows(rows):
+    """Distinct rows in ascending order and their multiplicities (exact)."""
+    ranked = rows[np.lexsort(rows.T[::-1])]
+    first = np.ones(len(ranked), dtype=bool)
+    first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    starts = np.flatnonzero(first)
+    return ranked[starts], np.diff(np.append(starts, len(ranked)))
+
+
+def _row_sort_pair_types(code, l_max, fixed_message=None):
+    """Row-sort reference for enumerate_pair_types: a full (pairs, j^2)
+    count table per l, made distinct by a lexsort over its j^2 columns."""
+    cfg = code.cfg
+    m, k = cfg.m, cfg.k
+    entries, totals = {}, {}
+    for l in range(1, l_max + 1):
+        win_len = 2 * k + l - 1
+        pats = _deviation_patterns(l, k, m)
+        if fixed_message is None:
+            u = _digits(np.arange((1 << m) ** win_len), m, win_len)
+        else:
+            u = np.asarray(fixed_message, dtype=np.int64)[None, :win_len]
+        totals[l] = len(u) * len(pats)
+        if pats:
+            keys, mult = _distinct_rows(_pair_counts(code, u, pats, l))
+            for key, c in zip(keys.tolist(), mult.tolist()):
+                entries[(l, tuple(key))] = c
+    return entries, totals
+
+
+def _averaged_pairs(m, k, l_max):
+    return sum((1 << m) ** (2 * k + l - 1) * len(_deviation_patterns(l, k, m))
+               for l in range(1, l_max + 1))
+
+
+def _row_sort_cases():
+    """(m, j, k, l_max, fixed) over m in {1, 2}, j in {2, 3, 16} and
+    k = 1..5: the largest l_max <= 3 whose reference table stays within
+    2^17 pairs and 2^21 cells.  Message-averaged m = 2 at k >= 4 (and
+    j = 16 at k = 3), whose l = 1 alone is over that, run fixed-message
+    only."""
+    cases = []
+    for m, j, k, fixed in itertools.product((1, 2), (2, 3, 16), range(1, 6), (False, True)):
+        fits = [l_max for l_max in (1, 2, 3)
+                if fixed or (_averaged_pairs(m, k, l_max) <= 1 << 17
+                             and _averaged_pairs(m, k, l_max) * j * j <= 1 << 21)]
+        if fits:
+            cases.append((m, j, k, max(fits), fixed))
+    return cases
+
+
+class TestPackedKeysMatchRowSort:
+    """The packed type keys summed along the trellis give the same entries,
+    in the same order, and the same pair totals as the row sort."""
+
+    @staticmethod
+    def _check(code, l_max, fixed=False):
+        message = (np.random.default_rng(code.cfg.k).integers(0, 1 << code.cfg.m, size=code.cfg.L)
+                   if fixed else None)
+        table = enumerate_pair_types(code, l_max, fixed_message=message)
+        entries, totals = _row_sort_pair_types(code, l_max, message)
+        assert list(table.entries.items()) == list(entries.items())
+        assert table.pair_totals == totals
+
+    @pytest.mark.parametrize("m,j,k,l_max,fixed", _row_sort_cases())
+    def test_general_codes(self, m, j, k, l_max, fixed):
+        cfg = EnsembleConfig(m=m, n=2, k=k, L=2 * k + l_max - 1, seed=41)
+        self._check(sample_code(cfg, j=j, q=InputDist(np.full(j, 1 / j))), l_max, fixed)
+
+    @pytest.mark.parametrize("m,k,l_max", [(1, 1, 2), (1, 3, 3), (1, 5, 2), (2, 2, 2), (2, 3, 1)])
+    @pytest.mark.parametrize("fixed", [False, True])
+    def test_linear_codes(self, m, k, l_max, fixed):
+        cfg = EnsembleConfig(m=m, n=3, k=k, L=2 * k + l_max - 1, seed=43, linear=True)
+        self._check(sample_code(cfg, j=2), l_max, fixed)
+
+    @pytest.mark.parametrize("fixed", [False, True])
+    def test_q_with_zero_entry(self, fixed):
+        cfg = EnsembleConfig(m=1, n=2, k=4, L=10, seed=47)
+        self._check(sample_code(cfg, j=3, q=InputDist([0.5, 0.0, 0.5])), 3, fixed)
+
+    @pytest.mark.parametrize("n,l_max,words", [(2, 4, 1), (3, 2, 2)])
+    def test_word_boundary(self, n, l_max, words):
+        # j = 4, k = 3: N = n(k + l_max) is 14 or 15, and 15^16 < 2^63 <= 16^16,
+        # so the last l packs into one word or into two
+        assert _key_layout(16, n * (3 + l_max))[0][-1] + 1 == words
+        cfg = EnsembleConfig(m=1, n=n, k=3, L=5 + l_max, seed=53)
+        for fixed in (False, True):
+            self._check(sample_code(cfg, j=4, q=InputDist(np.full(4, 0.25))), l_max, fixed)
+
+
+class TestEnumerationMemory:
+    """The enumerator's traced allocations stay near one int64 per pair,
+    and the fixed-message mode builds nothing 2^K wide."""
+
+    @staticmethod
+    def _peak(code, l_max, **kwargs):
+        import tracemalloc
+        tracemalloc.start()
+        try:
+            table = enumerate_pair_types(code, l_max, **kwargs)
+            return table, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_message_averaged(self):
+        # 5,586,944 pairs; the (pairs, j^2) count rows alone took 85 MiB
+        code = sample_code(EnsembleConfig(m=1, n=2, k=7, L=40, seed=3), j=2, q=UNIFORM2)
+        table, peak = self._peak(code, 5)
+        assert sum(table.pair_totals.values()) == 5_586_944
+        assert peak < 128 << 20
+
+    def test_fixed_message(self):
+        # 2,304 patterns at l = 5 over 2^16 windows: a per-window branch
+        # table would be about 15 GB
+        import time
+        code = sample_code(EnsembleConfig(m=2, n=2, k=8, L=30, seed=3), j=2, q=UNIFORM2)
+        message = np.arange(30) % 4
+        t0 = time.perf_counter()
+        table, peak = self._peak(code, 5, fixed_message=message)
+        elapsed = time.perf_counter() - t0
+        assert table.pair_totals[5] == 2304
+        assert peak < 16 << 20 and elapsed < 2.0
 
 
 def _log2_type_probability(counts, log2_qq):
