@@ -160,8 +160,8 @@ def _argmax_concave(f, lo, hi=None, xatol=1e-10):
             if hi > RHO_MAX:
                 return np.inf, np.inf
         hi *= 2
-    # scipy.optimize is imported at first use here, in `_unit_root` and in
-    # `solve_rho`, so importing the package (and `simulate`) does not load it
+    # scipy.optimize is imported at first use here and in `_unit_root`, so
+    # importing the package (and `simulate`) does not load it
     import scipy.optimize
     with np.errstate(invalid="ignore"):  # inf values: Brent falls back to golden steps
         res = scipy.optimize.minimize_scalar(lambda x: -f(x), bounds=(lo, hi),
@@ -174,7 +174,8 @@ def _unit_root(f):
     """Root in [0, 1] of an f that crosses zero at most once, upward.
 
     The one root finder of the cex/trtc solves and `memory.extended_exponent`
-    (in r = 1/rho) and of `types_opt.z_of_rhat_direct` (in t = r/(1 + r)).
+    (in r = 1/rho), of the rtc solve (in rho) and of
+    `types_opt.z_of_rhat_direct` (in t = r/(1 + r)).
     Returns 1 when f(1) <= 0 (the root lies at or beyond 1) and 0 when
     f(0) >= 0 (for r = 1/rho: no root, rho is unbounded); brentq finds it
     otherwise.  f is evaluated once at each end: brentq opens with f(0) and
@@ -207,7 +208,7 @@ def solve_rho(curve_kind: str, dmc: Dmc, q: InputDist, rate: float) -> RhoValue:
 
     cex : R = Ex(rho)/rho, rho >= 1
     trtc: R = Ex(rho)/(2 rho - 1), rho >= 1
-    rtc : R = E0(rho)/rho for R > R0(Q), rho in (0, 1)
+    rtc : R = E0(rho)/rho for R0(Q) < R < I(Q;W), rho in (0, 1)
 
     cex and trtc are solved in r = 1/rho on [0, 1] by `_unit_root`.  With
     G(r) = -ln sum_{Z > 0} QQ' Z^r, increasing from G(0) = 2 rhat0
@@ -218,6 +219,12 @@ def solve_rho(curve_kind: str, dmc: Dmc, q: InputDist, rate: float) -> RhoValue:
     the edge is cancelled against 2 rhat0.
     The trtc root exists iff R > rhat0 and the cex root iff R > 2 rhat0;
     otherwise rho = inf (the exponent is unbounded).
+    rtc is solved in rho on [0, 1] by `_unit_root`, on R - E0(rho)/rho with
+    its rho -> 0 value R - I(Q;W) in closed form and E0(rho)/rho in a
+    log1p/expm1 form that keeps its relative accuracy at small rho, so a
+    rate just below I gets rho ~ 2 (I - R)/V (V the information variance),
+    not a root lost in the rounding of E0 ~ rho I.  A rate outside
+    (R0, I) raises RateOutOfRange.
     """
     if curve_kind in ("cex", "trtc"):
         return _solve_rho(curve_kind, _PairTable(dmc, q), rate)
@@ -226,12 +233,27 @@ def solve_rho(curve_kind: str, dmc: Dmc, q: InputDist, rate: float) -> RhoValue:
     r0 = cutoff_rate(dmc, q)
     if rate <= r0:
         raise RateOutOfRange(f"rtc rho branch needs R > R0={r0:.6g}")
-    g = lambda rho: gallager_e0(dmc, q, rho) / rho - rate
-    if g(1e-12) < 0:
-        raise RateOutOfRange("R exceeds the mutual information of (Q, W)")
-    import scipy.optimize
-    return RhoValue(scipy.optimize.brentq(g, 1e-12, 1.0, xtol=1e-300,
-                                          rtol=4 * np.finfo(float).eps))
+    # With P the output distribution of QW and t = rho/(1 + rho),
+    # sum_x Q W^{1/(1+rho)} = P (1 + u), u = sum_x Q W expm1(-t ln W) / P,
+    # so E0 = -log1p(sum_y P expm1((1 + rho) log1p(u) + rho ln P)): small
+    # at small rho without cancelling against 1, and E0/rho -> I(Q;W).
+    qw = q.q[:, None] * dmc.w
+    p = qw.sum(axis=0)
+    out = p > 0
+    qw, p = qw[:, out], p[out]
+    log_p = np.log(p)
+    log_w = np.log(dmc.w[:, out], out=np.zeros_like(qw), where=qw > 0)
+    info = float(np.sum(qw * (log_w - log_p)))
+
+    def e0_over_rho(rho):
+        u = np.sum(qw * np.expm1(-rho / (1 + rho) * log_w), axis=0) / p
+        return -np.log1p(np.sum(p * np.expm1((1 + rho) * np.log1p(u) + rho * log_p))) / rho
+
+    # R - E0(rho)/rho rises from R - I at rho = 0 to R - R0 > 0 at rho = 1
+    rho = _unit_root(lambda rho: rate - (info if rho == 0 else e0_over_rho(rho)))
+    if rho == 0:
+        raise RateOutOfRange(f"rtc rho branch needs R < I(Q;W)={info:.6g}")
+    return RhoValue(rho)
 
 
 def _solve_rho(curve_kind: str, table: _PairTable, rate: float) -> RhoValue:

@@ -11,7 +11,7 @@ from counter-based Philox streams keyed by (seed, code index, purpose).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -353,19 +353,30 @@ def estimate_error_exponent(code: TrellisCode, channel, trials: int, rng,
     return ErrorEstimate(events, nodes, p_e, exponent, lo, hi, no_errors)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class PairTypeTable:
     """Counts N_l(P) of incorrect-path pairs per unmerged-extension length l.
 
-    entries[(l, key)] = count, where key is the flattened tuple of integer
-    symbol-pair occurrence counts (length j*j, total n*(k+l)).  pair_totals[l]
-    is the number of enumerated (correct-window, incorrect-path) pairs.
-    Entries are listed in ascending (l, key) order.
+    One row per distinct type, in ascending (l, counts) order, as int64
+    arrays: `ls` (types,) holds the type's l, `counts` (types, j*j) its
+    flattened symbol-pair occurrence counts (total n*(k+l)) and
+    `multiplicities` (types,) its N_l(P).  pair_totals[l] is the number of
+    enumerated (correct-window, incorrect-path) pairs; the multiplicities
+    of each l sum to it.
     """
 
     j: int
-    entries: dict = field(default_factory=dict)
-    pair_totals: dict = field(default_factory=dict)
+    ls: np.ndarray
+    counts: np.ndarray
+    multiplicities: np.ndarray
+    pair_totals: dict
+
+    @property
+    def entries(self) -> dict:
+        """The same types as a dict {(l, counts tuple): N_l(P)}, in the
+        arrays' order, built on each read."""
+        return {(l, tuple(row)): c for l, row, c in zip(
+            self.ls.tolist(), self.counts.tolist(), self.multiplicities.tolist())}
 
 
 def _deviation_patterns(l, k, m):
@@ -463,8 +474,7 @@ def _distinct_keys(keys: np.ndarray):
     return ranked[:, starts], np.diff(np.append(starts, ranked.shape[1]))
 
 
-def enumerate_pair_types(code: TrellisCode, l_max: int, fixed_message=None,
-                         budget: int = ENUM_BUDGET) -> PairTypeTable:
+def enumerate_pair_types(code: TrellisCode, l_max: int, fixed_message=None) -> PairTypeTable:
     """Exact joint-type counts for all incorrect paths with extension l <= l_max.
 
     The divergence node is fixed at t = k-1 (the first node with a full
@@ -481,9 +491,12 @@ def enumerate_pair_types(code: TrellisCode, l_max: int, fixed_message=None,
     add per pair per word per branch, with no per-pair label gather.  One
     sort of the keys (a lexsort over the words when there are several)
     gives the distinct types in ascending order, and only those are
-    unpacked.  Message-averaged, m = 1, n = 2, k = 7, l_max = 5 (5.59 M
-    pairs) takes about 0.2 s and 50 MiB of traced allocations, and k = 9,
-    l_max = 3 (5.51 M pairs) about 0.16 s and 49 MiB (2 CPUs, numpy 2.4).
+    unpacked into count rows.  The per-l blocks of rows and multiplicities
+    are concatenated into the table's arrays as they are, with no per-type
+    Python object.  Message-averaged, m = 1, n = 2, k = 7, l_max = 5
+    (5.59 M pairs) takes about 0.2 s and 50 MiB of traced allocations, and
+    k = 9, l_max = 3 (5.51 M pairs) about 0.16 s and 49 MiB (2 CPUs,
+    numpy 2.4).
 
     Every check is settled for every l before anything is built: a first
     pass over l = 1..l_max requires l_max >= 0 and L >= 2k + l - 1 (the
@@ -491,9 +504,9 @@ def enumerate_pair_types(code: TrellisCode, l_max: int, fixed_message=None,
     part of the block; ValueError otherwise), fixed-message blocks that
     are integers in [0, 2^m) (ValueError) and cover that window
     (LengthMismatch), and a pair total (windows x deviation patterns)
-    within `budget` (EnumerationBudgetExceeded).  It stops at the first l
-    that fails.  The second pass builds keys only for the l that have
-    patterns.
+    within `ENUM_BUDGET`, read at each call (EnumerationBudgetExceeded).
+    It stops at the first l that fails.  The second pass builds keys only
+    for the l that have patterns.
     """
     if l_max < 0:
         raise ValueError(f"l_max must be >= 0, got {l_max}")
@@ -506,8 +519,7 @@ def enumerate_pair_types(code: TrellisCode, l_max: int, fixed_message=None,
             raise LengthMismatch(f"fixed message must be one sequence of blocks, "
                                  f"got shape {fixed.shape}")
         _check_symbols(fixed, 1 << m, "fixed message blocks", "block alphabet")
-    table = PairTypeTable(j=code.j)
-    plan = []
+    pair_totals, plan = {}, []
     for l in range(1, l_max + 1):
         win_len = 2 * k + l - 1  # correct blocks from u_0 to the remerge
         if win_len > cfg.L:  # the correct path's inputs end at time L
@@ -518,22 +530,22 @@ def enumerate_pair_types(code: TrellisCode, l_max: int, fixed_message=None,
         n_windows = (1 << m) ** win_len if fixed is None else 1
         pats = _deviation_patterns(l, k, m)
         total = n_windows * len(pats)
-        if total > budget:
-            raise EnumerationBudgetExceeded(f"l={l}: {total} pairs exceed budget {budget}")
-        table.pair_totals[l] = total
+        if total > ENUM_BUDGET:
+            raise EnumerationBudgetExceeded(f"l={l}: {total} pairs exceed budget {ENUM_BUDGET}")
+        pair_totals[l] = total
         if pats:  # none at k = 1: nothing to build
             plan.append((l, pats))
     cells = code.j * code.j
-    for l, pats in plan:
+    blocks = [(np.zeros(0, np.int64), np.zeros((0, cells), np.int64), np.zeros(0, np.int64))]
+    for l, pats in plan:  # one (ls, counts, multiplicities) block per l
         total = cfg.n * (k + l)
         word, place = _key_layout(cells, total)
         weight = np.zeros((word[-1] + 1, cells), dtype=np.int64)
         weight[word, np.arange(cells)] = place
         keys, mult = _distinct_keys(_pair_keys(code, l, pats, weight, fixed))
         rows = keys[word].T // place % (total + 1)
-        for key, c in zip(rows.tolist(), mult.tolist()):
-            table.entries[(l, tuple(key))] = c
-    return table
+        blocks.append((np.full(len(mult), l, dtype=np.int64), rows, mult))
+    return PairTypeTable(code.j, *map(np.concatenate, zip(*blocks)), pair_totals)
 
 
 @dataclass(frozen=True)
@@ -554,7 +566,10 @@ def typicality_check(code: TrellisCode, q, epsilon: float, l_max: int,
     analytic union bound.  E{N_l(P)} is the exact pair total times the exact
     multinomial type probability under QxQ,
     log2 E = log2 total + [ln N! - sum ln c!] / ln 2 + sum_c c log2 QQ'(c),
-    scored for all types at once.  A type whose E sits exactly on the
+    scored for all types at once, in one pass over the table's arrays
+    (`ls`, `counts`, `multiplicities`).  Violations are reported as
+    (l, counts tuple, N_l(P), bound) in the table's order, with bound 0
+    for the first condition.  A type whose E sits exactly on the
     first-condition threshold (2^m - 1) 2^{-n(k+l) eps} (possible when
     n(k+l) eps is an integer) is decided by the last-bit rounding of
     ln Gamma; choose eps with n(k+l) eps non-integer for a decision that
@@ -570,26 +585,25 @@ def typicality_check(code: TrellisCode, q, epsilon: float, l_max: int,
     cfg = code.cfg
     if table is None:
         table = enumerate_pair_types(code, l_max)
-    if not table.entries:
+    ls, counts, observed = table.ls, table.counts, table.multiplicities
+    if not len(ls):
         return TypicalityReport(epsilon, ())
     import scipy.special  # imported on first use, as in `exponents`
     qq = np.outer(qv, qv).reshape(-1)
     log2_qq = np.log2(qq, out=np.full_like(qq, -np.inf), where=qq > 0)
-    ls, counts = map(np.array, zip(*table.entries))  # counts: (types, j^2)
-    observed = np.fromiter(table.entries.values(), dtype=float, count=len(ls))
     log_multinomial = (scipy.special.gammaln(counts.sum(axis=1) + 1)
                        - scipy.special.gammaln(counts + 1).sum(axis=1))
     log2_p = (np.where(counts > 0, log2_qq, 0.0) * counts).sum(axis=1)  # -inf off Q's support
-    log2_en = (np.log2([table.pair_totals[l] for l in ls.tolist()])
-               + (log_multinomial / math.log(2.0) + log2_p))
+    totals = np.array([table.pair_totals.get(l, 0) for l in range(ls[-1] + 1)])  # indexed by l
+    log2_en = np.log2(totals[ls]) + (log_multinomial / math.log(2.0) + log2_p)
     slack = cfg.n * (cfg.k + ls) * epsilon
     # first condition: the type should be unpopulated; second: not too many
     first = log2_en < math.log2((1 << cfg.m) - 1) - slack
-    bad = first | (np.log2(observed) > slack + log2_en)
+    bad = np.flatnonzero(first | (np.log2(observed) > slack + log2_en))
     bound = np.where(first, 0.0, np.exp2(slack + log2_en))
-    items = list(table.entries.items())
     return TypicalityReport(epsilon, tuple(
-        (*items[i][0], items[i][1], float(bound[i])) for i in np.flatnonzero(bad)))
+        (l, tuple(row), c, b) for l, row, c, b in zip(
+            ls[bad].tolist(), counts[bad].tolist(), observed[bad].tolist(), bound[bad].tolist())))
 
 
 def typicality_union_bound(cfg: EnsembleConfig, j: int, epsilon: float) -> float:

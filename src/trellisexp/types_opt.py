@@ -123,12 +123,6 @@ def z_of_rhat_legendre(dmc: Dmc, q: InputDist, rhat: float) -> float:
     return max(0.0, float(_argmax_concave(obj, 0.0, 1.0)[1]))
 
 
-def _tilted_type(dmc: Dmc, q: InputDist, rho: float) -> np.ndarray:
-    """Tilted family member P_rho proportional to Q(x)Q(x') e^{-d_{1/2}/rho},
-    with d_{1/2} = -ln Z; infinite-distance pairs carry no mass."""
-    return _PairTable(dmc, q).tilted(1.0 / rho)
-
-
 def z_of_rhat_direct(dmc: Dmc, q: InputDist, rhat: float) -> tuple[float, JointType]:
     """Direct form of Z: min Delta_{1/2}(P) s.t. D(P || QxQ) <= 2 rhat.
 

@@ -173,6 +173,23 @@ class TestSolveRho:
         assert 0 < sol.rho < 1
         assert abs(gallager_e0(bsc01, uniform2, sol.rho) / sol.rho - 0.25) <= 1e-10
 
+    def test_rtc_just_below_mutual_information(self, bsc01, uniform2):
+        # E0(rho)/rho = I - rho V/2 + O(rho^2), V the information variance;
+        # at R = I - 1e-8 a 60-digit solve gives 4.6029748e-8 = 2 delta/V
+        p = 0.1
+        info = math.log(2) + p * math.log(p) + (1 - p) * math.log(1 - p)
+        var = p * (1 - p) * math.log((1 - p) / p) ** 2
+        delta = 1e-8
+        rho = solve_rho("rtc", bsc01, uniform2, info - delta).rho
+        assert rho == pytest.approx(2 * delta / var, rel=1e-6)
+
+    def test_rtc_above_mutual_information(self, bsc01, uniform2):
+        p = 0.1
+        info = math.log(2) + p * math.log(p) + (1 - p) * math.log(1 - p)
+        for rate in (info * (1 + 1e-6), 0.3681):
+            with pytest.raises(RateOutOfRange, match="I\\(Q;W\\)"):
+                solve_rho("rtc", bsc01, uniform2, rate)
+
     def test_tiny_rate_finite(self, bsc01, uniform2):
         # rhat0 = 0 for the BSC, so the roots exist at every rate; at
         # R = 1e-7 rho_trtc is about 1.28e6

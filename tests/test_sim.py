@@ -423,11 +423,13 @@ class TestPairTypes:
                                      fixed_message=np.zeros(10, dtype=int))
         assert table.pair_totals[1] == 1
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        from trellisexp import sim
+        monkeypatch.setattr(sim, "ENUM_BUDGET", 1000)  # read at each call
         cfg = EnsembleConfig(m=1, n=2, k=2, L=40, seed=5)
         code = sample_code(cfg, j=2, q=UNIFORM2)
         with pytest.raises(EnumerationBudgetExceeded):
-            enumerate_pair_types(code, l_max=12, budget=1000)
+            enumerate_pair_types(code, l_max=12)
 
     @pytest.mark.parametrize("L,kwargs,error", [
         # k = 2, m = 1: one pattern per l and 2^(l+3) windows, so the pair
@@ -447,6 +449,8 @@ class TestPairTypes:
             return real(code, l, *args)
 
         monkeypatch.setattr(sim, "_pair_keys", counting)
+        kwargs = dict(kwargs)  # a "budget" is set as sim.ENUM_BUDGET
+        monkeypatch.setattr(sim, "ENUM_BUDGET", kwargs.pop("budget", sim.ENUM_BUDGET))
         code = sample_code(EnsembleConfig(m=1, n=2, k=2, L=L, seed=5), j=2, q=UNIFORM2)
         with pytest.raises(error, match=r"l=3|6 blocks|in \[0, 2\)"):
             enumerate_pair_types(code, l_max=3, **kwargs)
@@ -690,6 +694,16 @@ class TestPackedKeysMatchRowSort:
         entries, totals = _row_sort_pair_types(code, l_max, message)
         assert list(table.entries.items()) == list(entries.items())
         assert table.pair_totals == totals
+        # the arrays themselves: int64, ascending l, rows rising strictly
+        # within each l, and the multiplicities of each l summing to its total
+        ls, counts, mults = table.ls, table.counts, table.multiplicities
+        assert ls.dtype == counts.dtype == mults.dtype == np.int64
+        assert counts.shape == (len(ls), code.j ** 2) and mults.shape == ls.shape
+        assert np.all(np.diff(ls) >= 0)
+        for l, total in totals.items():
+            rows = list(map(tuple, counts[ls == l].tolist()))
+            assert all(a < b for a, b in zip(rows, rows[1:]))
+            assert mults[ls == l].sum() == total
 
     @pytest.mark.parametrize("m,j,k,l_max,fixed", _row_sort_cases())
     def test_general_codes(self, m, j, k, l_max, fixed):
@@ -809,6 +823,24 @@ class TestTypicalityScorer:
                     assert bound == pytest.approx(ref, rel=1e-12, abs=0.0)
                     kinds.add(ref > 0)
         assert kinds == {False, True}  # both conditions were exercised
+
+    def test_scores_arrays_not_entries(self, monkeypatch):
+        # the dict view of the table is for readers that want one; the
+        # scorer and the audit give the same reports without it
+        from trellisexp import sim
+        cfg = EnsembleConfig(m=1, n=2, k=3, L=20, seed=31)
+        q = InputDist([0.7, 0.3])
+        codes = [sample_code(cfg, j=2, q=UNIFORM2, code_index=i) for i in range(4)]
+        want = [typicality_check(code, q, 0.3, 3) for code in codes]
+        want_audit = typicality_audit(cfg, 2, UNIFORM2, 6, 0.3, 3)
+        assert any(rep.violations for rep in want)
+
+        def unread(table):
+            raise AssertionError("PairTypeTable.entries was read")
+
+        monkeypatch.setattr(sim.PairTypeTable, "entries", property(unread))
+        assert [typicality_check(code, q, 0.3, 3) for code in codes] == want
+        assert typicality_audit(cfg, 2, UNIFORM2, 6, 0.3, 3) == want_audit
 
     def test_no_types_is_typical(self):
         cfg = EnsembleConfig(m=1, n=2, k=2, L=20, seed=11)

@@ -193,13 +193,14 @@ class TestZOfRhat:
 
     def test_min_divergence_plus_delta_is_cutoff(self):
         # unconstrained min over P of D(P||QxQ) + Delta_{1/2}(P) equals R0
-        from trellisexp.types_opt import _tilted_type
+        from trellisexp.exponents import _PairTable
         rng = np.random.default_rng(53)
         for _ in range(5):
             dmc, q = random_channel(rng, j=2)
+            table = _PairTable(dmc, q)
             best = math.inf
             for rho in np.geomspace(0.05, 50.0, 400):
-                p = JointType(_tilted_type(dmc, q, rho))
+                p = JointType(table.tilted(1 / rho))
                 best = min(best, divergence_qq(p, q) + delta_s(p, dmc, 0.5))
             assert best == pytest.approx(cutoff_rate(dmc, q), abs=1e-6)
 
