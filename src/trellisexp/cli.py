@@ -22,6 +22,7 @@ and print (`curve --units` overrides it).  All curve output is CSV with the fixe
 """
 
 import argparse
+import functools
 import json
 import math
 import statistics
@@ -164,19 +165,27 @@ def cmd_curve(args) -> int:
             errors.append(None)
         except RateOutOfRange as e:
             errors.append(e)
-    # one call per kind on the sorted distinct valid rates; rows keep the
-    # order of the requested grid, which may repeat or decrease
+    # one solve per base kind on the sorted distinct valid rates; an rtimes_
+    # row is its base row's value times the rate, the product exponent_curve
+    # forms.  Rows keep the order of the requested grid, which may repeat or
+    # decrease.
     grid = np.unique(rates[[e is None for e in errors]])
+    at = np.searchsorted(grid, rates)
+    curves = {}
     sys.stdout.write("rate,kind,value,rho,s\n")
     failed = 0
     for kind in kinds:
-        points = exponents.exponent_curve(kind, spec.dmc, spec.q, grid).points
-        for rate, e in zip(rates, errors):
+        base = kind.removeprefix("rtimes_")
+        if base not in curves:
+            curves[base] = exponents.exponent_curve(base, spec.dmc, spec.q, grid).points
+        for rate, e, i in zip(rates, errors, at):
             if e is not None:
                 sys.stderr.write(f"error: kind={kind} rate={_fmt(rate / scale)}: {e}\n")
                 failed += 1
                 continue
-            r, value, rho = points[np.searchsorted(grid, rate)]
+            r, value, rho = curves[base][i]
+            if kind != base:
+                value *= r
             sys.stdout.write(f"{_fmt(r / scale)},{kind},{_fmt(value / scale)},"
                              f"{_fmt(rho)},\n")
     return 1 if failed else 0
@@ -284,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list from " + ",".join(CURVE_KINDS))
     c.add_argument("--rmin", type=float, required=True)
     c.add_argument("--rmax", type=float, required=True)
-    c.add_argument("--points", type=int, default=50)
+    c.add_argument("--points", type=_positive_int, default=50)
     c.add_argument("--units", choices=("nats", "bits"), default=None,
                    help="units of the rates and values (default: the spec's)")
     c.set_defaults(func=cmd_curve)
@@ -314,8 +323,16 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser():
+    """The parser of `main`, built once per process: a parser is a cyclic
+    graph of about 46 KiB that only the cyclic garbage collector frees, so
+    one per call piles up between collections when `main` runs in-process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ChannelSpecError as e:

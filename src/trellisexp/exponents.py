@@ -82,12 +82,31 @@ class _PairTable:
 
     def g(self, r):
         """G(r) - 2 rhat0, with G(r) = Ex(1/r)/(1/r) increasing from
-        G(0) = 2 rhat0 to G(1) = R0."""
-        return -np.log1p(np.sum(self.weights * np.expm1(r * self.log_z)))
+        G(0) = 2 rhat0 to G(1) = R0.  An array of r gives the array of
+        values, each the same float as the scalar call."""
+        return -np.log1p(np.sum(self.weights * np.expm1(np.multiply.outer(r, self.log_z)),
+                                axis=-1))
 
     def ex(self, rho):
         """Ex(rho) = rho G(1/rho), with Ex(0) = 0."""
         return rho * (self.g(1.0 / rho) + 2 * self.rhat0) if rho > 0 else 0.0
+
+    def rho(self, kind, rates):
+        """rho of the cex or trtc equation at each rate of an array, inf
+        where there is no root (see `solve_rho`).  In r = 1/rho on [0, 1],
+        from the edge: cex is g(r) = R - 2 rhat0 and trtc is
+        g(r) = (2 - r)(R - rhat0) - r rhat0."""
+        rates = np.asarray(rates, dtype=float)
+        if kind == "cex":
+            target = rates - 2 * self.rhat0
+            f = lambda r: self.g(r) - target
+        else:
+            gap = rates - self.rhat0
+            f = lambda r: self.g(r) - ((2 - r) * gap - r * self.rhat0)
+        r = _unit_roots(f, rates.size)
+        rho = np.full(rates.size, np.inf)
+        np.divide(1.0, r, out=rho, where=r > 0)
+        return rho
 
     def tilted(self, r):
         """Joint type P_r proportional to QQ' Z^r on the Z > 0 pairs, 0
@@ -173,9 +192,10 @@ def _argmax_concave(f, lo, hi=None, xatol=1e-10):
 def _unit_root(f):
     """Root in [0, 1] of an f that crosses zero at most once, upward.
 
-    The one root finder of the cex/trtc solves and `memory.extended_exponent`
-    (in r = 1/rho), of the rtc solve (in rho) and of
-    `types_opt.z_of_rhat_direct` (in t = r/(1 + r)).
+    The root finder of `memory.extended_exponent` (in r = 1/rho), of the
+    rtc solve (in rho), of `types_opt.z_of_rhat_direct` (in t = r/(1 + r))
+    and of one-rate cex/trtc solves (in r = 1/rho), which `_unit_roots`
+    hands it.
     Returns 1 when f(1) <= 0 (the root lies at or beyond 1) and 0 when
     f(0) >= 0 (for r = 1/rho: no root, rho is unbounded); brentq finds it
     otherwise.  f is evaluated once at each end: brentq opens with f(0) and
@@ -196,6 +216,72 @@ def _unit_root(f):
                                  maxiter=2000)
 
 
+def _unit_roots(f, n):
+    """`_unit_root` for n functions at once, with the same roots.
+
+    f maps r, an array of n points or one point for all n, to the n values
+    f_i(r_i); each f_i crosses zero at most once, upward.  The ends follow
+    `_unit_root`: 1 where f(1) <= 0 and 0 where f(0) >= 0.  The open
+    brackets are solved together by an element-wise port of scipy's brentq
+    (Brent 1973, *Algorithms for Minimization without Derivatives*, ch. 4)
+    with `_unit_root`'s tolerances, so each element takes the iterates of a
+    scalar brentq call and its root is the same float.  Each step is one
+    evaluation of f on all n points, the solved ones held at their roots.
+    One element is handed to `_unit_root`, whose scalar steps cost less
+    than array steps of one.
+    """
+    if n == 1:
+        return np.array([_unit_root(lambda r: f(r)[0])])
+    f1, f0 = f(1.0), f(0.0)
+    roots = np.where(f1 <= 0, 1.0, 0.0)
+    idx = np.flatnonzero((f1 > 0) & (f0 < 0))  # the open brackets
+    xtol, rtol = 1e-300, 4 * np.finfo(float).eps
+    # brentq's state for the open elements: the previous iterate, the
+    # current one, the far end of the bracket and the last two steps
+    xpre, xcur, fpre, fcur = np.zeros(idx.size), np.ones(idx.size), f0[idx], f1[idx]
+    xblk, fblk, spre, scur = xpre, fpre, xcur, xcur  # the first bracket is [0, 1]
+    for _ in range(2000):
+        if not idx.size:
+            return roots
+        flip = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
+        xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
+        spre, scur = np.where(flip, xcur - xpre, spre), np.where(flip, xcur - xpre, scur)
+        swap = np.abs(fblk) < np.abs(fcur)
+        xpre, xcur, xblk = (np.where(swap, xcur, xpre), np.where(swap, xblk, xcur),
+                            np.where(swap, xcur, xblk))
+        fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
+                            np.where(swap, fcur, fblk))
+        delta = (xtol + rtol * np.abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        done = (fcur == 0) | (np.abs(sbis) < delta)
+        if done.any():
+            roots[idx[done]] = xcur[done]
+            keep = ~done
+            idx, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (
+                a[keep] for a in (idx, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur,
+                                  delta, sbis))
+        # inverse quadratic interpolation, or the secant where only two
+        # points are distinct; lanes that bisect may divide by zero
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            stry = np.where(xpre == xblk, -fcur * (xcur - xpre) / (fcur - fpre),
+                            -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre)))
+        good = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+                & (2 * np.abs(stry) < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta)))
+        spre, scur = np.where(good, scur, sbis), np.where(good, stry, sbis)
+        xpre, fpre = xcur, fcur
+        xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
+        x = roots.copy()
+        x[idx] = xcur
+        fcur = f(x)[idx]
+        if np.isnan(fcur).any():
+            raise ValueError("f is NaN inside the bracket; the root cannot be found")
+    if idx.size:
+        raise RuntimeError("brentq failed to converge after 2000 iterations")
+    return roots
+
+
 def check_rate(rate: float, r0: float) -> None:
     """The rate rule of every exponent route: 0 < R < R0 + RATE_TOL, so that
     a rate that rounds onto R0 is accepted; NaN fails."""
@@ -210,7 +296,7 @@ def solve_rho(curve_kind: str, dmc: Dmc, q: InputDist, rate: float) -> RhoValue:
     trtc: R = Ex(rho)/(2 rho - 1), rho >= 1
     rtc : R = E0(rho)/rho for R0(Q) < R < I(Q;W), rho in (0, 1)
 
-    cex and trtc are solved in r = 1/rho on [0, 1] by `_unit_root`.  With
+    cex and trtc are solved in r = 1/rho on [0, 1] by `_PairTable.rho`.  With
     G(r) = -ln sum_{Z > 0} QQ' Z^r, increasing from G(0) = 2 rhat0
     (rhat0 = -1/2 ln QxQ(Z > 0)) to G(1) = R0, Ex(rho) = G(r)/r, so cex
     reads G(r) = R and trtc reads G(r) = (2 - r) R.  Both are solved from
@@ -227,7 +313,9 @@ def solve_rho(curve_kind: str, dmc: Dmc, q: InputDist, rate: float) -> RhoValue:
     (R0, I) raises RateOutOfRange.
     """
     if curve_kind in ("cex", "trtc"):
-        return _solve_rho(curve_kind, _PairTable(dmc, q), rate)
+        table = _PairTable(dmc, q)
+        check_rate(rate, table.r0)
+        return RhoValue(float(table.rho(curve_kind, [rate])[0]))
     if curve_kind != "rtc":
         raise ValueError(f"unknown curve kind {curve_kind!r}")
     r0 = cutoff_rate(dmc, q)
@@ -256,47 +344,37 @@ def solve_rho(curve_kind: str, dmc: Dmc, q: InputDist, rate: float) -> RhoValue:
     return RhoValue(rho)
 
 
-def _solve_rho(curve_kind: str, table: _PairTable, rate: float) -> RhoValue:
-    """`solve_rho` for cex and trtc on the pair table of (W, Q)."""
-    check_rate(rate, table.r0)
-    if curve_kind == "cex":
-        f = lambda r: table.g(r) - (rate - 2 * table.rhat0)
-    else:
-        gap = rate - table.rhat0
-        f = lambda r: table.g(r) - ((2 - r) * gap - r * table.rhat0)
-    r = _unit_root(f)
-    return RhoValue(1.0 / r if r > 0 else np.inf)
-
-
 def exponent_curve(kind: str, dmc: Dmc, q: InputDist, rate_grid) -> ExponentCurve:
     """Evaluate one exponent curve (or its R-times variant) on a rate grid.
 
-    cex and trtc values are Ex(rho)/R = G(1/rho)/(R/rho) at the root of
-    `solve_rho`, exact to rounding there (rho for cex, 2 rho - 1 for trtc).
-    One pair table of (W, Q) serves every rate of the grid.
-    A point where the root does not exist has value inf and rho inf.
+    cex and trtc values are Ex(rho)/R = rho G(1/rho)/R at the roots of
+    `_PairTable.rho`, exact to rounding there (rho for cex, 2 rho - 1 for
+    trtc).  One pair table of (W, Q) and one vectorised root solve serve
+    the whole grid.  A point where the root does not exist has value inf
+    and rho inf.  The grid is one-dimensional and strictly increasing.
     """
     if kind not in CURVE_KINDS:
         raise ValueError(f"unknown curve kind {kind!r}")
     rates = np.asarray(rate_grid, dtype=float)
-    if rates.size > 1 and np.any(np.diff(rates) <= 0):
+    if rates.ndim != 1:
+        raise ValueError(f"rate grid must be one-dimensional, got shape {rates.shape}")
+    if np.any(np.diff(rates) <= 0):
         raise ValueError("rate grid must be strictly increasing")
     base = kind.removeprefix("rtimes_")
-    times_r = kind.startswith("rtimes_")
     table = _PairTable(dmc, q)
-    r0 = table.r0
-    points = []
     for rate in rates:
-        check_rate(rate, r0)
-        if base == "rtc":
-            value, rho = r0 / rate, None
-        else:
-            rho = _solve_rho(base, table, rate).rho
-            value = table.ex(rho) / rate if rho < np.inf else np.inf
-        if times_r:
-            value *= rate
-        points.append((float(rate), float(value), rho))
-    return ExponentCurve(kind, points)
+        check_rate(rate, table.r0)
+    if base == "rtc":
+        values, rhos = table.r0 / rates, [None] * rates.size
+    else:
+        rho = table.rho(base, rates)
+        values = np.full(rates.size, np.inf)
+        fin = rho < np.inf
+        values[fin] = rho[fin] * (table.g(1.0 / rho[fin]) + 2 * table.rhat0) / rates[fin]
+        rhos = rho.tolist()
+    if kind != base:
+        values = values * rates
+    return ExponentCurve(kind, list(zip(rates.tolist(), values.tolist(), rhos)))
 
 
 def costello_form_cex(dmc: Dmc, q: InputDist, rate: float) -> float:

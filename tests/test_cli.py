@@ -166,7 +166,7 @@ class TestCurve:
         rc, out, _ = run(["curve", "--channel", BSC, "--kinds", ",".join(CURVE_KINDS),
                           "--rmin", "0.01", "--rmax", "0.2", "--points", "20"])
         assert rc == 0 and len(out.strip().split("\n")) == 1 + 6 * 20
-        assert len(built) <= 7  # R0 once, then one table per kind
+        assert len(built) <= 4  # R0 once, then one table per base kind
 
     @pytest.mark.parametrize("rmin,rmax", [("0.15", "0.05"), ("0.1", "0.1")])
     def test_decreasing_and_repeated_grids(self, rmin, rmax):
@@ -192,6 +192,20 @@ class TestCurve:
             assert rc == want_rc
             assert len(out.strip().split("\n")) == (3 if want_rc == 0 else 1)
             assert err.count("error:") == (0 if want_rc == 0 else 2)
+
+
+def test_parser_built_once_per_process(monkeypatch):
+    from trellisexp import cli
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert run(["dominant", "--channel", BSC, "--rate", "0.1"])[0] == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
 
 
 class TestInvalidChannelValues:
@@ -308,6 +322,7 @@ class TestAudit:
 
 AUDIT = ["audit", "--channel", BSC, "--m", "1", "--n", "2", "--epsilon", "0.3",
          "--seed", "1"]
+CURVE = ["curve", "--channel", BSC, "--kinds", "trtc", "--rmin", "0.05", "--rmax", "0.1"]
 SIMULATE = ["simulate", "--channel", BSC, "--m", "1", "--n", "2", "--seed", "1"]
 
 
@@ -333,6 +348,8 @@ class TestBadEnsembleArguments:
         SIMULATE + ["--k", "2", "--blocks", "0"],
         SIMULATE + ["--k", "2", "--trials", "0"],
         SIMULATE + ["--k", "2", "--trials", "-5"],
+        CURVE + ["--points", "0"],
+        CURVE + ["--points", "-3"],
     ])
     def test_count_below_one_is_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -248,6 +248,82 @@ class TestUnitRoot:
                            maxiter=2000)
 
 
+W3 = (Dmc([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [0.0, 0.5, 0.5]]),
+      InputDist([1 / 3, 1 / 3, 1 / 3]))
+
+
+def _root_channels(bsc01, uniform2, asym3):
+    rng = np.random.default_rng(11)
+    return [(bsc01, uniform2), asym3, W3] + [random_channel(rng, j=3, ny=3)
+                                             for _ in range(4)]
+
+
+class TestUnitRoots:
+    """The array form `_unit_roots` against the scalar `_unit_root`."""
+
+    @staticmethod
+    def _equations(table, kind, rates):
+        """The cex or trtc equation of `_PairTable.rho`, for an array of
+        rates and for one rate."""
+        if kind == "cex":
+            return (lambda r: table.g(r) - (rates - 2 * table.rhat0),
+                    lambda rate: lambda r: table.g(r) - (rate - 2 * table.rhat0))
+        return (lambda r: table.g(r) - ((2 - r) * (rates - table.rhat0) - r * table.rhat0),
+                lambda rate: lambda r: table.g(r) - ((2 - r) * (rate - table.rhat0)
+                                                      - r * table.rhat0))
+
+    @pytest.mark.parametrize("kind", ["cex", "trtc"])
+    def test_bit_identical_to_scalar_roots(self, kind, bsc01, uniform2, asym3):
+        # rates from 1e-300 to past R0: roots clamped at 1 (R >= R0),
+        # unbounded ones at 0 (R <= rhat0 for trtc, R <= 2 rhat0 for cex,
+        # which the appended rhat0 = 0 of most channels gives) and interior ones
+        from trellisexp.exponents import _PairTable, _unit_root, _unit_roots
+        for dmc, q in _root_channels(bsc01, uniform2, asym3):
+            table = _PairTable(dmc, q)
+            rates = np.concatenate([np.geomspace(1e-300, 1e-3, 60),
+                                    np.linspace(2e-3, 1.2, 90)]) * table.r0
+            rates = np.append(rates, [table.rhat0, 2 * table.rhat0, table.r0])
+            vector, scalar = self._equations(table, kind, rates)
+            got = _unit_roots(vector, rates.size)
+            want = [_unit_root(scalar(rate)) for rate in rates]
+            assert got.tolist() == want
+            assert {0.0, 1.0} < set(want)  # both clamps and interior roots
+
+    def test_one_and_no_element(self, bsc01, uniform2):
+        from trellisexp.exponents import _PairTable, _unit_root, _unit_roots
+        table = _PairTable(bsc01, uniform2)
+        rates = np.array([0.1])
+        vector, scalar = self._equations(table, "trtc", rates)
+        assert _unit_roots(vector, 1).tolist() == [_unit_root(scalar(0.1))]
+        vector, _ = self._equations(table, "trtc", np.zeros(0))
+        assert _unit_roots(vector, 0).shape == (0,)
+
+    def test_g_on_an_array_equals_scalar_calls(self, bsc01, uniform2, asym3):
+        from trellisexp.exponents import _PairTable
+        r = np.concatenate([np.geomspace(1e-300, 1.0, 40), np.linspace(0, 1, 41)])
+        for dmc, q in _root_channels(bsc01, uniform2, asym3):
+            table = _PairTable(dmc, q)
+            assert table.g(r).tolist() == [table.g(x) for x in r]
+
+    @pytest.mark.parametrize("kind", ["cex", "trtc"])
+    def test_few_g_evaluations(self, kind, monkeypatch, bsc01, uniform2, asym3):
+        # one array evaluation of G per Brent step for the whole grid
+        from trellisexp import exponents
+        calls = []
+
+        class Counting(exponents._PairTable):
+            def g(self, r):
+                calls.append(r)
+                return super().g(r)
+
+        monkeypatch.setattr(exponents, "_PairTable", Counting)
+        for dmc, q in ((bsc01, uniform2), asym3, W3):
+            r0 = cutoff_rate(dmc, q)
+            calls.clear()
+            exponent_curve(kind, dmc, q, np.linspace(0.05, 0.95, 200) * r0)
+            assert len(calls) <= 20
+
+
 class TestExponentCurve:
     def test_rtimes_rtc_constant(self, bsc01, uniform2):
         r0 = cutoff_rate(bsc01, uniform2)
@@ -305,6 +381,11 @@ class TestExponentCurve:
             exponent_curve("trtc", bsc01, uniform2, [0.2, 0.1])
         with pytest.raises(RateOutOfRange):
             exponent_curve("trtc", bsc01, uniform2, [0.3])
+
+    @pytest.mark.parametrize("grid", [0.1, [[0.05, 0.1]]])
+    def test_grid_not_one_dimensional(self, grid, bsc01, uniform2):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            exponent_curve("trtc", bsc01, uniform2, grid)
 
 
 class TestCostelloForm:
