@@ -37,7 +37,6 @@ from .types_opt import (
 )
 from .memory import (
     MarkovChannel,
-    TiltedMatrix,
     build_tilted,
     extended_cutoff,
     extended_exponent,

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import PROB_ATOL, NegativeEntry, NonStochasticRow
+from .channels import PROB_ATOL, InputDist, NegativeEntry, NonStochasticRow
 from .exponents import _argmax_concave, _unit_root, check_rate
 
 S_MAX = 8.0  # upper end of the search over the Chernoff parameter s
@@ -28,7 +28,9 @@ class MarkovChannel:
     `w` has shape (J, J, Y) indexed [x, x_prev, y].  For lifted channels,
     `allowed[x, x_prev]` masks inconsistent symbol transitions and
     `newest[x]` maps a lifted symbol to the base-alphabet symbol it reveals
-    (the component that carries the Q-weight in the pair chain).
+    (the component that carries the Q-weight in the pair chain).  An
+    `allowed` that is not (J, J), or a `newest` that is not (J,) or has a
+    negative entry, raises ValueError.
     """
 
     w: np.ndarray
@@ -43,6 +45,8 @@ class MarkovChannel:
         j = w.shape[0]
         allowed = self.allowed
         allowed = np.ones((j, j), bool) if allowed is None else np.asarray(allowed, bool)
+        if allowed.shape != (j, j):
+            raise ValueError(f"allowed must have shape ({j}, {j}), got {allowed.shape}")
         wt = w if self.w_tilde is None else np.asarray(self.w_tilde, dtype=float)
         if wt.shape != w.shape:
             raise ValueError("w_tilde shape differs from w")
@@ -54,6 +58,9 @@ class MarkovChannel:
             raise NonStochasticRow("some allowed (x, x_prev) row does not sum to 1")
         newest = self.newest
         newest = np.arange(j) if newest is None else np.asarray(newest, int)
+        if newest.shape != (j,) or np.any(newest < 0):
+            raise ValueError(f"newest must map each of the {j} symbols to a base symbol "
+                             f">= 0, got {newest.tolist()}")
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "w_tilde", wt)
         object.__setattr__(self, "allowed", allowed)
@@ -73,13 +80,6 @@ def memoryless_lift(dmc_w) -> MarkovChannel:
     w = np.asarray(getattr(dmc_w, "w", dmc_w), dtype=float)
     j = w.shape[0]
     return MarkovChannel(np.broadcast_to(w[:, None, :], (j, j, w.shape[1])).copy())
-
-
-@dataclass(frozen=True)
-class TiltedMatrix:
-    a: np.ndarray  # (J^2, J^2), rows (x, x'), columns (x_prev, x_prev')
-    s: float
-    r: float
 
 
 def markov_chernoff(ch: MarkovChannel, x, xm, xp, xpm, s: float) -> float:
@@ -125,71 +125,71 @@ def _distance_tensor(ch: MarkovChannel, s: float) -> np.ndarray:
         return -np.log(total)
 
 
-def _tilted_family(ch: MarkovChannel, q, s: float):
-    """Builder r -> A_s(r) of the tilted pair-chain matrix, entries
-    Q Q' e^{-r d_s} masked, with the s-dependent distance tensor computed once.
+class _PairChain:
+    """The tilted pair chain of one (channel, Q, s).
 
-    `q` is the input distribution over the base alphabet; lifted symbols are
-    weighted by the Q-probability of their newest component.
+    A_s(r) has rows (x, x'), columns (x_prev, x_prev') and entries
+    Q Q' e^{-r d_s} on the allowed transition pairs; G_s(r) = -ln lambda_s(r)
+    is concave in r and in s (Kingman's convexity of the log spectral
+    radius).  The s-dependent distances and the masked QQ' weights, which
+    are also 0 on pairs at distance +inf, are built once; `matrix(r)` is
+    A_s(r) and `g(r)` is G_s(r).  `q` is the input distribution over the
+    base alphabet (ValueError unless it has one entry per base symbol);
+    lifted symbols are weighted by the Q-probability of their newest
+    component.
     """
-    qv = np.asarray(getattr(q, "q", q), dtype=float)
-    j = ch.num_symbols
-    qn = qv[ch.newest]
-    # rows (x, x'), columns (xm, xm')
-    d = np.transpose(_distance_tensor(ch, s), (0, 2, 1, 3))
-    qq = qn[:, None, None, None] * qn[None, :, None, None]
-    mask = (ch.allowed[:, None, :, None] & ch.allowed[None, :, None, :])
-    inf_d = np.isinf(d) & (d > 0)
 
-    def build(r):
+    def __init__(self, ch: MarkovChannel, q, s: float):
+        qv = (q if isinstance(q, InputDist) else InputDist(q)).q
+        if qv.shape != (ch.newest.max() + 1,):
+            raise ValueError(f"q must hold one probability per base symbol, "
+                             f"{ch.newest.max() + 1} here; got shape {qv.shape}")
+        qn, n = qv[ch.newest], ch.num_symbols ** 2
+        d = np.transpose(_distance_tensor(ch, s), (0, 2, 1, 3)).reshape(n, n)
+        # a pair at distance +inf carries weight 0, also at r = 0: A_s(0) is
+        # the limit r -> 0+
+        inf_d = np.isinf(d) & (d > 0)
+        self.d = np.where(inf_d, 0.0, d)
+        mask = (ch.allowed[:, None, :, None] & ch.allowed[None, :, None, :]).reshape(n, n)
+        self.weights = np.where(mask & ~inf_d, np.outer(qn, qn).reshape(n, 1), 0.0)
+
+    def matrix(self, r: float) -> np.ndarray:
         if r < 0:
             raise ValueError(f"r must be >= 0, got {r}")
-        with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf at r = 0
-            ent = np.exp(np.clip(-r * d, -745.0, 700.0))
-        ent[inf_d] = 0.0  # also at r = 0: A_s(0) is the limit r -> 0+
-        a = np.where(mask, qq * ent, 0.0)
-        return TiltedMatrix(a.reshape(j * j, j * j), s, r)
+        with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf where d = -inf
+            return self.weights * np.exp(np.clip(-r * self.d, -745.0, 700.0))
 
-    return build
-
-
-def build_tilted(ch: MarkovChannel, q, s: float, r: float) -> TiltedMatrix:
-    """Tilted pair-chain matrix A_s(r) with entries Q Q' e^{-r d_s}, masked."""
-    return _tilted_family(ch, q, s)(r)
+    def g(self, r: float) -> float:
+        lam = perron_frobenius(self.matrix(r))
+        return -np.log(lam) if lam > 0 else np.inf
 
 
-def perron_frobenius(tm: TiltedMatrix) -> float:
-    """Spectral radius of the nonnegative tilted matrix (its Perron root),
+def build_tilted(ch: MarkovChannel, q, s: float, r: float) -> np.ndarray:
+    """Tilted pair-chain matrix A_s(r), (J^2, J^2), with entries Q Q' e^{-r d_s},
+    masked: rows (x, x'), columns (x_prev, x_prev')."""
+    return _PairChain(ch, q, s).matrix(r)
+
+
+def perron_frobenius(a: np.ndarray) -> float:
+    """Spectral radius of a nonnegative square matrix (its Perron root),
     from one dense eigenvalue solve; periodic and reducible masks are fine."""
-    return float(np.max(np.abs(np.linalg.eigvals(tm.a))))
+    return float(np.max(np.abs(np.linalg.eigvals(a))))
 
 
 def g_s(ch: MarkovChannel, q, s: float, r: float) -> float:
     """Rate-function generator G_s(r) = -ln lambda_s(r) in nats."""
-    return _generator(ch, q, s)(r)
-
-
-def _generator(ch: MarkovChannel, q, s: float):
-    """G_s as a function of r, for one s.  G_s(r) is concave in r and in s
-    (Kingman's convexity of the log spectral radius)."""
-    build = _tilted_family(ch, q, s)
-
-    def g(r):
-        lam = perron_frobenius(build(r))
-        return -np.log(lam) if lam > 0 else np.inf
-
-    return g
+    return _PairChain(ch, q, s).g(r)
 
 
 def f_s(ch: MarkovChannel, q, s: float, d: float) -> float:
     """Large-deviations rate function F_s(d) = sup_{r >= 0} [G_s(r) - r d]."""
-    g = _generator(ch, q, s)
+    g = _PairChain(ch, q, s).g
     return max(0.0, float(_argmax_concave(lambda r: g(r) - r * d, 0.0)[1]))
 
 
 def extended_cutoff(ch: MarkovChannel, q) -> float:
     """Extended cutoff rate sup_{s >= 0} G_s(1), concave in s, over [0, S_MAX]."""
-    return float(_argmax_concave(lambda s: g_s(ch, q, s, 1.0), 0.0, S_MAX,
+    return float(_argmax_concave(lambda s: _PairChain(ch, q, s).g(1.0), 0.0, S_MAX,
                                  xatol=1e-8)[1])
 
 
@@ -203,10 +203,12 @@ def extended_exponent(ch: MarkovChannel, q, rate: float):
     [0, 1] by `_unit_root`: G_s(r) = (2 - r) R, value G_s(r)/(r R).  Where
     no root rho >= 1 exists the objective takes its continuous extension
     G_s(1)/R (rho = 1); it is inf exactly when G_s(0) >= 2R (no root).
-    rho is read off the maximised value, not solved again at s*: at an
-    interior root the value is (2 - r)/r = 2 rho - 1, where the root clamps
-    at r = 1 the value G_s(1)/R is at most 1, so rho = max(1, (1 + value)/2),
-    which is also inf where the value is.
+    Each s's value is read off the equation its root solves, so an
+    interior root costs no further eigenvalue solve: (2 - r)/r = 2 rho - 1
+    at an interior root, G_s(1)/R (at most 1) where the root clamps at
+    r = 1 and inf at r = 0.  rho is read off the maximised value, not
+    solved again at s*: rho = max(1, (1 + value)/2), which is also inf
+    where the value is.
     The rate rule R < R0_ext (`extended_cutoff`) is read off the same
     search: R >= R0_ext clamps every s at r = 1, so the maximum is
     max_s G_s(1)/R = R0_ext/R <= 1, while R < R0_ext gives a maximum
@@ -218,9 +220,13 @@ def extended_exponent(ch: MarkovChannel, q, rate: float):
         # rho G_s(1/rho) is the perspective of a concave function, so
         # G_s(r) - (2 - r) R = [rho G_s(1/rho) - (2 rho - 1) R] / rho crosses
         # zero at most once on (0, 1], upward
-        g = _generator(ch, q, s)
+        g = _PairChain(ch, q, s).g
         r = _unit_root(lambda r: g(r) - (2 - r) * rate)
-        return g(r) / (r * rate) if r > 0 else np.inf
+        value = g(1.0) / rate if r == 1 else (2 - r) / r if r > 0 else np.inf
+        # brentq leaves the function it was given in a reference cycle until
+        # the next cyclic collection; emptying the cell frees this s's chain now
+        del g
+        return value
 
     s_star, best = _argmax_concave(value_at, 0.0, S_MAX, xatol=1e-6)
     if best <= 1:

@@ -10,6 +10,7 @@ Everything is a deterministic function of (config, seed): randomness comes
 from counter-based Philox streams keyed by (seed, code index, purpose).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -379,20 +380,22 @@ class PairTypeTable:
             self.ls.tolist(), self.counts.tolist(), self.multiplicities.tolist())}
 
 
+@functools.cache
 def _deviation_patterns(l, k, m):
     """Input-difference patterns (d_0, ..., d_l) over the l+1 free branches
     of an incorrect path that remerges exactly after k+l branches: d_0 and
     d_l nonzero, and the state bits of windows 1..l nonzero (the paths
     disagree at nodes 1..l; d_l != 0 keeps them apart up to node k+l-1).
-    At k = 1 the state is empty, so only l = 0 has patterns.  Listed with
-    d_0 as the least significant base-2^m digit."""
+    At k = 1 the state is empty, so only l = 0 has patterns.  A tuple of
+    tuples with d_0 as the least significant base-2^m digit, built once per
+    (l, k, m) and shared by every code."""
     if k == 1 and l > 0:
-        return []
+        return ()
     cfg = EnsembleConfig(m=m, n=1, k=k, L=1)
     seqs = _digits(np.arange(1 << m * (l + 1)), m, l + 1)[:, ::-1]
     states = _block_windows(seqs, cfg)[:, 1:] & (cfg.num_states - 1)
     keep = (seqs[:, 0] != 0) & (seqs[:, -1] != 0) & np.all(states != 0, axis=1)
-    return list(map(tuple, seqs[keep].tolist()))
+    return tuple(map(tuple, seqs[keep].tolist()))
 
 
 def _key_layout(cells, total):
@@ -558,8 +561,7 @@ class TypicalityReport:
         return len(self.violations) == 0
 
 
-def typicality_check(code: TrellisCode, q, epsilon: float, l_max: int,
-                     table: PairTypeTable = None) -> TypicalityReport:
+def typicality_check(code: TrellisCode, q, epsilon: float, l_max: int) -> TypicalityReport:
     """Check the two enumerator conditions for one code at slack epsilon.
 
     epsilon is a base-2 exponent slack per channel use, matching the
@@ -583,8 +585,7 @@ def typicality_check(code: TrellisCode, q, epsilon: float, l_max: int,
         raise ValueError(f"q must hold one probability per code symbol, {code.j} "
                          f"here; got shape {qv.shape}")
     cfg = code.cfg
-    if table is None:
-        table = enumerate_pair_types(code, l_max)
+    table = enumerate_pair_types(code, l_max)
     ls, counts, observed = table.ls, table.counts, table.multiplicities
     if not len(ls):
         return TypicalityReport(epsilon, ())

@@ -8,7 +8,6 @@ from trellisexp.exponents import RateOutOfRange, cutoff_rate, expurgated_ex
 from trellisexp.memory import (
     MarkovChannel,
     MetricZeroInRatio,
-    TiltedMatrix,
     build_tilted,
     extended_cutoff,
     extended_exponent,
@@ -26,6 +25,19 @@ from conftest import random_channel
 @pytest.fixture(scope="module")
 def lifted_bsc(bsc01):
     return memoryless_lift(bsc01)
+
+
+@pytest.fixture(scope="module")
+def isi():
+    """Binary channel whose flip probability is 0.05 after input 0 and 0.15
+    after input 1."""
+    w = np.empty((2, 2, 2))
+    for x in range(2):
+        for xm in range(2):
+            p = 0.05 if xm == 0 else 0.15
+            w[x, xm, x] = 1 - p
+            w[x, xm, 1 - x] = p
+    return MarkovChannel(w)
 
 
 class TestMarkovChannel:
@@ -55,6 +67,22 @@ class TestMarkovChannel:
 
     def test_matched_default(self, lifted_bsc):
         assert lifted_bsc.matched
+
+    BAD_INPUTS = {
+        "q_longer_than_base": lambda ch: extended_exponent(ch, [0.5, 0.3, 0.2], 0.1),
+        "q_zero_padded": lambda ch: extended_exponent(ch, [0.6, 0.4, 0.0], 0.1),
+        "q_sums_below_one": lambda ch: extended_exponent(ch, [0.7, 0.2], 0.1),
+        "q_sums_above_one": lambda ch: extended_cutoff(ch, [1.0, 0.5]),
+        "q_negative": lambda ch: g_s(ch, [1.5, -0.5], 0.5, 1.0),
+        "newest_negative": lambda ch: MarkovChannel(ch.w, newest=[-1, 0]),
+        "newest_wrong_length": lambda ch: MarkovChannel(ch.w, newest=[0, 1, 0]),
+        "allowed_wrong_shape": lambda ch: MarkovChannel(ch.w, allowed=np.ones((3, 3))),
+    }
+
+    @pytest.mark.parametrize("call", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+    def test_rejects_bad_q_and_lift_fields(self, lifted_bsc, call):
+        with pytest.raises(ValueError):
+            call(lifted_bsc)
 
     def test_two_state_isi(self):
         # binary channel whose flip probability depends on the previous input
@@ -108,24 +136,24 @@ class TestTiltedMatrix:
     def test_memoryless_lift_bsc_pattern(self, lifted_bsc, uniform2):
         tm = build_tilted(lifted_bsc, uniform2, s=0.5, r=1.0)
         # all columns identical; column sums 0.8 (entries 1/4 * {1, 0.6, 0.6, 1})
-        assert np.allclose(tm.a, tm.a[:, :1], atol=1e-12)
-        assert np.allclose(tm.a.sum(axis=0), 0.8, atol=1e-12)
+        assert np.allclose(tm, tm[:, :1], atol=1e-12)
+        assert np.allclose(tm.sum(axis=0), 0.8, atol=1e-12)
 
     def test_r_zero_gives_qq(self, lifted_bsc, uniform2):
         tm = build_tilted(lifted_bsc, uniform2, s=0.5, r=0.0)
-        assert np.allclose(tm.a, 0.25, atol=1e-12)
+        assert np.allclose(tm, 0.25, atol=1e-12)
 
     def test_r_zero_is_right_limit(self):
         # inputs 0 and 1 have disjoint output supports: their pair rows carry
         # e^{-r inf} = 0 for r > 0, and so must A_s(0)
         ch = memoryless_lift(Dmc([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [0.0, 0.5, 0.5]]))
         q = np.full(3, 1 / 3)
-        a = build_tilted(ch, q, s=0.5, r=0.0).a
+        a = build_tilted(ch, q, s=0.5, r=0.0)
         dead = np.zeros((3, 3), bool)
         dead[0, 1] = dead[1, 0] = True
         assert np.all(a[dead.ravel()] == 0.0)
         assert np.allclose(a[~dead.ravel()], 1 / 9, atol=1e-15)
-        assert np.allclose(a, build_tilted(ch, q, s=0.5, r=1e-12).a, atol=1e-12)
+        assert np.allclose(a, build_tilted(ch, q, s=0.5, r=1e-12), atol=1e-12)
 
     def test_masked_lift_zero_pattern(self, bsc01):
         w2 = np.broadcast_to(bsc01.w[:, None, None, :], (2, 2, 2, 2)).copy()
@@ -133,7 +161,7 @@ class TestTiltedMatrix:
         tm = build_tilted(lifted, [0.5, 0.5], s=0.5, r=1.0)
         mask = (lifted.allowed[:, None, :, None]
                 & lifted.allowed[None, :, None, :]).reshape(16, 16)
-        assert np.all((tm.a > 0) == mask)
+        assert np.all((tm > 0) == mask)
 
 
 class TestPerronFrobenius:
@@ -142,7 +170,7 @@ class TestPerronFrobenius:
         assert perron_frobenius(tm) == pytest.approx(0.8, abs=1e-10)
 
     def test_diagonal(self):
-        tm = TiltedMatrix(np.diag([0.3, 0.3, 0.3]), 0.5, 1.0)
+        tm = np.diag([0.3, 0.3, 0.3])
         assert perron_frobenius(tm) == pytest.approx(0.3, abs=1e-12)
 
     def test_2x2_quadratic_oracle(self):
@@ -150,7 +178,7 @@ class TestPerronFrobenius:
         for _ in range(20):
             a, b, c, d = rng.random(4) + 0.01
             lam = 0.5 * (a + d + math.sqrt((a - d) ** 2 + 4 * b * c))
-            tm = TiltedMatrix(np.array([[a, b], [c, d]]), 0.0, 0.0)
+            tm = np.array([[a, b], [c, d]])
             assert perron_frobenius(tm) == pytest.approx(lam, abs=1e-10)
 
     def test_rank_one_identity_random(self):
@@ -167,7 +195,7 @@ class TestPerronFrobenius:
 
     def test_periodic(self):
         # eigenvalues +1 and -1: power iteration from the ones vector oscillates
-        tm = TiltedMatrix(np.array([[0.0, 2.0], [0.5, 0.0]]), 0.5, 1.0)
+        tm = np.array([[0.0, 2.0], [0.5, 0.0]])
         assert perron_frobenius(tm) == pytest.approx(1.0, abs=1e-14)
 
 
@@ -283,15 +311,8 @@ class TestExtendedExponent:
         assert value == pytest.approx(want, rel=1e-9)
         assert s_star == pytest.approx(0.5, abs=1e-4)
 
-    def test_isi_channel_vs_grid_oracle(self, uniform2):
-        # flip probability depends on the previous input
-        w = np.empty((2, 2, 2))
-        for x in range(2):
-            for xm in range(2):
-                p = 0.05 if xm == 0 else 0.15
-                w[x, xm, x] = 1 - p
-                w[x, xm, 1 - x] = p
-        ch = MarkovChannel(w)
+    def test_isi_channel_vs_grid_oracle(self, uniform2, isi):
+        ch = isi
         rate = 0.15
         value, s_star, _ = extended_exponent(ch, uniform2, rate)
         best = -math.inf
@@ -301,6 +322,36 @@ class TestExtendedExponent:
                 if abs(lhs - (2 * rho - 1) * rate) < 2e-3:
                     best = max(best, lhs / rate)
         assert value >= best - 0.02
+
+    @pytest.mark.parametrize("name", ["lifted_bsc", "isi"])
+    def test_each_s_solved_once(self, request, monkeypatch, uniform2, name):
+        # every eigenvalue solve is an evaluation inside a root search, plus
+        # one G_s(1) for each s whose root clamps at r = 1; an interior root
+        # gives its value (2 - r)/r with no further solve
+        from trellisexp import memory
+        ch = request.getfixturevalue(name)
+        counts = dict(evals=0, clamped=0, interior=0, pf=0)
+        unit_root, pf = memory._unit_root, memory.perron_frobenius
+
+        def counting_root(f):
+            def counted(r):
+                counts["evals"] += 1
+                return f(r)
+            r = unit_root(counted)
+            counts["clamped"] += r == 1.0
+            counts["interior"] += 0.0 < r < 1.0
+            return r
+
+        def counting_pf(a):
+            counts["pf"] += 1
+            return pf(a)
+
+        monkeypatch.setattr(memory, "_unit_root", counting_root)
+        monkeypatch.setattr(memory, "perron_frobenius", counting_pf)
+        for rate in (0.05, 0.1, 0.15):
+            extended_exponent(ch, uniform2, rate)
+        assert counts["interior"] > 0 and counts["clamped"] > 0
+        assert counts["pf"] == counts["evals"] + counts["clamped"]
 
 
 class TestLiftMemory:

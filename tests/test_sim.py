@@ -352,7 +352,7 @@ class TestEstimate:
 class TestPairTypes:
     def test_deviation_pattern_counts(self):
         # k = 2: interior zero blocks are forbidden entirely
-        assert _deviation_patterns(1, 2, 1) == [(1, 1)]
+        assert _deviation_patterns(1, 2, 1) == ((1, 1),)
         assert len(_deviation_patterns(2, 2, 1)) == 1  # (1, 1, 1)
         # k = 3 allows single interior zeros
         assert len(_deviation_patterns(2, 3, 1)) == 2  # (1,0,1), (1,1,1)
@@ -360,6 +360,12 @@ class TestPairTypes:
         for k in (2, 3):
             for l in range(1, 5):
                 assert len(_deviation_patterns(l, k, 1)) <= 2 ** l
+
+    def test_patterns_built_once(self):
+        # one immutable value per (l, k, m), shared by every code's enumeration
+        pats = _deviation_patterns(3, 3, 1)
+        assert _deviation_patterns(3, 3, 1) is pats
+        assert isinstance(pats, tuple) and all(isinstance(p, tuple) for p in pats)
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_patterns_match_state_walk(self, m):
@@ -375,7 +381,7 @@ class TestPairTypes:
                               for i in range(k + l + 1)]
                     if d[0] and all(states[1:k + l]) and not states[k + l]:
                         want.append(d[:l + 1])
-                assert _deviation_patterns(l, k, m) == want, (k, l)
+                assert _deviation_patterns(l, k, m) == tuple(want), (k, l)
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_k1_has_no_unmerged_extensions(self, m):
@@ -384,7 +390,7 @@ class TestPairTypes:
         code = sample_code(cfg, j=2, q=UNIFORM2)
         table = enumerate_pair_types(code, l_max=2)
         assert table.entries == {} and table.pair_totals == {1: 0, 2: 0}
-        assert typicality_check(code, UNIFORM2, 0.3, l_max=2, table=table).is_typical
+        assert typicality_check(code, UNIFORM2, 0.3, l_max=2).is_typical
 
     def test_k1_builds_no_windows(self):
         # with no patterns the budget (windows x patterns = 0) never trips,
@@ -815,8 +821,7 @@ class TestTypicalityScorer:
             for index in range(6):
                 code = sample_code(cfg, j=j, q=InputDist(q_code), code_index=index)
                 table = enumerate_pair_types(code, l_max)
-                got = typicality_check(code, InputDist(q_score), epsilon, l_max,
-                                       table=table).violations
+                got = typicality_check(code, InputDist(q_score), epsilon, l_max).violations
                 want = _scored_violations(code, np.array(q_score), epsilon, table)
                 assert [v[:3] for v in got] == [v[:3] for v in want]
                 for (*_, bound), (*_, ref) in zip(got, want):
