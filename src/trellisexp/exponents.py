@@ -9,6 +9,8 @@ E0 is the Gallager function, Ex the expurgated function; the curves are
 all per unit of constraint length, with rates in nats/channel-use.
 """
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +19,7 @@ from .channels import Dmc, InputDist, bhattacharyya_matrix
 
 RHO_MAX = 1e6
 RATE_TOL = 1e-10
+_XTOL, _RTOL = 1e-300, 4 * sys.float_info.epsilon  # the root tolerances of brentq
 
 CURVE_KINDS = ("rtc", "cex", "trtc", "rtimes_rtc", "rtimes_cex", "rtimes_trtc")
 
@@ -84,8 +87,8 @@ class _PairTable:
         """G(r) - 2 rhat0, with G(r) = Ex(1/r)/(1/r) increasing from
         G(0) = 2 rhat0 to G(1) = R0.  An array of r gives the array of
         values, each the same float as the scalar call."""
-        return -np.log1p(np.sum(self.weights * np.expm1(np.multiply.outer(r, self.log_z)),
-                                axis=-1))
+        r_log_z = np.multiply.outer(r, self.log_z)
+        return -np.log1p(np.add.reduce(self.weights * np.expm1(r_log_z), axis=-1))
 
     def ex(self, rho):
         """Ex(rho) = rho G(1/rho), with Ex(0) = 0."""
@@ -97,13 +100,16 @@ class _PairTable:
         from the edge: cex is g(r) = R - 2 rhat0 and trtc is
         g(r) = (2 - r)(R - rhat0) - r rhat0."""
         rates = np.asarray(rates, dtype=float)
+        # one rate is a float equation for `_unit_root`, whose plain-float
+        # steps cost less than array steps of one
+        rate = float(rates[0]) if rates.size == 1 else rates
         if kind == "cex":
-            target = rates - 2 * self.rhat0
+            target = rate - 2 * self.rhat0
             f = lambda r: self.g(r) - target
         else:
-            gap = rates - self.rhat0
+            gap = rate - self.rhat0
             f = lambda r: self.g(r) - ((2 - r) * gap - r * self.rhat0)
-        r = _unit_roots(f, rates.size)
+        r = np.array([_unit_root(f)]) if rates.size == 1 else _unit_roots(f, rates.size)
         rho = np.full(rates.size, np.inf)
         np.divide(1.0, r, out=rho, where=r > 0)
         return rho
@@ -166,11 +172,11 @@ def _argmax_concave(f, lo, hi=None, xatol=1e-10):
     """Maximise a concave or quasi-concave f on [lo, hi]; returns (x, f(x)).
 
     A quasi-concave f has no local maximum other than the global one, which
-    is all Brent's bounded search needs.  Brent never evaluates the endpoints
-    itself, so f(lo) and f(hi) are compared with its answer.  With hi None
-    (only `memory.f_s`, whose r -> inf end has no closed form) the bracket
-    doubles outward from 1 while f still increases, and the result is
-    (inf, inf) once it passes RHO_MAX.
+    is all Brent's bounded search (`_fminbound` on -f) needs.  Brent never
+    evaluates the endpoints itself, so f(lo) and f(hi) are compared with its
+    answer.  With hi None (only `memory.f_s`, whose r -> inf end has no
+    closed form) the bracket doubles outward from 1 while f still
+    increases, and the result is (inf, inf) once it passes RHO_MAX.
     """
     if hi is None:
         hi = 1.0
@@ -179,14 +185,75 @@ def _argmax_concave(f, lo, hi=None, xatol=1e-10):
             if hi > RHO_MAX:
                 return np.inf, np.inf
         hi *= 2
-    # scipy.optimize is imported at first use here and in `_unit_root`, so
-    # importing the package (and `simulate`) does not load it
-    import scipy.optimize
-    with np.errstate(invalid="ignore"):  # inf values: Brent falls back to golden steps
-        res = scipy.optimize.minimize_scalar(lambda x: -f(x), bounds=(lo, hi),
-                                             method="bounded", options={"xatol": xatol})
-    return max((lo, f(lo)), (hi, f(hi)), (float(res.x), -float(res.fun)),
-               key=lambda point: point[1])
+    x, neg = _fminbound(lambda x: -f(x), lo, hi, xatol)
+    return max((lo, f(lo)), (hi, f(hi)), (x, -neg), key=lambda point: point[1])
+
+
+def _fminbound(f, lo, hi, xatol):
+    """Minimum of f on [lo, hi] by Brent's bounded search; returns (x, f(x)).
+
+    A plain-float port of scipy 1.17's `_minimize_scalar_bounded` (Brent
+    1973, *Algorithms for Minimization without Derivatives*, ch. 5): the
+    same golden-section constant, sqrt(2.2e-16) relative tolerance and
+    500 evaluations at most, so it takes the iterates of
+    `scipy.optimize.minimize_scalar(method="bounded")` and returns its
+    point.  f may be +-inf: a parabola through an infinite value fails its
+    acceptance test (NaN compares false), so the step is golden, as there.
+    """
+    sqrt_eps, golden_mean = math.sqrt(2.2e-16), 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    # xf is the best point so far, nfc the second best and fulc the third
+    xf = nfc = fulc = a + golden_mean * (b - a)
+    fx = fnfc = ffulc = float(f(xf))
+    rat = e = 0.0
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    for _ in range(499):
+        if abs(xf - xm) <= tol2 - 0.5 * (b - a):
+            break
+        golden = True
+        if abs(e) > tol1:  # try a parabola through the three best points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            # the test fails where q is 0 or NaN, so the division is safe
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+                golden = False
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+        step = max(abs(rat), tol1)
+        x = xf + step if rat >= 0 else xf - step
+        fu = float(f(x))
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+    return xf, fx
 
 
 def _unit_root(f):
@@ -194,15 +261,12 @@ def _unit_root(f):
 
     The root finder of `memory.extended_exponent` (in r = 1/rho), of the
     rtc solve (in rho), of `types_opt.z_of_rhat_direct` (in t = r/(1 + r))
-    and of one-rate cex/trtc solves (in r = 1/rho), which `_unit_roots`
+    and of one-rate cex/trtc solves (in r = 1/rho), which `_PairTable.rho`
     hands it.
     Returns 1 when f(1) <= 0 (the root lies at or beyond 1) and 0 when
-    f(0) >= 0 (for r = 1/rho: no root, rho is unbounded); brentq finds it
-    otherwise.  f is evaluated once at each end: brentq opens with f(0) and
-    f(1) and is handed the values already computed, so its iterates, and the
-    root, are those of a plain call.  Its iteration cap is set so that it
-    reaches xtol even for roots near 1e-32, where the default 100 iterations
-    do not.
+    f(0) >= 0 (for r = 1/rho: no root, rho is unbounded); `_brentq` finds
+    it otherwise, handed the two end values, so f is evaluated once at
+    each end.
     """
     f1 = f(1.0)
     if f1 <= 0:
@@ -210,10 +274,53 @@ def _unit_root(f):
     f0 = f(0.0)
     if f0 >= 0:
         return 0.0
-    import scipy.optimize
-    return scipy.optimize.brentq(lambda r: f0 if r == 0.0 else f1 if r == 1.0 else f(r),
-                                 0.0, 1.0, xtol=1e-300, rtol=4 * np.finfo(float).eps,
-                                 maxiter=2000)
+    return _brentq(f, f0, f1)
+
+
+def _brentq(f, f0, f1):
+    """Root in [0, 1] of f, given f(0) = f0 < 0 < f1 = f(1).
+
+    A plain-float port of scipy's `brentq.c` (Brent 1973, *Algorithms for
+    Minimization without Derivatives*, ch. 4) with xtol 1e-300, rtol 4 eps
+    and 2000 iterations, so it takes the iterates of
+    `scipy.optimize.brentq` and returns the same float; the cap lets it
+    reach xtol even for roots near 1e-32, where brentq's default 100
+    iterations do not.  A NaN value raises ValueError and non-convergence
+    RuntimeError, as brentq does.
+    """
+    xpre, xcur, fpre, fcur = 0.0, 1.0, float(f0), float(f1)
+    xblk = fblk = spre = scur = 0.0
+    if fpre != fpre or fcur != fcur:
+        raise ValueError("f is NaN at an end of [0, 1]; the root cannot be found")
+    for _ in range(2000):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_XTOL + _RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        good = False
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                # an underflowed denominator gives C an inf or NaN: bisect
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
+            good = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
+        spre, scur = (scur, stry) if good else (sbis, sbis)
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else delta if sbis > 0 else -delta
+        fcur = float(f(xcur))
+        if fcur != fcur:
+            raise ValueError("f is NaN inside the bracket; the root cannot be found")
+    raise RuntimeError("brentq failed to converge after 2000 iterations")
 
 
 def _unit_roots(f, n):
@@ -222,20 +329,15 @@ def _unit_roots(f, n):
     f maps r, an array of n points or one point for all n, to the n values
     f_i(r_i); each f_i crosses zero at most once, upward.  The ends follow
     `_unit_root`: 1 where f(1) <= 0 and 0 where f(0) >= 0.  The open
-    brackets are solved together by an element-wise port of scipy's brentq
-    (Brent 1973, *Algorithms for Minimization without Derivatives*, ch. 4)
-    with `_unit_root`'s tolerances, so each element takes the iterates of a
-    scalar brentq call and its root is the same float.  Each step is one
-    evaluation of f on all n points, the solved ones held at their roots.
-    One element is handed to `_unit_root`, whose scalar steps cost less
-    than array steps of one.
+    brackets are solved together by an element-wise port of scipy's brentq,
+    the array form of `_brentq` with its tolerances, so each element takes
+    the iterates of a scalar `_brentq` call and its root is the same float.
+    Each step is one evaluation of f on all n points, the solved ones held
+    at their roots.
     """
-    if n == 1:
-        return np.array([_unit_root(lambda r: f(r)[0])])
     f1, f0 = f(1.0), f(0.0)
     roots = np.where(f1 <= 0, 1.0, 0.0)
     idx = np.flatnonzero((f1 > 0) & (f0 < 0))  # the open brackets
-    xtol, rtol = 1e-300, 4 * np.finfo(float).eps
     # brentq's state for the open elements: the previous iterate, the
     # current one, the far end of the bracket and the last two steps
     xpre, xcur, fpre, fcur = np.zeros(idx.size), np.ones(idx.size), f0[idx], f1[idx]
@@ -251,7 +353,7 @@ def _unit_roots(f, n):
                             np.where(swap, xcur, xblk))
         fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
                             np.where(swap, fcur, fblk))
-        delta = (xtol + rtol * np.abs(xcur)) / 2
+        delta = (_XTOL + _RTOL * np.abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         done = (fcur == 0) | (np.abs(sbis) < delta)
         if done.any():

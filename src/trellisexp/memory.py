@@ -203,12 +203,12 @@ def extended_exponent(ch: MarkovChannel, q, rate: float):
     [0, 1] by `_unit_root`: G_s(r) = (2 - r) R, value G_s(r)/(r R).  Where
     no root rho >= 1 exists the objective takes its continuous extension
     G_s(1)/R (rho = 1); it is inf exactly when G_s(0) >= 2R (no root).
-    Each s's value is read off the equation its root solves, so an
-    interior root costs no further eigenvalue solve: (2 - r)/r = 2 rho - 1
-    at an interior root, G_s(1)/R (at most 1) where the root clamps at
-    r = 1 and inf at r = 0.  rho is read off the maximised value, not
-    solved again at s*: rho = max(1, (1 + value)/2), which is also inf
-    where the value is.
+    Each s's value is read off the equation its root solves, so no s costs
+    an eigenvalue solve beyond its root search: (2 - r)/r = 2 rho - 1 at an
+    interior root, G_s(1)/R (at most 1) where the root clamps at r = 1,
+    with G_s(1) solved once for this and for the root's f(1), and inf at
+    r = 0.  rho is read off the maximised value, not solved again at s*:
+    rho = max(1, (1 + value)/2), which is also inf where the value is.
     The rate rule R < R0_ext (`extended_cutoff`) is read off the same
     search: R >= R0_ext clamps every s at r = 1, so the maximum is
     max_s G_s(1)/R = R0_ext/R <= 1, while R < R0_ext gives a maximum
@@ -221,12 +221,9 @@ def extended_exponent(ch: MarkovChannel, q, rate: float):
         # G_s(r) - (2 - r) R = [rho G_s(1/rho) - (2 rho - 1) R] / rho crosses
         # zero at most once on (0, 1], upward
         g = _PairChain(ch, q, s).g
-        r = _unit_root(lambda r: g(r) - (2 - r) * rate)
-        value = g(1.0) / rate if r == 1 else (2 - r) / r if r > 0 else np.inf
-        # brentq leaves the function it was given in a reference cycle until
-        # the next cyclic collection; emptying the cell frees this s's chain now
-        del g
-        return value
+        g1 = g(1.0)  # f(1) of the root and the value where the root clamps
+        r = _unit_root(lambda r: (g1 if r == 1.0 else g(r)) - (2 - r) * rate)
+        return g1 / rate if r == 1 else (2 - r) / r if r > 0 else np.inf
 
     s_star, best = _argmax_concave(value_at, 0.0, S_MAX, xatol=1e-6)
     if best <= 1:

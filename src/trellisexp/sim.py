@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Dmc
+from .channels import Dmc, InputDist
 from .memory import MarkovChannel, memoryless_lift
 
 ENUM_BUDGET = 10_000_000
@@ -576,20 +576,23 @@ def typicality_check(code: TrellisCode, q, epsilon: float, l_max: int) -> Typica
     n(k+l) eps is an integer) is decided by the last-bit rounding of
     ln Gamma; choose eps with n(k+l) eps non-integer for a decision that
     does not hang on it.  A non-finite epsilon, or a q whose length is not
-    code.j, raises ValueError.
+    code.j, raises ValueError, and so does a q that is not a distribution
+    (read through `InputDist`, as the memory route reads it).
     """
     if not math.isfinite(epsilon):
         raise ValueError(f"epsilon must be finite, got {epsilon}")
-    qv = np.asarray(getattr(q, "q", q), dtype=float)
+    qv = q.q if isinstance(q, InputDist) else np.asarray(q, dtype=float)
     if qv.shape != (code.j,):
         raise ValueError(f"q must hold one probability per code symbol, {code.j} "
                          f"here; got shape {qv.shape}")
+    if not isinstance(q, InputDist):  # an InputDist is taken as is
+        qv = InputDist(qv).q
     cfg = code.cfg
     table = enumerate_pair_types(code, l_max)
     ls, counts, observed = table.ls, table.counts, table.multiplicities
     if not len(ls):
         return TypicalityReport(epsilon, ())
-    import scipy.special  # imported on first use, as in `exponents`
+    import scipy.special  # imported on first use: no other command needs scipy
     qq = np.outer(qv, qv).reshape(-1)
     log2_qq = np.log2(qq, out=np.full_like(qq, -np.inf), where=qq > 0)
     log_multinomial = (scipy.special.gammaln(counts.sum(axis=1) + 1)

@@ -430,19 +430,32 @@ class TestDominant:
 
 class TestImports:
     def test_scipy_loaded_on_first_use(self):
-        # `simulate` and `audit` need no scipy.optimize, and `simulate` no
-        # scipy.special: importing the package loads neither
+        # importing the package loads neither scipy.optimize nor
+        # scipy.special (`typicality_check` loads the latter at first use),
+        # and the analytic routes never load scipy.optimize: their root
+        # finder and maximiser are ports
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         script = (
-            "import sys\n"
+            "import contextlib, io, sys\n"
             "import trellisexp.cli\n"
             "print(sorted(m for m in ('scipy.optimize', 'scipy.special') if m in sys.modules))\n"
             "from trellisexp.channels import Dmc, InputDist\n"
             "from trellisexp.exponents import solve_rho\n"
-            "solve_rho('trtc', Dmc([[0.9, 0.1], [0.1, 0.9]]), InputDist([0.5, 0.5]), 0.1)\n"
+            "from trellisexp.memory import extended_exponent, memoryless_lift\n"
+            "from trellisexp.types_opt import csiszar_exponent\n"
+            "bsc, q = Dmc([[0.9, 0.1], [0.1, 0.9]]), InputDist([0.5, 0.5])\n"
+            "solve_rho('trtc', bsc, q, 0.1)\n"
+            "csiszar_exponent(bsc, q, 0.1)\n"
+            "extended_exponent(memoryless_lift(bsc), q, 0.1)\n"
+            f"channel = {BSC!r}\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert trellisexp.cli.main(['curve', '--channel', channel, '--kinds',\n"
+            "        'rtc,cex,trtc', '--rmin', '0.05', '--rmax', '0.2', '--points', '3']) == 0\n"
+            "    assert trellisexp.cli.main(['dominant', '--channel', channel,\n"
+            "                                '--rate', '0.15']) == 0\n"
             "print('scipy.optimize' in sys.modules)\n")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                              capture_output=True, text=True).stdout
-        assert out.split("\n")[:2] == ["[]", "True"]
+        assert out.split("\n")[:2] == ["[]", "False"]

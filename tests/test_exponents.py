@@ -324,6 +324,173 @@ class TestUnitRoots:
             assert len(calls) <= 20
 
 
+def _scipy_brentq(f, f0, f1):
+    """scipy's brentq on [0, 1] with `_brentq`'s tolerances, handed f(0) and f(1)."""
+    from scipy.optimize import brentq
+    return brentq(lambda r: f0 if r == 0.0 else f1 if r == 1.0 else f(r), 0.0, 1.0,
+                  xtol=1e-300, rtol=4 * np.finfo(float).eps, maxiter=2000)
+
+
+def _scipy_fminbound(f, lo, hi, xatol):
+    """scipy's bounded minimize_scalar, as (x, f(x)) like `_fminbound`."""
+    from scipy.optimize import minimize_scalar
+    with np.errstate(invalid="ignore"):  # numpy scalars warn on inf - inf
+        res = minimize_scalar(f, bounds=(lo, hi), method="bounded",
+                              options={"xatol": xatol})
+    return float(res.x), float(res.fun)
+
+
+def _traced(f):
+    """f, and the list of points it is evaluated at."""
+    xs = []
+
+    def traced(x):
+        xs.append(float(x))
+        return f(x)
+    return traced, xs
+
+
+class TestPortsMatchScipy:
+    """`_brentq` and `_fminbound` against the scipy calls they port: the
+    same iterates and the same floats.  scipy is a test oracle only."""
+
+    @staticmethod
+    def _same_root(f, f0, f1):
+        from trellisexp.exponents import _brentq
+        port, port_xs = _traced(f)
+        oracle, oracle_xs = _traced(f)
+        root = _brentq(port, f0, f1)
+        assert type(root) is float
+        assert (root, port_xs) == (_scipy_brentq(oracle, f0, f1), oracle_xs)
+        return root
+
+    @staticmethod
+    def _same_minimum(f, lo, hi, xatol):
+        from trellisexp.exponents import _fminbound
+        port, port_xs = _traced(f)
+        oracle, oracle_xs = _traced(f)
+        got = _fminbound(port, lo, hi, xatol)
+        assert repr((got, port_xs)) == repr((_scipy_fminbound(oracle, lo, hi, xatol),
+                                             oracle_xs))
+        return port_xs
+
+    @pytest.mark.parametrize("kind", ["cex", "trtc"])
+    def test_curve_equations(self, kind, bsc01, uniform2, asym3):
+        from trellisexp.exponents import _PairTable
+        solved = 0
+        for dmc, q in ((bsc01, uniform2), asym3, W3):
+            table = _PairTable(dmc, q)
+            for rate in np.concatenate([np.geomspace(1e-300, 1e-3, 12),
+                                        np.linspace(0.01, 0.99, 12)]) * table.r0:
+                rate = float(rate)
+                if kind == "cex":
+                    f = lambda r: float(table.g(r)) - (rate - 2 * table.rhat0)
+                else:
+                    f = lambda r: float(table.g(r)) - ((2 - r) * (rate - table.rhat0)
+                                                       - r * table.rhat0)
+                f0, f1 = f(0.0), f(1.0)
+                if f0 < 0 < f1:
+                    self._same_root(f, f0, f1)
+                    solved += 1
+        assert solved >= 48
+
+    def test_root_near_1e_32(self):
+        f = lambda r: math.sqrt(r) - 1e-16
+        assert self._same_root(f, f(0.0), f(1.0)) == pytest.approx(1e-32, rel=1e-12)
+
+    def test_nan_raises_value_error(self):
+        from scipy.optimize import brentq
+        from trellisexp.exponents import _brentq
+        f = lambda r: math.nan if r > 0.3 else r - 0.5
+        for f0 in (-0.5, math.nan):
+            with pytest.raises(ValueError):
+                _brentq(f, f0, 0.5)
+            with pytest.raises(ValueError):
+                _scipy_brentq(f, f0, 0.5)
+        with pytest.raises(ValueError):  # scipy's own NaN rule, from a plain call
+            brentq(f, 0.0, 1.0)
+
+    @pytest.mark.parametrize("xatol", [1e-10, 1e-300])
+    @pytest.mark.parametrize("name, f", [
+        ("parabola", lambda x: (x - 0.3) * (x - 0.3)),
+        ("inf on part", lambda x: math.inf if x > 0.4 else (x - 0.35) * (x - 0.35)),
+        ("-inf on part", lambda x: -math.inf if x > 0.8 else -x),
+        ("flat", lambda x: 1.0),
+        ("not convex", lambda x: math.sin(20 * x)),
+        ("NaN on part", lambda x: math.nan if x > 0.5 else (x - 0.6) * (x - 0.6)),
+    ])
+    def test_minimiser(self, name, f, xatol):
+        self._same_minimum(f, 0.0, 1.0, xatol)
+        self._same_minimum(f, -0.5, 3.0, xatol)
+
+    def test_maxiter(self):
+        # a minimum at an end reached with xatol 1e-300 needs more than the
+        # 500 evaluations both stop at
+        assert len(self._same_minimum(lambda x: x, 0.0, 1.0, 1e-300)) == 500
+
+    @pytest.mark.parametrize("route", [
+        "rtc", "cex", "trtc", "csiszar", "z_legendre", "z_direct", "delta_max"])
+    def test_routes_unchanged_with_scipy(self, monkeypatch, route, bsc01, uniform2, asym3):
+        # every route's output through the ports equals its output with the
+        # scipy calls swapped in
+        from trellisexp import exponents, types_opt
+        from trellisexp.types_opt import JointType
+
+        def outputs():
+            values = []
+            for dmc, q in ((bsc01, uniform2), asym3, W3):
+                r0 = cutoff_rate(dmc, q)
+                for x in (0.001, 0.05, 0.2, 0.5, 0.8, 0.99):
+                    if route in ("rtc", "cex", "trtc"):
+                        rate = r0 * (1 + 3 * x) if route == "rtc" else r0 * x
+                        try:
+                            values.append(solve_rho(route, dmc, q, rate).rho)
+                        except RateOutOfRange:
+                            values.append(None)
+                    elif route == "csiszar":
+                        values.append(types_opt.csiszar_exponent(dmc, q, r0 * x))
+                    elif route == "z_legendre":
+                        values.append(types_opt.z_of_rhat_legendre(dmc, q, r0 * x))
+                    elif route == "z_direct":
+                        values.append(types_opt.z_of_rhat_direct(dmc, q, r0 * x)[1].p.tolist())
+                    else:
+                        p = np.outer(q.q, q.q) * (1 - x) + np.diag(q.q) * x
+                        values.append(types_opt.delta_max(JointType(p), dmc))
+            return repr(values)
+
+        ported = outputs()
+        monkeypatch.setattr(exponents, "_brentq", _scipy_brentq)
+        monkeypatch.setattr(exponents, "_fminbound", _scipy_fminbound)
+        assert outputs() == ported
+
+    @pytest.mark.parametrize("route", ["extended_exponent", "extended_cutoff", "f_s"])
+    def test_memory_routes_unchanged_with_scipy(self, monkeypatch, route, bsc01):
+        from trellisexp import exponents, memory
+        channels = [memory.memoryless_lift(bsc01),
+                    memory.MarkovChannel([[[0.95, 0.05], [0.85, 0.15]],
+                                          [[0.15, 0.85], [0.05, 0.95]]]),
+                    memory.MarkovChannel(memory.memoryless_lift(bsc01).w,
+                                         w_tilde=memory.memoryless_lift(
+                                             [[0.8, 0.2], [0.2, 0.8]]).w)]
+
+        def outputs():
+            values = []
+            for ch in channels:
+                if route == "extended_exponent":
+                    values += [memory.extended_exponent(ch, [0.5, 0.5], rate)
+                               for rate in (0.02, 0.1, 0.2)]
+                elif route == "extended_cutoff":
+                    values.append(memory.extended_cutoff(ch, [0.5, 0.5]))
+                else:
+                    values += [memory.f_s(ch, [0.5, 0.5], 0.5, d) for d in (0.0, 0.2, 1.0)]
+            return repr(values)
+
+        ported = outputs()
+        monkeypatch.setattr(exponents, "_brentq", _scipy_brentq)
+        monkeypatch.setattr(exponents, "_fminbound", _scipy_fminbound)
+        assert outputs() == ported
+
+
 class TestExponentCurve:
     def test_rtimes_rtc_constant(self, bsc01, uniform2):
         r0 = cutoff_rate(bsc01, uniform2)

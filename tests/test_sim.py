@@ -525,6 +525,13 @@ class TestTypicality:
         with pytest.raises(ValueError, match="one probability per code symbol"):
             typicality_check(code, q, 0.3, l_max=2)
 
+    @pytest.mark.parametrize("q", [[0.9, 0.9], [1.5, -0.5], [0.7, 0.2]])
+    def test_q_must_be_a_distribution(self, q):
+        # each used to get a verdict (typical, or a count of violations)
+        code = sample_code(EnsembleConfig(m=1, n=2, k=3, L=20, seed=11), j=2, q=UNIFORM2)
+        with pytest.raises(ValueError, match="q"):
+            typicality_check(code, q, 0.3, l_max=3)
+
     def test_audit_fraction_between_zero_and_one(self):
         cfg = EnsembleConfig(m=1, n=2, k=2, L=20, seed=13)
         frac, reports, bound = typicality_audit(cfg, 2, UNIFORM2, 5, 0.5, 3)
