@@ -40,7 +40,6 @@ from .memory import (
     build_tilted,
     extended_cutoff,
     extended_exponent,
-    f_s,
     g_s,
     lift_memory,
     markov_chernoff,

@@ -193,6 +193,8 @@ def cmd_curve(args) -> int:
 
 def cmd_simulate(args) -> int:
     spec = _load_spec_for(args, ("memory",))  # w_tilde is the decoding metric
+    if args.lmax < 0:  # audit's message, from `enumerate_pair_types`
+        raise ValueError(f"l_max must be >= 0, got {args.lmax}")
     blocks = args.blocks
     cfg = sim.EnsembleConfig(m=args.m, n=args.n, k=args.k, L=args.L,
                              linear=args.linear, seed=args.seed)

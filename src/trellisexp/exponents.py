@@ -17,7 +17,7 @@ import numpy as np
 
 from .channels import Dmc, InputDist, bhattacharyya_matrix
 
-RHO_MAX = 1e6
+RHO_MAX = 1e6  # a solved rho at or above this counts as a cap hit
 RATE_TOL = 1e-10
 _XTOL, _RTOL = 1e-300, 4 * sys.float_info.epsilon  # the root tolerances of brentq
 
@@ -168,23 +168,14 @@ def critical_rate(dmc: Dmc, q: InputDist) -> float:
     return float(-np.sum(a * a * log_a - 0.5 * a * b) / np.sum(a * a))
 
 
-def _argmax_concave(f, lo, hi=None, xatol=1e-10):
+def _argmax_concave(f, lo, hi, xatol=1e-10):
     """Maximise a concave or quasi-concave f on [lo, hi]; returns (x, f(x)).
 
     A quasi-concave f has no local maximum other than the global one, which
     is all Brent's bounded search (`_fminbound` on -f) needs.  Brent never
     evaluates the endpoints itself, so f(lo) and f(hi) are compared with its
-    answer.  With hi None (only `memory.f_s`, whose r -> inf end has no
-    closed form) the bracket doubles outward from 1 while f still
-    increases, and the result is (inf, inf) once it passes RHO_MAX.
+    answer.
     """
-    if hi is None:
-        hi = 1.0
-        while f(2 * hi) > f(hi):
-            hi *= 2
-            if hi > RHO_MAX:
-                return np.inf, np.inf
-        hi *= 2
     x, neg = _fminbound(lambda x: -f(x), lo, hi, xatol)
     return max((lo, f(lo)), (hi, f(hi)), (x, -neg), key=lambda point: point[1])
 
@@ -464,8 +455,9 @@ def exponent_curve(kind: str, dmc: Dmc, q: InputDist, rate_grid) -> ExponentCurv
         raise ValueError("rate grid must be strictly increasing")
     base = kind.removeprefix("rtimes_")
     table = _PairTable(dmc, q)
-    for rate in rates:
-        check_rate(rate, table.r0)
+    ok = (rates > 0) & (rates < table.r0 + RATE_TOL)  # check_rate's rule; NaN fails
+    if not ok.all():
+        check_rate(rates[np.argmin(ok)], table.r0)  # raises at the first failing rate
     if base == "rtc":
         values, rhos = table.r0 / rates, [None] * rates.size
     else:

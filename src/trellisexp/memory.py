@@ -181,12 +181,6 @@ def g_s(ch: MarkovChannel, q, s: float, r: float) -> float:
     return _PairChain(ch, q, s).g(r)
 
 
-def f_s(ch: MarkovChannel, q, s: float, d: float) -> float:
-    """Large-deviations rate function F_s(d) = sup_{r >= 0} [G_s(r) - r d]."""
-    g = _PairChain(ch, q, s).g
-    return max(0.0, float(_argmax_concave(lambda r: g(r) - r * d, 0.0)[1]))
-
-
 def extended_cutoff(ch: MarkovChannel, q) -> float:
     """Extended cutoff rate sup_{s >= 0} G_s(1), concave in s, over [0, S_MAX]."""
     return float(_argmax_concave(lambda s: _PairChain(ch, q, s).g(1.0), 0.0, S_MAX,

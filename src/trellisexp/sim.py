@@ -561,6 +561,18 @@ class TypicalityReport:
         return len(self.violations) == 0
 
 
+def _log_multinomials(counts: np.ndarray) -> np.ndarray:
+    """ln [N! / prod c!] for each row of a 2-D count array, N its row sum.
+
+    Every ln c! is read from one table of `math.lgamma(c + 1)`, c = 0..max N,
+    so each carries lgamma's own last-bit error, where a running sum of
+    logs would drift with N.
+    """
+    sizes = counts.sum(axis=1)
+    log_factorial = np.array([math.lgamma(c + 1) for c in range(sizes.max() + 1)])
+    return log_factorial[sizes] - log_factorial[counts].sum(axis=1)
+
+
 def typicality_check(code: TrellisCode, q, epsilon: float, l_max: int) -> TypicalityReport:
     """Check the two enumerator conditions for one code at slack epsilon.
 
@@ -573,11 +585,12 @@ def typicality_check(code: TrellisCode, q, epsilon: float, l_max: int) -> Typica
     (l, counts tuple, N_l(P), bound) in the table's order, with bound 0
     for the first condition.  A type whose E sits exactly on the
     first-condition threshold (2^m - 1) 2^{-n(k+l) eps} (possible when
-    n(k+l) eps is an integer) is decided by the last-bit rounding of
-    ln Gamma; choose eps with n(k+l) eps non-integer for a decision that
-    does not hang on it.  A non-finite epsilon, or a q whose length is not
-    code.j, raises ValueError, and so does a q that is not a distribution
-    (read through `InputDist`, as the memory route reads it).
+    n(k+l) eps is an integer) is decided by the last-bit rounding of the
+    lgamma table of ln c! (`_log_multinomials`); choose eps with n(k+l) eps
+    non-integer for a decision that does not hang on it.  A non-finite
+    epsilon, or a q whose length is not code.j, raises ValueError, and so
+    does a q that is not a distribution (read through `InputDist`, as the
+    memory route reads it).
     """
     if not math.isfinite(epsilon):
         raise ValueError(f"epsilon must be finite, got {epsilon}")
@@ -592,14 +605,11 @@ def typicality_check(code: TrellisCode, q, epsilon: float, l_max: int) -> Typica
     ls, counts, observed = table.ls, table.counts, table.multiplicities
     if not len(ls):
         return TypicalityReport(epsilon, ())
-    import scipy.special  # imported on first use: no other command needs scipy
     qq = np.outer(qv, qv).reshape(-1)
     log2_qq = np.log2(qq, out=np.full_like(qq, -np.inf), where=qq > 0)
-    log_multinomial = (scipy.special.gammaln(counts.sum(axis=1) + 1)
-                       - scipy.special.gammaln(counts + 1).sum(axis=1))
     log2_p = (np.where(counts > 0, log2_qq, 0.0) * counts).sum(axis=1)  # -inf off Q's support
     totals = np.array([table.pair_totals.get(l, 0) for l in range(ls[-1] + 1)])  # indexed by l
-    log2_en = np.log2(totals[ls]) + (log_multinomial / math.log(2.0) + log2_p)
+    log2_en = np.log2(totals[ls]) + (_log_multinomials(counts) / math.log(2.0) + log2_p)
     slack = cfg.n * (cfg.k + ls) * epsilon
     # first condition: the type should be unpopulated; second: not too many
     first = log2_en < math.log2((1 << cfg.m) - 1) - slack

@@ -341,6 +341,13 @@ class TestBadEnsembleArguments:
         assert rc == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_negative_lmax_rejected_as_audit_does(self):
+        # simulate rejects it before simulating anything, with audit's exit
+        # code and message; it used to exit 0 without the typical column
+        assert (run(SIMULATE + ["--k", "2", "--lmax", "-2"])
+                == run(AUDIT + ["--k", "2", "--lmax", "-2", "--codes", "1"])
+                == (2, "", "error: l_max must be >= 0, got -2\n"))
+
     @pytest.mark.parametrize("argv", [
         # rejected by argparse: usage and one "error:" line, no traceback
         AUDIT + ["--k", "2", "--lmax", "2", "--codes", "0"],
@@ -429,16 +436,14 @@ class TestDominant:
 
 
 class TestImports:
-    def test_scipy_loaded_on_first_use(self):
-        # importing the package loads neither scipy.optimize nor
-        # scipy.special (`typicality_check` loads the latter at first use),
-        # and the analytic routes never load scipy.optimize: their root
-        # finder and maximiser are ports
+    def test_no_command_loads_scipy(self):
+        # numpy is the only runtime dependency: scipy is a test oracle, and
+        # no module named scipy or scipy.* is loaded by importing the
+        # package, by the analytic routes or by any command
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         script = (
             "import contextlib, io, sys\n"
             "import trellisexp.cli\n"
-            "print(sorted(m for m in ('scipy.optimize', 'scipy.special') if m in sys.modules))\n"
             "from trellisexp.channels import Dmc, InputDist\n"
             "from trellisexp.exponents import solve_rho\n"
             "from trellisexp.memory import extended_exponent, memoryless_lift\n"
@@ -448,14 +453,20 @@ class TestImports:
             "csiszar_exponent(bsc, q, 0.1)\n"
             "extended_exponent(memoryless_lift(bsc), q, 0.1)\n"
             f"channel = {BSC!r}\n"
+            "ensemble = ['--channel', channel, '--m', '1', '--n', '2', '--k', '2',\n"
+            "            '--L', '20', '--seed', '1']\n"
+            "commands = [\n"
+            "    ['curve', '--channel', channel, '--kinds', 'rtc,cex,trtc', '--rmin', '0.05',\n"
+            "     '--rmax', '0.2', '--points', '3'],\n"
+            "    ['dominant', '--channel', channel, '--rate', '0.15'],\n"
+            "    ['simulate', *ensemble, '--blocks', '5', '--lmax', '2'],\n"
+            "    ['audit', *ensemble, '--codes', '2', '--epsilon', '0.3', '--lmax', '2']]\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    assert trellisexp.cli.main(['curve', '--channel', channel, '--kinds',\n"
-            "        'rtc,cex,trtc', '--rmin', '0.05', '--rmax', '0.2', '--points', '3']) == 0\n"
-            "    assert trellisexp.cli.main(['dominant', '--channel', channel,\n"
-            "                                '--rate', '0.15']) == 0\n"
-            "print('scipy.optimize' in sys.modules)\n")
+            "    for argv in commands:\n"
+            "        assert trellisexp.cli.main(argv) == 0, argv\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                              capture_output=True, text=True).stdout
-        assert out.split("\n")[:2] == ["[]", "False"]
+        assert out == "[]\n"

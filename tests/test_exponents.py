@@ -5,9 +5,12 @@ import pytest
 
 from trellisexp.channels import Dmc, InputDist
 from trellisexp.exponents import (
+    CURVE_KINDS,
+    RATE_TOL,
     NotBinaryInput,
     NotUniformQ,
     RateOutOfRange,
+    check_rate,
     costello_form_cex,
     critical_rate,
     cutoff_rate,
@@ -463,7 +466,7 @@ class TestPortsMatchScipy:
         monkeypatch.setattr(exponents, "_fminbound", _scipy_fminbound)
         assert outputs() == ported
 
-    @pytest.mark.parametrize("route", ["extended_exponent", "extended_cutoff", "f_s"])
+    @pytest.mark.parametrize("route", ["extended_exponent", "extended_cutoff"])
     def test_memory_routes_unchanged_with_scipy(self, monkeypatch, route, bsc01):
         from trellisexp import exponents, memory
         channels = [memory.memoryless_lift(bsc01),
@@ -479,10 +482,8 @@ class TestPortsMatchScipy:
                 if route == "extended_exponent":
                     values += [memory.extended_exponent(ch, [0.5, 0.5], rate)
                                for rate in (0.02, 0.1, 0.2)]
-                elif route == "extended_cutoff":
-                    values.append(memory.extended_cutoff(ch, [0.5, 0.5]))
                 else:
-                    values += [memory.f_s(ch, [0.5, 0.5], 0.5, d) for d in (0.0, 0.2, 1.0)]
+                    values.append(memory.extended_cutoff(ch, [0.5, 0.5]))
             return repr(values)
 
         ported = outputs()
@@ -548,6 +549,20 @@ class TestExponentCurve:
             exponent_curve("trtc", bsc01, uniform2, [0.2, 0.1])
         with pytest.raises(RateOutOfRange):
             exponent_curve("trtc", bsc01, uniform2, [0.3])
+
+    @pytest.mark.parametrize("grid, bad", [([-0.1, 0.05], 0), ([0.0, 0.1], 0),
+                                           ([0.05, 0.3, 0.4], 1), ([0.05, math.nan], 1)])
+    def test_rate_rule_names_first_bad_rate(self, grid, bad, bsc01, uniform2):
+        # the grid is checked at once, with check_rate's rule and message
+        r0 = cutoff_rate(bsc01, uniform2)
+        with pytest.raises(RateOutOfRange) as want:
+            check_rate(grid[bad], r0)
+        for kind in CURVE_KINDS:
+            with pytest.raises(RateOutOfRange) as got:
+                exponent_curve(kind, bsc01, uniform2, grid)
+            assert str(got.value) == str(want.value)
+            assert len(exponent_curve(kind, bsc01, uniform2,
+                                      [0.05, r0 + RATE_TOL / 2]).points) == 2
 
     @pytest.mark.parametrize("grid", [0.1, [[0.05, 0.1]]])
     def test_grid_not_one_dimensional(self, grid, bsc01, uniform2):

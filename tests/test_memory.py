@@ -11,7 +11,6 @@ from trellisexp.memory import (
     build_tilted,
     extended_cutoff,
     extended_exponent,
-    f_s,
     g_s,
     lift_memory,
     markov_chernoff,
@@ -220,20 +219,6 @@ class TestGsFs:
                 for a, b in zip(rs, rs[2:])]
         for m, lo, hi in zip(mids, vals, vals[2:]):
             assert m >= 0.5 * (lo + hi) - 1e-10
-
-    def test_f_zero_at_mean(self, lifted_bsc, uniform2):
-        d = _distance_tensor(lifted_bsc, 0.5)
-        mean = float(np.sum(np.outer(uniform2.q, uniform2.q) * d[:, 0, :, 0]))
-        assert f_s(lifted_bsc, uniform2, 0.5, mean) == pytest.approx(0.0, abs=1e-9)
-
-    def test_f_convex_nonincreasing(self, lifted_bsc, uniform2):
-        ds = np.linspace(0.0, 0.5, 15)
-        vals = [f_s(lifted_bsc, uniform2, 0.5, d) for d in ds]
-        assert all(b <= a + 1e-9 for a, b in zip(vals, vals[1:]))
-        mids = [f_s(lifted_bsc, uniform2, 0.5, 0.5 * (a + b))
-                for a, b in zip(ds, ds[2:])]
-        for m, lo, hi in zip(mids, vals, vals[2:]):
-            assert m <= 0.5 * (lo + hi) + 1e-9
 
 
 class TestExtendedExponent:

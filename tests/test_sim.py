@@ -17,6 +17,7 @@ from trellisexp.sim import (
     _digits,
     _key_layout,
     _log_metric,
+    _log_multinomials,
     _rng,
     encode,
     enumerate_pair_types,
@@ -853,6 +854,47 @@ class TestTypicalityScorer:
         monkeypatch.setattr(sim.PairTypeTable, "entries", property(unread))
         assert [typicality_check(code, q, 0.3, 3) for code in codes] == want
         assert typicality_audit(cfg, 2, UNIFORM2, 6, 0.3, 3) == want_audit
+
+    # (j, Q, k, l_max, codes) as in the audit benchmark: m = 1, n = 2, L = 20
+    GAMMALN_CASES = [(2, [0.5, 0.5], 3, 4, 4), (2, [0.5, 0.5], 4, 4, 2),
+                     (3, [0.5, 0.3, 0.2], 3, 3, 3)]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_lgamma_table_matches_gammaln(self, seed, monkeypatch):
+        # scipy is the oracle: the violations are those of the gammaln form,
+        # also at eps = 0.5, where n(k+l) eps is an integer and a type could
+        # sit on the first threshold
+        from scipy.special import gammaln
+        from trellisexp import sim
+        checks = []
+        for j, q, k, l_max, codes in self.GAMMALN_CASES:
+            cfg = EnsembleConfig(m=1, n=2, k=k, L=20, seed=seed)
+            for index in range(codes):
+                code = sample_code(cfg, j=j, q=InputDist(q), code_index=index)
+                checks += [(code, InputDist(q), eps, l_max) for eps in (0.1, 0.2, 0.3, 0.5)]
+        got = [typicality_check(*args).violations for args in checks]
+        monkeypatch.setattr(sim, "_log_multinomials", lambda counts: (
+            gammaln(counts.sum(axis=1) + 1) - gammaln(counts + 1).sum(axis=1)))
+        want = [typicality_check(*args).violations for args in checks]
+        assert [[v[:3] for v in vs] for vs in got] == [[v[:3] for v in vs] for vs in want]
+        # both conditions were exercised
+        assert {v[3] > 0 for vs in want for v in vs} == {False, True}
+
+    def test_log_multinomials_exact(self):
+        # within 1e-12 relative of ln N! - sum ln c! from exact factorials,
+        # on the rows of real tables and on rows up to N = 200
+        rng = np.random.default_rng(5)
+        code = sample_code(EnsembleConfig(m=1, n=2, k=4, L=20, seed=1), j=3,
+                           q=InputDist([0.5, 0.3, 0.2]))
+        rows = [enumerate_pair_types(code, 3).counts]
+        rows += [rng.multinomial(size, [0.4, 0.3, 0.2, 0.1], size=20)
+                 for size in (1, 2, 7, 40, 120, 200)]
+        rows.append(np.array([[200, 0, 0, 0], [0, 0, 0, 0], [199, 1, 0, 0]]))
+        for counts in rows:
+            want = [math.log(math.factorial(int(row.sum())))
+                    - sum(math.log(math.factorial(int(c))) for c in row) for row in counts]
+            got = _log_multinomials(counts)
+            assert got.tolist() == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_no_types_is_typical(self):
         cfg = EnsembleConfig(m=1, n=2, k=2, L=20, seed=11)
