@@ -78,22 +78,34 @@ class InputDist:
         object.__setattr__(self, "q", q)
 
 
+def _input_dist(q, size, what) -> InputDist:
+    """The one reader of an input distribution, shared by every route.
+
+    An `InputDist` is taken as is; anything else goes through `InputDist`.
+    Either way q must hold `size` probabilities, one per `what`
+    (DimensionMismatch otherwise).
+    """
+    qv = q.q if isinstance(q, InputDist) else np.asarray(q, dtype=float)
+    if qv.shape != (size,):
+        raise DimensionMismatch(f"q must hold one probability per {what}, {size} here; "
+                                f"got shape {qv.shape}")
+    return q if isinstance(q, InputDist) else InputDist(qv)
+
+
+def _check_nonnegative(name, value):
+    """The one rule of a real parameter that must be >= 0; NaN fails."""
+    if not value >= 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+
+
 def validate_channel(rows, q) -> tuple[Dmc, InputDist]:
     """Validate raw channel rows and input distribution together.
 
     Raises NonStochasticRow / DimensionMismatch / NegativeEntry on bad input;
     returns the validated, exactly renormalized pair otherwise.
     """
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2:
-        raise DimensionMismatch("channel rows must form a rectangular matrix")
     dmc = Dmc(rows)
-    qv = np.asarray(q, dtype=float)
-    if qv.shape != (dmc.num_inputs,):
-        raise DimensionMismatch(
-            f"q has length {qv.size}, channel has {dmc.num_inputs} inputs"
-        )
-    return dmc, InputDist(qv)
+    return dmc, _input_dist(q, dmc.num_inputs, "channel input")
 
 
 def chernoff_distance(dmc: Dmc, x: int, xp: int, s: float) -> float:

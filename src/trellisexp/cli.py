@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exponents, sim, types_opt
-from .channels import Dmc, InputDist, validate_channel
+from .channels import Dmc, InputDist, _check_nonnegative, validate_channel
 from .exponents import CURVE_KINDS, RateOutOfRange
 from .memory import MarkovChannel
 
@@ -193,8 +193,7 @@ def cmd_curve(args) -> int:
 
 def cmd_simulate(args) -> int:
     spec = _load_spec_for(args, ("memory",))  # w_tilde is the decoding metric
-    if args.lmax < 0:  # audit's message, from `enumerate_pair_types`
-        raise ValueError(f"l_max must be >= 0, got {args.lmax}")
+    _check_nonnegative("l_max", args.lmax)  # audit's message, from `enumerate_pair_types`
     blocks = args.blocks
     cfg = sim.EnsembleConfig(m=args.m, n=args.n, k=args.k, L=args.L,
                              linear=args.linear, seed=args.seed)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Dmc, InputDist, bhattacharyya_matrix
+from .channels import Dmc, InputDist, _check_nonnegative, _input_dist, bhattacharyya_matrix
 
 RHO_MAX = 1e6  # a solved rho at or above this counts as a cap hit
 RATE_TOL = 1e-10
@@ -48,9 +48,11 @@ class ExponentCurve:
 
 
 def gallager_e0(dmc: Dmc, q: InputDist, rho: float) -> float:
-    """Gallager function E0(rho, Q) in nats, rho >= 0."""
-    if rho < 0:
-        raise ValueError(f"rho must be >= 0, got {rho}")
+    """Gallager function E0(rho, Q) in nats, 0 <= rho < inf."""
+    _check_nonnegative("rho", rho)
+    if rho == np.inf:
+        raise ValueError("rho must be finite, got inf")
+    q = _input_dist(q, dmc.num_inputs, "channel input")
     inner = (q.q[:, None] * dmc.w ** (1.0 / (1.0 + rho))).sum(axis=0)
     return -np.log(np.sum(inner ** (1.0 + rho)))
 
@@ -71,6 +73,7 @@ class _PairTable:
     """
 
     def __init__(self, dmc: Dmc, q: InputDist):
+        self.q = q = _input_dist(q, dmc.num_inputs, "channel input")
         z = np.minimum(bhattacharyya_matrix(dmc), 1.0)
         z[np.all(dmc.w[:, None, :] == dmc.w[None, :, :], axis=2)] = 1.0
         qq = np.outer(q.q, q.q)
@@ -91,7 +94,10 @@ class _PairTable:
         return -np.log1p(np.add.reduce(self.weights * np.expm1(r_log_z), axis=-1))
 
     def ex(self, rho):
-        """Ex(rho) = rho G(1/rho), with Ex(0) = 0."""
+        """Ex(rho) = rho G(1/rho), with Ex(0) = 0 and Ex(inf) its zero-rate
+        limit: G'(0) = -E[ln Z] under QxQ where rhat0 = 0, inf otherwise."""
+        if rho == np.inf:
+            return np.inf if self.rhat0 > 0 else self.tilted_point(0.0)[1]
         return rho * (self.g(1.0 / rho) + 2 * self.rhat0) if rho > 0 else 0.0
 
     def rho(self, kind, rates):
@@ -135,16 +141,15 @@ class _PairTable:
 
 
 def expurgated_ex(dmc: Dmc, q: InputDist, rho: float) -> float:
-    """Expurgated function Ex(rho, Q) = -rho ln sum QQ' Z(x,x')^{1/rho}."""
-    if rho < 0:
-        raise ValueError(f"rho must be >= 0, got {rho}")
+    """Expurgated function Ex(rho, Q) = -rho ln sum QQ' Z(x,x')^{1/rho};
+    rho = inf gives the zero-rate limit of `expurgated_ex_limit`."""
+    _check_nonnegative("rho", rho)
     return _PairTable(dmc, q).ex(rho)
 
 
 def expurgated_ex_limit(dmc: Dmc, q: InputDist) -> float:
     """Zero-rate expurgated exponent lim_{rho->inf} Ex(rho, Q) = -E[ln Z]."""
-    table = _PairTable(dmc, q)
-    return np.inf if table.rhat0 > 0 else table.tilted_point(0.0)[1]
+    return _PairTable(dmc, q).ex(np.inf)
 
 
 def cutoff_rate(dmc: Dmc, q: InputDist) -> float:
@@ -160,6 +165,7 @@ def critical_rate(dmc: Dmc, q: InputDist) -> float:
     dE0/drho(1) = -(1/F) sum_y [a_y^2 ln a_y - a_y/2 sum_x Q(x) sqrt(W) ln W],
     where sqrt(W) ln W and a^2 ln a are 0 at zero entries.
     """
+    q = _input_dist(q, dmc.num_inputs, "channel input")
     root = np.sqrt(dmc.w)
     log_w = np.log(dmc.w, out=np.zeros_like(root), where=dmc.w > 0)
     a = q.q @ root
@@ -418,7 +424,7 @@ def solve_rho(curve_kind: str, dmc: Dmc, q: InputDist, rate: float) -> RhoValue:
     # sum_x Q W^{1/(1+rho)} = P (1 + u), u = sum_x Q W expm1(-t ln W) / P,
     # so E0 = -log1p(sum_y P expm1((1 + rho) log1p(u) + rho ln P)): small
     # at small rho without cancelling against 1, and E0/rho -> I(Q;W).
-    qw = q.q[:, None] * dmc.w
+    qw = _input_dist(q, dmc.num_inputs, "channel input").q[:, None] * dmc.w
     p = qw.sum(axis=0)
     out = p > 0
     qw, p = qw[:, out], p[out]
@@ -476,6 +482,7 @@ def costello_form_cex(dmc: Dmc, q: InputDist, rate: float) -> float:
     channels under the uniform input distribution (R in nats)."""
     if dmc.num_inputs != 2:
         raise NotBinaryInput(f"channel has {dmc.num_inputs} inputs")
+    q = _input_dist(q, dmc.num_inputs, "channel input")
     if np.max(np.abs(q.q - 0.5)) > 1e-9:
         raise NotUniformQ(f"q={q.q} is not uniform")
     r0 = cutoff_rate(dmc, q)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import PROB_ATOL, InputDist, NegativeEntry, NonStochasticRow
+from .channels import PROB_ATOL, NegativeEntry, NonStochasticRow, _check_nonnegative, _input_dist
 from .exponents import _argmax_concave, _unit_root, check_rate
 
 S_MAX = 8.0  # upper end of the search over the Chernoff parameter s
@@ -87,8 +87,7 @@ def markov_chernoff(ch: MarkovChannel, x, xm, xp, xpm, s: float) -> float:
 
     May be negative under mismatch; s >= 0 is unrestricted above.
     """
-    if s < 0:
-        raise ValueError(f"s must be >= 0, got {s}")
+    _check_nonnegative("s", s)
     w = ch.w[x, xm]
     wt = ch.w_tilde[x, xm]
     wtp = ch.w_tilde[xp, xpm]
@@ -107,8 +106,7 @@ def markov_chernoff(ch: MarkovChannel, x, xm, xp, xpm, s: float) -> float:
 
 def _distance_tensor(ch: MarkovChannel, s: float) -> np.ndarray:
     """d_s for all (x, xm, x', xm'), shape (J, J, J, J)."""
-    if s < 0:
-        raise ValueError(f"s must be >= 0, got {s}")
+    _check_nonnegative("s", s)
     w = ch.w          # (x, xm, y)
     wt = ch.w_tilde
     support = w > 0
@@ -134,17 +132,13 @@ class _PairChain:
     radius).  The s-dependent distances and the masked QQ' weights, which
     are also 0 on pairs at distance +inf, are built once; `matrix(r)` is
     A_s(r) and `g(r)` is G_s(r).  `q` is the input distribution over the
-    base alphabet (ValueError unless it has one entry per base symbol);
-    lifted symbols are weighted by the Q-probability of their newest
-    component.
+    base alphabet, one probability per base symbol; lifted symbols are
+    weighted by the Q-probability of their newest component.
     """
 
     def __init__(self, ch: MarkovChannel, q, s: float):
-        qv = (q if isinstance(q, InputDist) else InputDist(q)).q
-        if qv.shape != (ch.newest.max() + 1,):
-            raise ValueError(f"q must hold one probability per base symbol, "
-                             f"{ch.newest.max() + 1} here; got shape {qv.shape}")
-        qn, n = qv[ch.newest], ch.num_symbols ** 2
+        qn = _input_dist(q, ch.newest.max() + 1, "base symbol").q[ch.newest]
+        n = ch.num_symbols ** 2
         d = np.transpose(_distance_tensor(ch, s), (0, 2, 1, 3)).reshape(n, n)
         # a pair at distance +inf carries weight 0, also at r = 0: A_s(0) is
         # the limit r -> 0+
@@ -154,8 +148,7 @@ class _PairChain:
         self.weights = np.where(mask & ~inf_d, np.outer(qn, qn).reshape(n, 1), 0.0)
 
     def matrix(self, r: float) -> np.ndarray:
-        if r < 0:
-            raise ValueError(f"r must be >= 0, got {r}")
+        _check_nonnegative("r", r)
         with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf where d = -inf
             return self.weights * np.exp(np.clip(-r * self.d, -745.0, 700.0))
 

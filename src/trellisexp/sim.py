@@ -12,11 +12,12 @@ from counter-based Philox streams keyed by (seed, code index, purpose).
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Dmc, InputDist
+from .channels import Dmc, _check_nonnegative, _input_dist
 from .memory import MarkovChannel, memoryless_lift
 
 ENUM_BUDGET = 10_000_000
@@ -34,6 +35,9 @@ class EnumerationBudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class EnsembleConfig:
+    """Trellis ensemble parameters; m, n, k, L and seed must be integers,
+    and seed nonnegative (ValueError otherwise)."""
+
     m: int          # input bits per branch
     n: int          # channel symbols per branch
     k: int          # memory in branches; constraint length K = m*k
@@ -42,10 +46,14 @@ class EnsembleConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.m, self.n, self.k) < 1:
-            raise ValueError("m, n, k must all be >= 1")
         if self.L is None:
             object.__setattr__(self, "L", 100 * self.k)
+        for name in ("m", "n", "k", "L", "seed"):  # k first: it sets L's default
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        _check_nonnegative("seed", self.seed)  # the key of every Philox stream
+        if min(self.m, self.n, self.k) < 1:
+            raise ValueError("m, n, k must all be >= 1")
         if self.L < 1:
             raise ValueError("L must be >= 1")
 
@@ -101,8 +109,10 @@ def _digits(values, width, count):
 
 
 def sample_code(cfg: EnsembleConfig, j: int = 2, q=None, code_index: int = 0) -> TrellisCode:
-    """Draw one code. General codes: labels i.i.d. Q^n per (t, window) cell.
+    """Draw one code. General codes: labels i.i.d. Q^n per (t, window) cell,
+    with q None for uniform labels or one probability per code symbol.
     Linear codes: equiprobable generator matrices and offsets over GF(2)."""
+    p = None if q is None else _input_dist(q, j, "code symbol").q
     rng = _rng(cfg.seed, code_index)
     t_total = cfg.num_branches
     cells = 1 << cfg.constraint_length
@@ -117,8 +127,7 @@ def sample_code(cfg: EnsembleConfig, j: int = 2, q=None, code_index: int = 0) ->
         gflat = gens.reshape(t_total, cfg.constraint_length, cfg.n)
         labels = (np.einsum("wb,tbn->twn", win_bits, gflat) + offs[:, None, :]) % 2
         return TrellisCode(cfg, j, labels.astype(np.int8), gens, offs)
-    qv = None if q is None else np.asarray(getattr(q, "q", q), dtype=float)
-    labels = rng.choice(j, size=(t_total, cells, cfg.n), p=qv).astype(np.int8)
+    labels = rng.choice(j, size=(t_total, cells, cfg.n), p=p).astype(np.int8)
     return TrellisCode(cfg, j, labels)
 
 
@@ -511,8 +520,7 @@ def enumerate_pair_types(code: TrellisCode, l_max: int, fixed_message=None) -> P
     It stops at the first l that fails.  The second pass builds keys only
     for the l that have patterns.
     """
-    if l_max < 0:
-        raise ValueError(f"l_max must be >= 0, got {l_max}")
+    _check_nonnegative("l_max", l_max)
     cfg = code.cfg
     m, k = cfg.m, cfg.k
     fixed = None
@@ -588,18 +596,13 @@ def typicality_check(code: TrellisCode, q, epsilon: float, l_max: int) -> Typica
     n(k+l) eps is an integer) is decided by the last-bit rounding of the
     lgamma table of ln c! (`_log_multinomials`); choose eps with n(k+l) eps
     non-integer for a decision that does not hang on it.  A non-finite
-    epsilon, or a q whose length is not code.j, raises ValueError, and so
-    does a q that is not a distribution (read through `InputDist`, as the
-    memory route reads it).
+    epsilon raises ValueError; q is read as every route reads it, so a q
+    whose length is not code.j raises DimensionMismatch and one that is not
+    a distribution ValueError.
     """
     if not math.isfinite(epsilon):
         raise ValueError(f"epsilon must be finite, got {epsilon}")
-    qv = q.q if isinstance(q, InputDist) else np.asarray(q, dtype=float)
-    if qv.shape != (code.j,):
-        raise ValueError(f"q must hold one probability per code symbol, {code.j} "
-                         f"here; got shape {qv.shape}")
-    if not isinstance(q, InputDist):  # an InputDist is taken as is
-        qv = InputDist(qv).q
+    qv = _input_dist(q, code.j, "code symbol").q
     cfg = code.cfg
     table = enumerate_pair_types(code, l_max)
     ls, counts, observed = table.ls, table.counts, table.multiplicities

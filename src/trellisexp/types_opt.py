@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import PROB_ATOL, Dmc, InputDist, chernoff_matrix
+from .channels import PROB_ATOL, Dmc, InputDist, _check_nonnegative, _input_dist, chernoff_matrix
 from .exponents import _argmax_concave, _PairTable, _unit_root, check_rate
 
 
@@ -71,6 +71,7 @@ def delta_max(p: JointType, dmc: Dmc) -> tuple[float, float]:
 
 def divergence_qq(p: JointType, q: InputDist) -> float:
     """KL divergence D(P || QxQ) in nats, with 0 ln 0 = 0."""
+    q = _input_dist(q, p.p.shape[0], "channel input")
     qq = np.outer(q.q, q.q)
     mask = p.p > 0
     if np.any(mask & (qq <= 0)):
@@ -106,12 +107,11 @@ def z_of_rhat_legendre(dmc: Dmc, q: InputDist, rhat: float) -> float:
     search with no cap on rho.  Only Ex is evaluated, so this form stays an
     independent check on `z_of_rhat_direct`.
     """
-    if rhat < 0:
-        raise ValueError(f"rhat must be >= 0, got {rhat}")
+    _check_nonnegative("rhat", rhat)
     table = _PairTable(dmc, q)
     if rhat <= table.rhat0:
         return np.inf if rhat < table.rhat0 else table.tilted_point(0.0)[1]
-    if 2 * rhat >= _diag_divergence(q):
+    if 2 * rhat >= _diag_divergence(table.q):
         return 0.0  # objective has nonpositive slope at rho = 0
 
     def obj(u):
@@ -137,9 +137,9 @@ def z_of_rhat_direct(dmc: Dmc, q: InputDist, rhat: float) -> tuple[float, JointT
     `_legendre_edge` every feasible type puts mass on an infinite distance,
     so Z is inf; at and above it Z is finite, and at rhat0 the root is P_0.
     """
-    if rhat < 0:
-        raise ValueError(f"rhat must be >= 0, got {rhat}")
+    _check_nonnegative("rhat", rhat)
     table = _PairTable(dmc, q)
+    q = table.q
     if rhat < table.rhat0:
         return np.inf, JointType(np.outer(q.q, q.q))
     if 2 * rhat >= _diag_divergence(q) - 1e-13:
@@ -199,8 +199,8 @@ def dominant_joint_type(dmc: Dmc, q: InputDist, rho: float) -> DominantEvent:
     R - rhat0 = (rho g(1/rho) + rhat0)/(2 rho - 1), g = `_PairTable.g`,
     a sum of nonnegative terms.  Where rhat0 = 0 this is the plain form.
     """
-    if rho <= 0:
-        raise ValueError(f"rho must be > 0, got {rho}")
+    if not 0 < rho < np.inf:
+        raise ValueError(f"rho must be > 0 and finite, got {rho}")
     table = _PairTable(dmc, q)
     p = JointType(table.tilted(1.0 / rho))
     e, delta = table.tilted_point(1.0 / rho)

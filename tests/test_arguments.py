@@ -1,0 +1,133 @@
+"""The two argument rules that every route shares.
+
+Every entry that takes an input distribution reads it one way: an
+`InputDist` as is, anything else through `InputDist`, and either way with
+one probability per input symbol (DimensionMismatch otherwise).  Every real
+parameter that must be nonnegative is checked one way, so NaN is an error,
+never a plausible number.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+from trellisexp import channels, exponents, memory, sim, types_opt
+from trellisexp.channels import DimensionMismatch, Dmc, InputDist, NonStochasticRow
+
+BSC_W = [[0.9, 0.1], [0.1, 0.9]]
+BSC = Dmc(BSC_W)
+UNIFORM2 = InputDist([0.5, 0.5])
+LIFT = memory.memoryless_lift(BSC)
+CFG = sim.EnsembleConfig(m=1, n=2, k=2, L=10, seed=3)
+CODE = sim.sample_code(CFG, j=2, q=UNIFORM2)
+# disjoint output supports on some input pairs, so rhat0 > 0
+W3 = Dmc([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [0.0, 0.5, 0.5]])
+UNIFORM3 = InputDist([1 / 3, 1 / 3, 1 / 3])
+
+# every public entry that takes q, as a function of q alone
+Q_ENTRIES = {
+    "validate_channel": lambda q: channels.validate_channel(BSC_W, q),
+    "gallager_e0": lambda q: exponents.gallager_e0(BSC, q, 0.5),
+    "expurgated_ex": lambda q: exponents.expurgated_ex(BSC, q, 2.0),
+    "expurgated_ex_limit": lambda q: exponents.expurgated_ex_limit(BSC, q),
+    "cutoff_rate": lambda q: exponents.cutoff_rate(BSC, q),
+    "critical_rate": lambda q: exponents.critical_rate(BSC, q),
+    "solve_rho cex": lambda q: exponents.solve_rho("cex", BSC, q, 0.1),
+    "solve_rho trtc": lambda q: exponents.solve_rho("trtc", BSC, q, 0.1),
+    "solve_rho rtc": lambda q: exponents.solve_rho("rtc", BSC, q, 0.3),
+    "exponent_curve": lambda q: exponents.exponent_curve("trtc", BSC, q, [0.05, 0.1]),
+    "costello_form_cex": lambda q: exponents.costello_form_cex(BSC, q, 0.1),
+    "divergence_qq": lambda q: types_opt.divergence_qq(
+        types_opt.JointType([[0.4, 0.1], [0.1, 0.4]]), q),
+    "z_of_rhat_legendre": lambda q: types_opt.z_of_rhat_legendre(BSC, q, 0.05),
+    "z_of_rhat_direct": lambda q: types_opt.z_of_rhat_direct(BSC, q, 0.05),
+    "csiszar_exponent": lambda q: types_opt.csiszar_exponent(BSC, q, 0.1),
+    "dominant_joint_type": lambda q: types_opt.dominant_joint_type(BSC, q, 2.0),
+    "build_tilted": lambda q: memory.build_tilted(LIFT, q, 0.5, 0.5),
+    "g_s": lambda q: memory.g_s(LIFT, q, 0.5, 0.5),
+    "extended_cutoff": lambda q: memory.extended_cutoff(LIFT, q),
+    "extended_exponent": lambda q: memory.extended_exponent(LIFT, q, 0.1),
+    "sample_code": lambda q: sim.sample_code(CFG, j=2, q=q),
+    "sample_code linear": lambda q: sim.sample_code(
+        sim.EnsembleConfig(m=1, n=2, k=2, L=10, linear=True), j=2, q=q),
+    "typicality_check": lambda q: sim.typicality_check(CODE, q, 0.3, 2),
+    "typicality_audit": lambda q: sim.typicality_audit(CFG, 2, q, 2, 0.3, 2),
+}
+
+
+def _plain(x):
+    """Dataclasses as dicts and tuples as lists, all the way down, for
+    `np.testing.assert_equal`, which compares arrays and NaN exactly."""
+    if dataclasses.is_dataclass(x):
+        return {f.name: _plain(getattr(x, f.name)) for f in dataclasses.fields(x)}
+    if isinstance(x, (list, tuple)):
+        return [_plain(v) for v in x]
+    return x
+
+
+@pytest.mark.parametrize("entry", Q_ENTRIES)
+@pytest.mark.parametrize("q", [[1.0], [0.2, 0.3, 0.5], InputDist([0.2, 0.3, 0.5]),
+                               [[0.5, 0.5]]], ids=["one", "three", "dist3", "2d"])
+def test_wrong_length_q_is_dimension_mismatch(entry, q):
+    with pytest.raises(DimensionMismatch, match="one probability per"):
+        Q_ENTRIES[entry](q)
+
+
+@pytest.mark.parametrize("entry", Q_ENTRIES)
+def test_list_q_same_as_input_dist(entry):
+    np.testing.assert_equal(_plain(Q_ENTRIES[entry]([0.5, 0.5])),
+                            _plain(Q_ENTRIES[entry](UNIFORM2)))
+
+
+def test_sample_code_rejects_a_q_numpy_would_take():
+    # numpy's choice forgives a sum off by about 1.5e-8; the code draws
+    # with the q that every other route reads, or not at all
+    with pytest.raises(NonStochasticRow):
+        sim.sample_code(CFG, j=2, q=[0.5, 0.5 + 1e-9])
+    with pytest.raises(NonStochasticRow):
+        sim.typicality_audit(CFG, 2, [0.5, 0.5 + 1e-9], 1, 0.3, 2)
+
+
+# every guard of a real parameter that must be >= 0 (or > 0), at NaN
+NAN_GUARDS = {
+    "gallager_e0 rho": lambda: exponents.gallager_e0(BSC, UNIFORM2, math.nan),
+    "expurgated_ex rho": lambda: exponents.expurgated_ex(BSC, UNIFORM2, math.nan),
+    "z_of_rhat_direct rhat": lambda: types_opt.z_of_rhat_direct(BSC, UNIFORM2, math.nan),
+    "z_of_rhat_legendre rhat": lambda: types_opt.z_of_rhat_legendre(BSC, UNIFORM2, math.nan),
+    "dominant_joint_type rho": lambda: types_opt.dominant_joint_type(BSC, UNIFORM2, math.nan),
+    "markov_chernoff s": lambda: memory.markov_chernoff(LIFT, 0, 0, 1, 1, math.nan),
+    "build_tilted s": lambda: memory.build_tilted(LIFT, UNIFORM2, math.nan, 0.5),
+    "build_tilted r": lambda: memory.build_tilted(LIFT, UNIFORM2, 0.5, math.nan),
+    "g_s r": lambda: memory.g_s(LIFT, UNIFORM2, 0.5, math.nan),
+    "enumerate_pair_types l_max": lambda: sim.enumerate_pair_types(CODE, math.nan),
+}
+
+
+@pytest.mark.parametrize("guard", NAN_GUARDS)
+def test_nan_parameter_raises(guard):
+    with pytest.raises(ValueError, match=r"must be >=? 0.*got nan"):
+        NAN_GUARDS[guard]()
+
+
+class TestInfiniteRho:
+    def test_gallager_e0_raises(self):
+        # E0 at rho = inf used to read -ln 2, a negative E0
+        with pytest.raises(ValueError, match="finite"):
+            exponents.gallager_e0(BSC, UNIFORM2, math.inf)
+
+    def test_dominant_joint_type_raises(self):
+        with pytest.raises(ValueError, match="finite"):
+            types_opt.dominant_joint_type(BSC, UNIFORM2, math.inf)
+
+    @pytest.mark.parametrize("dmc, q", [(BSC, UNIFORM2), (W3, UNIFORM3)], ids=["bsc", "w3"])
+    def test_expurgated_ex_is_its_zero_rate_limit(self, dmc, q):
+        # RuntimeWarnings are errors in this suite, so no NaN is formed
+        value = exponents.expurgated_ex(dmc, q, math.inf)
+        assert value == exponents.expurgated_ex_limit(dmc, q)
+        if dmc is W3:
+            assert value == math.inf
+        else:
+            assert value == pytest.approx(-0.5 * math.log(0.6), rel=1e-12)  # -E[ln Z]
+            assert value == pytest.approx(exponents.expurgated_ex(dmc, q, 1e9), rel=1e-8)

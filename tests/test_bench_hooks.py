@@ -5,9 +5,20 @@ counts pair types from `enumerate_pair_types(...)` (`entries` and
 `pair_totals`) and ACS operations from a code's `cfg`, and counts eigenvalue
 solves by patching the module attribute `memory.perron_frobenius`.  A change
 that breaks one of these would otherwise show only in a traced benchmark run.
+The smoke test runs each workload's set-up and the first job of each of its
+routes, checked by the job's own output check, so that a break in what the
+workloads call (`cli.load_channel_spec`, `validate_channel`, ...) shows here
+and not only as a failed benchmark run.
 """
 
+import importlib.util
+from pathlib import Path
+
+import pytest
+
 from trellisexp import exponents, memory, sim
+
+WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 def test_benchmark_hooks(monkeypatch, bsc01, uniform2):
@@ -29,3 +40,22 @@ def test_benchmark_hooks(monkeypatch, bsc01, uniform2):
     monkeypatch.setattr(memory, "perron_frobenius", lambda a: calls.append(a) or pf(a))
     memory.extended_exponent(memory.memoryless_lift(bsc01), uniform2, 0.1)
     assert calls
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PY)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["analytic", "decode", "audit"])
+def test_workload_smoke(workloads, tmp_path, name):
+    workloads.write_inputs(tmp_path)
+    chs = workloads.setup(name, tmp_path)
+    firsts = {}
+    for job in workloads.build_jobs(name, chs, seed=1):
+        firsts.setdefault(job.route, job)  # dominant jobs have no route
+    for job in firsts.values():
+        assert job.check(job.run()) == [], job.label

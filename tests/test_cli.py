@@ -348,6 +348,12 @@ class TestBadEnsembleArguments:
                 == run(AUDIT + ["--k", "2", "--lmax", "-2", "--codes", "1"])
                 == (2, "", "error: l_max must be >= 0, got -2\n"))
 
+    @pytest.mark.parametrize("command", [SIMULATE, AUDIT + ["--lmax", "1", "--codes", "1"]])
+    def test_negative_seed_rejected(self, command):
+        # it used to end in an OverflowError traceback from the Philox key
+        assert (run(command + ["--k", "2", "--seed", "-1"])
+                == (2, "", "error: seed must be >= 0, got -1\n"))
+
     @pytest.mark.parametrize("argv", [
         # rejected by argparse: usage and one "error:" line, no traceback
         AUDIT + ["--k", "2", "--lmax", "2", "--codes", "0"],

@@ -46,6 +46,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             EnsembleConfig(m=0, n=2, k=2)
 
+    @pytest.mark.parametrize("field, value", [("m", 1.5), ("n", 2.0), ("k", 3.5),
+                                              ("L", 12.5), ("seed", 1.5)])
+    def test_rejects_non_integers(self, field, value):
+        # m = 1.5 used to construct and fail in sample_code's shifts
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            EnsembleConfig(**{"m": 1, "n": 2, "k": 3, "L": 10, field: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = EnsembleConfig(m=np.int64(1), n=np.int32(2), k=np.int64(3))
+        assert (cfg.num_states, cfg.L) == (4, 300)
+
 
 class TestSampleCode:
     def test_deterministic(self):
