@@ -98,6 +98,13 @@ def _check_nonnegative(name, value):
         raise ValueError(f"{name} must be >= 0, got {value}")
 
 
+def _check_finite_nonnegative(name, value):
+    """`_check_nonnegative`, and inf fails too."""
+    _check_nonnegative(name, value)
+    if value == np.inf:
+        raise ValueError(f"{name} must be finite, got inf")
+
+
 def validate_channel(rows, q) -> tuple[Dmc, InputDist]:
     """Validate raw channel rows and input distribution together.
 

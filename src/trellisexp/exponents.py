@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Dmc, InputDist, _check_nonnegative, _input_dist, bhattacharyya_matrix
+from .channels import (Dmc, InputDist, _check_finite_nonnegative, _check_nonnegative, _input_dist,
+                       bhattacharyya_matrix)
 
 RHO_MAX = 1e6  # a solved rho at or above this counts as a cap hit
 RATE_TOL = 1e-10
@@ -49,9 +50,7 @@ class ExponentCurve:
 
 def gallager_e0(dmc: Dmc, q: InputDist, rho: float) -> float:
     """Gallager function E0(rho, Q) in nats, 0 <= rho < inf."""
-    _check_nonnegative("rho", rho)
-    if rho == np.inf:
-        raise ValueError("rho must be finite, got inf")
+    _check_finite_nonnegative("rho", rho)
     q = _input_dist(q, dmc.num_inputs, "channel input")
     inner = (q.q[:, None] * dmc.w ** (1.0 / (1.0 + rho))).sum(axis=0)
     return -np.log(np.sum(inner ** (1.0 + rho)))

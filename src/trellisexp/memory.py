@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import PROB_ATOL, NegativeEntry, NonStochasticRow, _check_nonnegative, _input_dist
+from .channels import (PROB_ATOL, NegativeEntry, NonStochasticRow, _check_finite_nonnegative,
+                       _check_nonnegative, _input_dist)
 from .exponents import _argmax_concave, _unit_root, check_rate
 
 S_MAX = 8.0  # upper end of the search over the Chernoff parameter s
@@ -105,8 +106,9 @@ def markov_chernoff(ch: MarkovChannel, x, xm, xp, xpm, s: float) -> float:
 
 
 def _distance_tensor(ch: MarkovChannel, s: float) -> np.ndarray:
-    """d_s for all (x, xm, x', xm'), shape (J, J, J, J)."""
-    _check_nonnegative("s", s)
+    """d_s for all (x, xm, x', xm'), shape (J, J, J, J); s = inf raises
+    ValueError, since W~^{-s} and W~^s would meet there as inf * 0."""
+    _check_finite_nonnegative("s", s)
     w = ch.w          # (x, xm, y)
     wt = ch.w_tilde
     support = w > 0
@@ -148,7 +150,7 @@ class _PairChain:
         self.weights = np.where(mask & ~inf_d, np.outer(qn, qn).reshape(n, 1), 0.0)
 
     def matrix(self, r: float) -> np.ndarray:
-        _check_nonnegative("r", r)
+        _check_finite_nonnegative("r", r)  # r = inf would form 0 * inf at d = 0
         with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf where d = -inf
             return self.weights * np.exp(np.clip(-r * self.d, -745.0, 700.0))
 

@@ -11,18 +11,21 @@ from counter-based Philox streams keyed by (seed, code index, purpose).
 """
 
 import functools
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Dmc, _check_nonnegative, _input_dist
+from .channels import PROB_ATOL, Dmc, _check_nonnegative, _input_dist
 from .memory import MarkovChannel, memoryless_lift
 
 ENUM_BUDGET = 10_000_000
 DECODE_BATCH = 256  # blocks per viterbi_decode call in estimate_error_exponent
 UNION_TAIL_TERMS = 10_000  # most terms of the union-bound series summed
+_TUPLE_CELLS = 16  # most output tuples Y^g read by one branch-table lookup
+_CHUNK_BYTES = 1 << 20  # branch metrics gathered at once by viterbi_decode
 
 
 class LengthMismatch(ValueError):
@@ -111,7 +114,9 @@ def _digits(values, width, count):
 def sample_code(cfg: EnsembleConfig, j: int = 2, q=None, code_index: int = 0) -> TrellisCode:
     """Draw one code. General codes: labels i.i.d. Q^n per (t, window) cell,
     with q None for uniform labels or one probability per code symbol.
-    Linear codes: equiprobable generator matrices and offsets over GF(2)."""
+    Linear codes: equiprobable generator matrices and offsets over GF(2),
+    whose labels are uniform, so q must be None or uniform to within
+    PROB_ATOL (ValueError otherwise)."""
     p = None if q is None else _input_dist(q, j, "code symbol").q
     rng = _rng(cfg.seed, code_index)
     t_total = cfg.num_branches
@@ -119,6 +124,9 @@ def sample_code(cfg: EnsembleConfig, j: int = 2, q=None, code_index: int = 0) ->
     if cfg.linear:
         if j != 2:
             raise ValueError("linear codes require a binary channel alphabet")
+        if p is not None and np.any(np.abs(p - 0.5) > PROB_ATOL):
+            raise ValueError(f"linear codes draw uniform labels; q must be uniform, "
+                             f"got {p.tolist()}")
         gens = rng.integers(0, 2, size=(t_total, cfg.k, cfg.m, cfg.n), dtype=np.int8)
         offs = rng.integers(0, 2, size=(t_total, cfg.n), dtype=np.int8)
         # bit i of a window, most significant first, meets row i of the
@@ -165,9 +173,9 @@ def encode(code: TrellisCode, info_bits) -> np.ndarray:
     blocks = _info_to_blocks(bits, cfg.m, cfg.L)
     tail = np.zeros((blocks.shape[0], cfg.k - 1), dtype=np.int64)
     blocks = np.concatenate([blocks, tail], axis=1)
-    wins = _block_windows(blocks, cfg)
-    t_idx = np.broadcast_to(np.arange(cfg.num_branches)[None, :], wins.shape)
-    symbols = code.labels[t_idx, wins]  # (B, T, n)
+    rows = _block_windows(blocks, cfg)  # row t 2^K + window of the flat labels
+    rows += np.arange(cfg.num_branches) << cfg.constraint_length
+    symbols = code.labels.reshape(-1, cfg.n)[rows]  # (B, T, n)
     out = symbols.reshape(blocks.shape[0], -1)
     return out[0] if single else out
 
@@ -230,6 +238,86 @@ def _log_metric(metric) -> np.ndarray:
         return np.log(w)
 
 
+def _branch_tables(code: TrellisCode, logw, ys):
+    """Flat branch-metric tables and their row indexes for outputs ys (B, T, n).
+
+    The first g output symbols of a branch form one tuple, g the largest
+    size with Y^g <= _TUPLE_CELLS; each further symbol is a tuple of its
+    own.  A tuple of h symbols y_a .. y_{a+h-1} has the table (T * Y^h, 2^K)
+    whose row t Y^h + c, c = y_a Y^{h-1} + ... + y_{a+h-1}, holds
+    sum_i ln W~(y_i | labels[t, w, i]) over the tuple, summed left to
+    right, and the (T, B) intp index of the row that each branch reads.
+    Only the first tuple is joint: a later one's own sum would round
+    differently from the running sum that the decoder adds it to.
+    """
+    cfg, y_count = code.cfg, logw.shape[1]
+    t_total, w_count = cfg.num_branches, 1 << cfg.constraint_length
+    g = 1
+    while g < cfg.n and y_count ** (g + 1) <= _TUPLE_CELLS:
+        g += 1
+    tables, rows = [], []
+    for first, last in [(0, g)] + [(i, i + 1) for i in range(g, cfg.n)]:
+        cells = y_count ** (last - first)
+        table = np.empty((t_total, cells, w_count))
+        # intp labels: numpy would convert int8 ones on every gather
+        labels = [code.labels[..., i].astype(np.intp) for i in range(first, last)]
+        for c, outs in enumerate(itertools.product(range(y_count), repeat=last - first)):
+            col = logw[:, outs[0]][labels[0]]  # (T, 2^K)
+            for y, lab in zip(outs[1:], labels[1:]):
+                col += logw[:, y][lab]
+            table[:, c] = col
+        row = np.zeros((t_total, len(ys)), dtype=np.intp)
+        for i in range(first, last):
+            row *= y_count
+            row += ys[:, :, i].T
+        row += np.arange(0, t_total * cells, cells)[:, None]
+        tables.append(table.reshape(-1, w_count))
+        rows.append(row)
+    return tables, rows
+
+
+def _forward(code: TrellisCode, logw, ys) -> np.ndarray:
+    """Add-compare-select over every branch of outputs ys (B, T, n); returns
+    choice (T, B, S), the `low` of each state's surviving window."""
+    cfg = code.cfg
+    b, t_total = ys.shape[:2]
+    s_count, u_count = cfg.num_states, 1 << cfg.m
+    w_count = s_count * u_count
+    tables, rows = _branch_tables(code, logw, ys)
+    span_len = min(t_total, max(1, _CHUNK_BYTES // (8 * max(b, 1) * w_count)))
+    chunk = np.empty((span_len, b, w_count))
+    cands = chunk.reshape(span_len, b, u_count, s_count)  # the add step's view
+    pairs = chunk.reshape(span_len, b, s_count, u_count)  # [s', low] of window (s' << m) | low
+    alpha = np.full((b, s_count), -1e30)
+    alpha[:, 0] = 0.0  # encoder starts in the all-zero state
+    preds = alpha[:, None, :]  # the predecessor state of window w is w & (S - 1)
+    choice = np.empty((t_total, b, s_count), dtype=np.min_scalar_type(u_count - 1))
+    for t0 in range(0, t_total, len(chunk)):
+        bms = chunk[:t_total - t0]
+        span = slice(t0, t0 + len(bms))
+        # rows are in range; mode="raise" would gather into a copy of `out`
+        np.take(tables[0], rows[0][span], axis=0, out=bms, mode="clip")
+        for table, row in zip(tables[1:], rows[1:]):
+            bms += table[row[span]]
+        for i in range(len(bms)):
+            cands[i] += preds
+            vals = pairs[i]
+            # tournament over the bits of `low`; the strict > keeps ties left
+            for level in range(cfg.m - 1):
+                left, right = vals[..., 0::2], vals[..., 1::2]
+                take = right > left
+                vals = np.maximum(left, right)
+                low = np.where(take, low[..., 1::2] + (1 << level),
+                               low[..., 0::2]) if level else take
+            left, right = vals[..., 0], vals[..., 1]
+            if cfg.m == 1:
+                np.greater(right, left, out=choice[t0 + i])
+            else:
+                choice[t0 + i] = np.where(right > left, low[..., 1] + (u_count >> 1), low[..., 0])
+            np.maximum(left, right, out=alpha)
+    return choice
+
+
 def viterbi_decode(code: TrellisCode, metric, outputs) -> np.ndarray:
     """Maximum-metric path with zero terminal state; returns m*L info bits.
 
@@ -247,14 +335,28 @@ def viterbi_decode(code: TrellisCode, metric, outputs) -> np.ndarray:
     views the sums as (B, S, 2^m) candidates.  For k = 1 the one state is
     its own predecessor and the choice is the input.
 
+    Branch metrics come from one table per output tuple (`_branch_tables`):
+    the first g symbols of a branch are read together, g the largest size
+    with Y^g <= 16 (`_TUPLE_CELLS`), so every branch with Y^n <= 16
+    (n <= 4 at Y = 2, n <= 2 at Y = 3) is one lookup, and each further
+    symbol is added from its own table.  At k = 8, L = 200, n = Y = 2 the table holds T*Y^n*2^K =
+    207*4*256 float64s (1.7 MB), built once per call.  Each entry is the
+    left-to-right sum that a per-symbol loop forms, so the decoded bits do
+    not depend on g.  The metrics of a time chunk of branches, about 1 MiB
+    of float64s (`_CHUNK_BYTES`; 2 branches at B = 256, K = 8, and 32 at
+    K = 4), are gathered with one `np.take` per tuple into one reused
+    buffer.
+
     Compare-select is a binary tournament over the m bits of `low`: at each
     level the candidates pair up as (even, odd) neighbours, the odd one
     wins only if strictly greater, and the winner's `low` gains that
     level's bit.  So a tie keeps the predecessor with the smaller state
     index (the smaller `low`), and the survivor is the first maximiser, the
-    one an argmax would pick.  Branch metrics come from a table
-    ln W~(y | labels[t, w, i]) of T*n*Y*2^K float64s (1.7 MB at k = 8,
-    L = 200, n = Y = 2), built once per call.
+    one an argmax would pick.  The last level writes the survivors' `low`
+    into choice[t] and their metrics into the path-metric buffer in place.
+    The traceback walks choice (T, B, S) from the zero terminal state by
+    flat index, storing each chosen window, and shifts the input blocks
+    out of all windows at once.
     """
     cfg = code.cfg
     logw = _log_metric(metric)
@@ -264,43 +366,20 @@ def viterbi_decode(code: TrellisCode, metric, outputs) -> np.ndarray:
     ys, single = _batch(outputs, cfg.n * cfg.num_branches, "output symbols")
     _check_symbols(ys, logw.shape[1], "output symbols", "metric's output alphabet")
     b = ys.shape[0]
-    ys = ys.reshape(b, cfg.num_branches, cfg.n)
-    s_count, u_count = cfg.num_states, 1 << cfg.m
-    # tab[t, i, y, w] = ln W~(y | labels[t, w, i])
-    tab = np.ascontiguousarray(logw.T[:, code.labels].transpose(1, 3, 0, 2))
-
-    alpha = np.full((b, s_count), -1e30)
-    alpha[:, 0] = 0.0  # encoder starts in the all-zero state
-    choice = np.empty((b, cfg.num_branches, s_count), dtype=np.min_scalar_type(u_count - 1))
-    for t in range(cfg.num_branches):
-        bm = tab[t, 0][ys[:, t, 0]]  # (B, 2^K), summed left to right
-        for i in range(1, cfg.n):
-            bm += tab[t, i][ys[:, t, i]]
-        # add: the predecessor state of window w is w & (S - 1)
-        cand = bm.reshape(b, u_count, s_count)
-        cand += alpha[:, None, :]
-        vals = bm.reshape(b, s_count, u_count)  # [s', low] of window (s' << m) | low
-        # tournament over the bits of `low`; the strict > keeps ties left
-        for level in range(cfg.m):
-            left, right = vals[..., 0::2], vals[..., 1::2]
-            take = right > left
-            vals = np.maximum(left, right)
-            low = take if level == 0 else np.where(take, low[..., 1::2] + (1 << level),
-                                                   low[..., 0::2])
-        choice[:, t] = low[..., 0]
-        alpha = vals[..., 0]
+    choice = _forward(code, logw, ys.reshape(b, cfg.num_branches, cfg.n))
 
     # traceback from the zero terminal state: the chosen window is
     # (s' << m) | low, its top m bits the input, its low m(k-1) bits the
     # predecessor state
-    blocks = np.empty((b, cfg.num_branches), dtype=np.int64)
+    s_count = cfg.num_states
+    wins = np.empty((cfg.num_branches, b), dtype=np.int64)
     state = np.zeros(b, dtype=np.int64)
-    rows = np.arange(b)
+    base = np.arange(0, b * s_count, s_count)
     for t in range(cfg.num_branches - 1, -1, -1):
-        win = (state << cfg.m) | choice[rows, t, state]
-        blocks[:, t] = win >> (cfg.m * (cfg.k - 1))
-        state = win & (s_count - 1)
-    bits = _digits(blocks[:, :cfg.L], 1, cfg.m).reshape(b, cfg.m * cfg.L).astype(np.int8)
+        np.bitwise_or(state << cfg.m, choice[t].reshape(-1)[base + state], out=wins[t])
+        state = wins[t] & (s_count - 1)
+    wins >>= cfg.m * (cfg.k - 1)  # the input blocks
+    bits = _digits(wins[:cfg.L].T, 1, cfg.m).reshape(b, cfg.m * cfg.L).astype(np.int8)
     return bits[0] if single else bits
 
 
@@ -627,8 +706,11 @@ def typicality_union_bound(cfg: EnsembleConfig, j: int, epsilon: float) -> float
     """Analytic union bound (2^m - 1) sum_{l >= k+1} (n l + 1)^{J^2} 2^{-n l eps}.
 
     inf when the series has not converged within UNION_TAIL_TERMS terms,
-    as at every eps <= 0, where it diverges.
+    as at every eps <= 0, where it diverges.  A NaN epsilon raises
+    ValueError.
     """
+    if math.isnan(epsilon):
+        raise ValueError(f"epsilon must be a number, got {epsilon}")
     total = 0.0
     for l in range(cfg.k + 1, cfg.k + 1 + UNION_TAIL_TERMS):
         term = (cfg.n * l + 1) ** (j * j) * 2.0 ** (-cfg.n * l * epsilon)

@@ -3,8 +3,11 @@
 Its tracer reads `exponents.RHO_MAX` and the `.rho` of `solve_rho`'s result,
 counts pair types from `enumerate_pair_types(...)` (`entries` and
 `pair_totals`) and ACS operations from a code's `cfg`, and counts eigenvalue
-solves by patching the module attribute `memory.perron_frobenius`.  A change
-that breaks one of these would otherwise show only in a traced benchmark run.
+solves by patching the module attribute `memory.perron_frobenius`.  Its
+decode jobs size their trials as one full `viterbi_decode` batch per code,
+which holds only while `sim.DECODE_BATCH` equals the workloads' own copy.
+A change that breaks one of these would otherwise show only in a traced
+benchmark run.
 The smoke test runs each workload's set-up and the first job of each of its
 routes, checked by the job's own output check, so that a break in what the
 workloads call (`cli.load_channel_spec`, `validate_channel`, ...) shows here
@@ -48,6 +51,12 @@ def workloads():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_decode_jobs_are_one_batch_per_code(workloads):
+    # each decode job asks for DECODE_BATCH * L node trials per code, so
+    # that every code is one full viterbi_decode batch
+    assert sim.DECODE_BATCH == workloads.DECODE_BATCH
 
 
 @pytest.mark.parametrize("name", ["analytic", "decode", "audit"])

@@ -341,6 +341,13 @@ class TestBadEnsembleArguments:
         assert rc == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_linear_rejects_non_uniform_q(self, tmp_path):
+        # the linear ensemble ignored q and drew uniform labels
+        rc, out, err = run(["simulate", "--channel", _spec_with(tmp_path, q=[0.9, 0.1]),
+                            "--m", "1", "--n", "2", "--k", "3", "--linear", "--seed", "1"])
+        assert rc == 2 and out.count("\n") == 1  # the CSV header, no code row
+        assert err.startswith("error: ") and "uniform" in err and err.count("\n") == 1
+
     def test_negative_lmax_rejected_as_audit_does(self):
         # simulate rejects it before simulating anything, with audit's exit
         # code and message; it used to exit 0 without the typical column

@@ -212,6 +212,16 @@ class TestGsFs:
             want = expurgated_ex(bsc01, uniform2, rho)
             assert got == pytest.approx(want, abs=1e-9)
 
+    def test_infinite_s_or_r_raises(self, lifted_bsc, uniform2):
+        # s = inf gave an all-NaN A_s(r) with no error, and r = inf a
+        # LinAlgError from the eigenvalue solve
+        with pytest.raises(ValueError, match="s must be finite"):
+            build_tilted(lifted_bsc, uniform2, math.inf, 0.5)
+        with pytest.raises(ValueError, match="r must be finite"):
+            g_s(lifted_bsc, uniform2, 0.5, math.inf)
+        with pytest.raises(ValueError, match="r must be finite"):
+            build_tilted(lifted_bsc, uniform2, 0.5, math.inf)
+
     def test_g_concave_in_r(self, lifted_bsc, uniform2):
         rs = np.linspace(0.0, 3.0, 20)
         vals = [g_s(lifted_bsc, uniform2, 0.5, r) for r in rs]

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from trellisexp import sim
 from trellisexp.channels import Dmc, InputDist
 from trellisexp.memory import MarkovChannel, lift_memory, memoryless_lift
 from trellisexp.sim import (
@@ -13,6 +14,7 @@ from trellisexp.sim import (
     LengthMismatch,
     _batch,
     _block_windows,
+    _check_symbols,
     _deviation_patterns,
     _digits,
     _key_layout,
@@ -72,6 +74,21 @@ class TestSampleCode:
         code = sample_code(cfg, j=2)
         out = encode(code, np.zeros(5, dtype=np.int8))
         assert np.array_equal(out.reshape(-1, 2), code.offsets)
+
+    @pytest.mark.parametrize("q", [[0.9, 0.1], InputDist([0.5 + 1e-9, 0.5 - 1e-9])])
+    def test_linear_rejects_non_uniform_q(self, q):
+        # the linear ensemble's labels are uniform whatever q says
+        cfg = EnsembleConfig(m=1, n=2, k=3, L=10, linear=True, seed=2)
+        with pytest.raises(ValueError, match="uniform"):
+            sample_code(cfg, j=2, q=q)
+
+    def test_linear_uniform_q_draws_the_same_code(self):
+        cfg = EnsembleConfig(m=1, n=2, k=3, L=10, linear=True, seed=2)
+        plain = sample_code(cfg, j=2)
+        for q in ([0.5, 0.5], UNIFORM2, InputDist([0.5 + 1e-13, 0.5 - 1e-13])):
+            code = sample_code(cfg, j=2, q=q)
+            for field in ("labels", "generators", "offsets"):
+                assert np.array_equal(getattr(code, field), getattr(plain, field))
 
     def test_linear_requires_binary(self):
         cfg = EnsembleConfig(m=1, n=2, k=2, L=5, seed=1, linear=True)
@@ -281,6 +298,24 @@ class TestViterbi:
         batch = viterbi_decode(code, bsc01, ys)
         singles = np.stack([viterbi_decode(code, bsc01, y) for y in ys])
         assert np.array_equal(batch, singles)
+
+    def test_k8_batch_peak_memory(self, bsc01):
+        # one full estimate_error_exponent batch at k = 8: the choice array
+        # (6.5 MiB) and the branch table (1.6 MiB) dominate; the per-symbol
+        # decoder peaked at 9.9 MiB here
+        import tracemalloc
+        cfg = EnsembleConfig(m=1, n=2, k=8, L=200, seed=1)
+        code = sample_code(cfg, j=2, q=UNIFORM2)
+        rng = _rng(4, 1)
+        info = rng.integers(0, 2, size=(DECODE_BATCH, cfg.L), dtype=np.int8)
+        ys = transmit(bsc01, encode(code, info), rng)
+        tracemalloc.start()
+        try:
+            viterbi_decode(code, bsc01, ys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (9.9 + 1.5) * 2**20
 
     def test_three_dim_batch_rejected(self, bsc01):
         cfg = EnsembleConfig(m=1, n=2, k=2, L=10, seed=8)
@@ -523,6 +558,11 @@ class TestTypicality:
         assert typicality_union_bound(cfg, 2, 0.0) == math.inf
         assert typicality_union_bound(cfg, 2, 0.001) == math.inf
         assert typicality_union_bound(cfg, 2, 0.3) == pytest.approx(36981.61984374667, rel=1e-15)
+
+    def test_union_bound_nan_epsilon_rejected(self):
+        # it used to sum all UNION_TAIL_TERMS NaN terms and return inf
+        with pytest.raises(ValueError, match="epsilon"):
+            typicality_union_bound(EnsembleConfig(m=1, n=2, k=3, L=10), 2, math.nan)
 
     @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf])
     def test_non_finite_epsilon_rejected(self, epsilon):
@@ -911,6 +951,108 @@ class TestTypicalityScorer:
         cfg = EnsembleConfig(m=1, n=2, k=2, L=20, seed=11)
         code = sample_code(cfg, j=2, q=UNIFORM2)
         assert typicality_check(code, UNIFORM2, 0.3, l_max=0).is_typical
+
+
+def _reference_viterbi(code, metric, outputs):
+    """The per-symbol decoder: n branch-metric gathers and n - 1 adds per
+    branch from the table ln W~(y | labels[t, w, i]), the tournament
+    compare-select into a (B, T, S) choice array, and a traceback by
+    (row, t, state) fancy index."""
+    cfg = code.cfg
+    logw = _log_metric(metric)
+    ys, single = _batch(outputs, cfg.n * cfg.num_branches, "output symbols")
+    _check_symbols(ys, logw.shape[1], "output symbols", "metric's output alphabet")
+    b = ys.shape[0]
+    ys = ys.reshape(b, cfg.num_branches, cfg.n)
+    s_count, u_count = cfg.num_states, 1 << cfg.m
+    # tab[t, i, y, w] = ln W~(y | labels[t, w, i])
+    tab = np.ascontiguousarray(logw.T[:, code.labels].transpose(1, 3, 0, 2))
+    alpha = np.full((b, s_count), -1e30)
+    alpha[:, 0] = 0.0
+    choice = np.empty((b, cfg.num_branches, s_count), dtype=np.min_scalar_type(u_count - 1))
+    for t in range(cfg.num_branches):
+        bm = tab[t, 0][ys[:, t, 0]]  # (B, 2^K), summed left to right
+        for i in range(1, cfg.n):
+            bm += tab[t, i][ys[:, t, i]]
+        cand = bm.reshape(b, u_count, s_count)
+        cand += alpha[:, None, :]
+        vals = bm.reshape(b, s_count, u_count)
+        for level in range(cfg.m):
+            left, right = vals[..., 0::2], vals[..., 1::2]
+            take = right > left
+            vals = np.maximum(left, right)
+            low = take if level == 0 else np.where(take, low[..., 1::2] + (1 << level),
+                                                   low[..., 0::2])
+        choice[:, t] = low[..., 0]
+        alpha = vals[..., 0]
+    blocks = np.empty((b, cfg.num_branches), dtype=np.int64)
+    state = np.zeros(b, dtype=np.int64)
+    rows = np.arange(b)
+    for t in range(cfg.num_branches - 1, -1, -1):
+        win = (state << cfg.m) | choice[rows, t, state]
+        blocks[:, t] = win >> (cfg.m * (cfg.k - 1))
+        state = win & (s_count - 1)
+    bits = _digits(blocks[:, :cfg.L], 1, cfg.m).reshape(b, cfg.m * cfg.L).astype(np.int8)
+    return bits[0] if single else bits
+
+
+class TestDecoderMatchesReference:
+    """`viterbi_decode`, with its output-tuple tables and time chunks,
+    returns the per-symbol decoder's bits: every branch metric is the same
+    left-to-right sum, so even ties and -inf metrics resolve alike."""
+
+    @staticmethod
+    def _channel(rng, j, y, zeros):
+        w = rng.random((j, y)) + 0.05
+        if zeros:  # one zero per row, never the whole row
+            w[np.arange(j), rng.integers(0, y, size=j)] = 0.0
+        return Dmc(w / w.sum(axis=1, keepdims=True))
+
+    # (m, k) with at most 2^9 windows; n runs over 1..5 inside, so Y^n
+    # exceeds the 16-cell tuple cap at n = 5 (Y = 2) and n >= 3 (Y = 3)
+    @pytest.mark.parametrize("m,k", [(1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6),
+                                     (2, 1), (2, 2), (2, 3), (2, 4),
+                                     (3, 1), (3, 2), (3, 3)])
+    @pytest.mark.parametrize("chunk", ["default", "three branches"])
+    def test_same_bits(self, m, k, chunk, monkeypatch):
+        rng = _rng(21, m, k)
+        b = 6
+        for n in range(1, 6):
+            j, y = (2, 3) if n % 2 else (3, 2)
+            if (m + k + n) % 3 == 0:
+                j, y = (2, 2) if n % 2 else (3, 3)
+            kind = ("matched", "mismatched", "zeros")[(m + k + n) % 3]
+            channel = self._channel(rng, j, y, zeros=kind == "zeros")
+            metric = (channel if kind != "mismatched"
+                      else rng.random((j, y)) + 0.01)  # a (J, Y) matrix, not W
+            # T = L + k - 1 leaves a partial last chunk of three branches
+            L = 7 + (1 - k) % 3
+            if chunk == "three branches":
+                monkeypatch.setattr(sim, "_CHUNK_BYTES", 3 * 8 * b * (1 << m * k))
+            cfg = EnsembleConfig(m=m, n=n, k=k, L=L, seed=n)
+            code = sample_code(cfg, j=j, code_index=k)
+            info = rng.integers(0, 2, size=(b, m * L), dtype=np.int8)
+            ys = transmit(channel, encode(code, info), rng)
+            want = _reference_viterbi(code, metric, ys)
+            assert np.array_equal(viterbi_decode(code, metric, ys), want), (n, j, y, kind)
+            assert np.array_equal(viterbi_decode(code, metric, ys[2]), want[2])
+
+    def test_empty_batch(self, bsc01):
+        code = sample_code(EnsembleConfig(m=2, n=2, k=3, L=5, seed=1), j=2)
+        ys = np.zeros((0, 2 * 7), dtype=np.int64)
+        got = viterbi_decode(code, bsc01, ys)
+        assert got.shape == (0, 10) and got.dtype == np.int8
+        assert np.array_equal(got, _reference_viterbi(code, bsc01, ys))
+
+    def test_every_path_minus_inf(self):
+        # a metric that is 0 on every symbol sent: all candidates are -inf,
+        # no > ever holds, and both decoders keep the zero path
+        code = sample_code(EnsembleConfig(m=2, n=3, k=3, L=9, seed=5), j=2)
+        metric = np.array([[0.0, 1.0], [0.0, 1.0]])
+        ys = np.zeros((4, 3 * 11), dtype=np.int64)
+        want = _reference_viterbi(code, metric, ys)
+        assert not want.any()
+        assert np.array_equal(viterbi_decode(code, metric, ys), want)
 
 
 def _viterbi_argmax_reference(code, metric, outputs):
