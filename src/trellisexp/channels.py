@@ -27,6 +27,32 @@ class NegativeEntry(ChannelError):
     pass
 
 
+def _distribution(values, what, rows=None) -> np.ndarray:
+    """The one rule of a probability array: a read-only float copy of
+    `values` in which each distribution along the last axis, or each one
+    where the boolean mask `rows` holds, is divided by its sum.
+
+    A negative or infinite entry raises NegativeEntry.  A NaN entry, or a
+    selected sum off 1 by more than PROB_ATOL, raises NonStochasticRow
+    naming the first such row of `what` and its sum.
+    """
+    p = np.asarray(values, dtype=float)
+    if np.any((p < 0) | (p == np.inf)):
+        raise NegativeEntry(f"{what} has a negative or infinite entry")
+    sums = p.sum(axis=-1)
+    off = ~(np.abs(sums - 1.0) <= PROB_ATOL)  # NaN is off
+    if rows is not None:
+        off &= rows | np.isnan(sums)
+    if np.any(off):
+        i = tuple(np.argwhere(off)[0].tolist())
+        row = f" row {i[0] if len(i) == 1 else i}" if i else ""
+        raise NonStochasticRow(f"{what}{row} sums to {float(sums[i])!r}")
+    # renormalize exactly to kill accumulated drift; the quotient is a copy
+    p = p / (sums if rows is None else np.where(rows, sums, 1.0))[..., None]
+    p.flags.writeable = False
+    return p
+
+
 @dataclass(frozen=True)
 class Dmc:
     """Discrete memoryless channel: row x of `w` is the distribution W(.|x)."""
@@ -39,15 +65,7 @@ class Dmc:
             raise DimensionMismatch(f"channel matrix must be 2-d, got shape {w.shape}")
         if w.shape[0] < 2:
             raise DimensionMismatch("need at least 2 input symbols")
-        if np.any(w < 0):
-            raise NegativeEntry("negative channel probability")
-        sums = w.sum(axis=1)
-        bad = np.flatnonzero(~(np.abs(sums - 1.0) <= PROB_ATOL))  # NaN fails
-        if bad.size:
-            raise NonStochasticRow(f"row {bad[0]} sums to {sums[bad[0]]!r}")
-        w = w / sums[:, None]  # renormalize exactly to kill accumulated drift
-        w.flags.writeable = False
-        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "w", _distribution(w, "channel"))
 
     @property
     def num_inputs(self):
@@ -68,14 +86,7 @@ class InputDist:
         q = np.asarray(self.q, dtype=float)
         if q.ndim != 1:
             raise DimensionMismatch("q must be a vector")
-        if np.any(q < 0):
-            raise NegativeEntry("negative probability in q")
-        s = q.sum()
-        if not abs(s - 1.0) <= PROB_ATOL:  # NaN fails
-            raise NonStochasticRow(f"q sums to {s!r}")
-        q = q / s
-        q.flags.writeable = False
-        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "q", _distribution(q, "q"))
 
 
 def _input_dist(q, size, what) -> InputDist:

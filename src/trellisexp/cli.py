@@ -90,7 +90,7 @@ def _build_spec(doc) -> ChannelSpec:
         raise ChannelSpecError(f"units must be nats or bits, got {units!r}")
     w_tilde = None
     if doc.get("w_tilde") is not None:
-        w_tilde = Dmc(np.asarray(doc["w_tilde"], dtype=float))
+        w_tilde = Dmc(doc["w_tilde"])
         if w_tilde.w.shape != dmc.w.shape:
             raise ChannelSpecError("w_tilde shape differs from w")
     mem = None
@@ -101,8 +101,7 @@ def _build_spec(doc) -> ChannelSpec:
             raise ChannelSpecError(f"unknown memory keys: {sorted(unknown)}")
         if "w" not in block:
             raise ChannelSpecError("memory block needs a w entry")
-        wt = None if block.get("w_tilde") is None else np.asarray(block["w_tilde"], float)
-        mem = MarkovChannel(np.asarray(block["w"], dtype=float), w_tilde=wt)
+        mem = MarkovChannel(block["w"], w_tilde=block.get("w_tilde"))
     return ChannelSpec(dmc, q, units, w_tilde, mem)
 
 
@@ -199,13 +198,11 @@ def cmd_simulate(args) -> int:
                              linear=args.linear, seed=args.seed)
     if args.trials is not None:
         blocks = max(1, math.ceil(args.trials / cfg.L))
-    sys.stdout.write("code,seed,m,n,k,p_e,exponent,no_errors,typical,"
-                     "events,nodes,wilson_low,wilson_high\n")
     p_es, exps = [], []
-    for i in range(args.codes):
+
+    def row(i):
         code = sim.sample_code(cfg, j=spec.dmc.num_inputs, q=spec.q, code_index=i)
-        rng = sim._rng(cfg.seed, i, 1)
-        est = sim.estimate_error_exponent(code, spec.dmc, blocks, rng,
+        est = sim.estimate_error_exponent(code, spec.dmc, blocks, sim._rng(cfg.seed, i, 1),
                                           metric=spec.w_tilde)
         typical = ""
         if args.lmax > 0:
@@ -213,10 +210,16 @@ def cmd_simulate(args) -> int:
             typical = "1" if rep.is_typical else "0"
         p_es.append(est.p_e)
         exps.append(est.exponent)
-        sys.stdout.write(f"{i},{cfg.seed},{cfg.m},{cfg.n},{cfg.k},{_fmt(est.p_e)},"
-                         f"{_fmt(est.exponent)},{int(est.no_errors)},{typical},"
-                         f"{est.events},{est.nodes},{_fmt(est.wilson_low)},"
-                         f"{_fmt(est.wilson_high)}\n")
+        return (f"{i},{cfg.seed},{cfg.m},{cfg.n},{cfg.k},{_fmt(est.p_e)},"
+                f"{_fmt(est.exponent)},{int(est.no_errors)},{typical},"
+                f"{est.events},{est.nodes},{_fmt(est.wilson_low)},"
+                f"{_fmt(est.wilson_high)}\n")
+
+    first = row(0)  # before any output: an ensemble error leaves stdout empty
+    sys.stdout.write("code,seed,m,n,k,p_e,exponent,no_errors,typical,"
+                     "events,nodes,wilson_low,wilson_high\n" + first)
+    for i in range(1, args.codes):
+        sys.stdout.write(row(i))
     for name, stat in (("mean", statistics.mean), ("median", statistics.median)):
         sys.stdout.write(f"summary_{name},{cfg.seed},{cfg.m},{cfg.n},{cfg.k},"
                          f"{_fmt(stat(p_es))},{_fmt(stat(exps))},,,,,,\n")

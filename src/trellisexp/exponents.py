@@ -489,4 +489,6 @@ def costello_form_cex(dmc: Dmc, q: InputDist, rate: float) -> float:
     z = bhattacharyya_matrix(dmc)[0, 1]
     if z >= 1.0:
         return 0.0  # useless channel: identical rows, degenerate form
+    if z == 0.0:
+        return np.inf  # disjoint supports: ln Z = -inf, as `exponent_curve` has it
     return np.log(z) / np.log(2.0 * np.exp(-rate) - 1.0)

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (PROB_ATOL, NegativeEntry, NonStochasticRow, _check_finite_nonnegative,
-                       _check_nonnegative, _input_dist)
+from .channels import (NegativeEntry, _check_finite_nonnegative, _check_nonnegative,
+                       _distribution, _input_dist)
 from .exponents import _argmax_concave, _unit_root, check_rate
 
 S_MAX = 8.0  # upper end of the search over the Chernoff parameter s
@@ -44,28 +44,22 @@ class MarkovChannel:
         if w.ndim != 3 or w.shape[0] != w.shape[1]:
             raise ValueError(f"w must have shape (J, J, Y), got {w.shape}")
         j = w.shape[0]
-        allowed = self.allowed
-        allowed = np.ones((j, j), bool) if allowed is None else np.asarray(allowed, bool)
+        allowed = np.ones((j, j), bool) if self.allowed is None else np.array(self.allowed, bool)
         if allowed.shape != (j, j):
             raise ValueError(f"allowed must have shape ({j}, {j}), got {allowed.shape}")
-        wt = w if self.w_tilde is None else np.asarray(self.w_tilde, dtype=float)
+        w = _distribution(w, "w", allowed)
+        wt = w if self.w_tilde is None else np.array(self.w_tilde, dtype=float)
         if wt.shape != w.shape:
             raise ValueError("w_tilde shape differs from w")
-        for name, arr in (("w", w), ("w_tilde", wt)):  # w_tilde need not sum to 1
-            if not np.all(np.isfinite(arr) & (arr >= 0)):
-                raise NegativeEntry(f"{name} has a negative or non-finite entry")
-        sums = w.sum(axis=2)
-        if np.any(np.abs(sums[allowed] - 1.0) > PROB_ATOL):
-            raise NonStochasticRow("some allowed (x, x_prev) row does not sum to 1")
-        newest = self.newest
-        newest = np.arange(j) if newest is None else np.asarray(newest, int)
+        if not np.all(np.isfinite(wt) & (wt >= 0)):  # a metric need not sum to 1
+            raise NegativeEntry("w_tilde has a negative or non-finite entry")
+        newest = np.arange(j) if self.newest is None else np.array(self.newest, int)
         if newest.shape != (j,) or np.any(newest < 0):
             raise ValueError(f"newest must map each of the {j} symbols to a base symbol "
                              f">= 0, got {newest.tolist()}")
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "w_tilde", wt)
-        object.__setattr__(self, "allowed", allowed)
-        object.__setattr__(self, "newest", newest)
+        for name, arr in (("w", w), ("w_tilde", wt), ("allowed", allowed), ("newest", newest)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def num_symbols(self):
@@ -80,7 +74,7 @@ def memoryless_lift(dmc_w) -> MarkovChannel:
     """Embed a memoryless channel matrix W(y|x) as a MarkovChannel."""
     w = np.asarray(getattr(dmc_w, "w", dmc_w), dtype=float)
     j = w.shape[0]
-    return MarkovChannel(np.broadcast_to(w[:, None, :], (j, j, w.shape[1])).copy())
+    return MarkovChannel(np.broadcast_to(w[:, None, :], (j, j, w.shape[1])))
 
 
 def markov_chernoff(ch: MarkovChannel, x, xm, xp, xpm, s: float) -> float:

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import PROB_ATOL, Dmc, InputDist, _check_nonnegative, _input_dist, chernoff_matrix
+from .channels import (DimensionMismatch, Dmc, InputDist, _check_nonnegative, _distribution,
+                       _input_dist, chernoff_matrix)
 from .exponents import _argmax_concave, _PairTable, _unit_root, check_rate
 
 
@@ -24,14 +25,8 @@ class JointType:
     def __post_init__(self):
         p = np.asarray(self.p, dtype=float)
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
-            raise ValueError(f"joint type must be square, got shape {p.shape}")
-        if np.any(p < 0):
-            raise ValueError("negative joint-type entry")
-        if not abs(p.sum() - 1.0) <= PROB_ATOL:
-            raise ValueError(f"joint type sums to {p.sum()!r}")
-        p = p / p.sum()
-        p.flags.writeable = False
-        object.__setattr__(self, "p", p)
+            raise DimensionMismatch(f"joint type must be square, got shape {p.shape}")
+        object.__setattr__(self, "p", _distribution(p.ravel(), "joint type").reshape(p.shape))
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
-"""The two argument rules that every route shares.
+"""The three argument rules that every route shares.
 
 Every entry that takes an input distribution reads it one way: an
 `InputDist` as is, anything else through `InputDist`, and either way with
 one probability per input symbol (DimensionMismatch otherwise).  Every real
 parameter that must be nonnegative is checked one way, so NaN is an error,
-never a plausible number.
+never a plausible number.  Every probability array of a value type (`Dmc`,
+`InputDist`, `JointType`, `MarkovChannel`) is checked, renormalised and
+frozen one way: a negative or infinite entry is NegativeEntry, a NaN entry
+or a sum off 1 is NonStochasticRow, and the object holds a read-only copy.
 """
 
 import dataclasses
@@ -14,7 +17,8 @@ import numpy as np
 import pytest
 
 from trellisexp import channels, exponents, memory, sim, types_opt
-from trellisexp.channels import DimensionMismatch, Dmc, InputDist, NonStochasticRow
+from trellisexp.channels import (DimensionMismatch, Dmc, InputDist, NegativeEntry,
+                                 NonStochasticRow)
 
 BSC_W = [[0.9, 0.1], [0.1, 0.9]]
 BSC = Dmc(BSC_W)
@@ -131,3 +135,124 @@ class TestInfiniteRho:
         else:
             assert value == pytest.approx(-0.5 * math.log(0.6), rel=1e-12)  # -E[ln Z]
             assert value == pytest.approx(exponents.expurgated_ex(dmc, q, 1e9), rel=1e-8)
+
+
+# every value type with a probability array: its constructor and valid
+# inputs, each a writable array the caller keeps
+VALUE_TYPES = {
+    "Dmc": (Dmc, {"w": BSC_W}),
+    "InputDist": (InputDist, {"q": [0.5, 0.5]}),
+    "JointType": (types_opt.JointType, {"p": [[0.4, 0.1], [0.1, 0.4]]}),
+    "MarkovChannel": (memory.MarkovChannel, {"w": LIFT.w, "w_tilde": 2 * LIFT.w,
+                                             "allowed": [[True, True], [True, False]],
+                                             "newest": [0, 1]}),
+}
+
+
+@pytest.mark.parametrize("name", VALUE_TYPES)
+def test_value_types_hold_read_only_copies(name):
+    make, fields = VALUE_TYPES[name]
+    inputs = {key: np.array(value) for key, value in fields.items()}
+    obj = make(**inputs)
+    for key, arr in inputs.items():
+        held = getattr(obj, key)
+        kept = held.copy()
+        assert not held.flags.writeable, key
+        if arr.dtype == bool:
+            arr ^= True
+        else:
+            arr += 5
+        np.testing.assert_array_equal(getattr(obj, key), kept)
+
+
+def test_markov_channel_ignores_edits_of_its_input():
+    # an edit of the caller's array used to reach the channel, and this
+    # call then raised RateOutOfRange naming R0 = -0.425
+    w = np.array(LIFT.w)
+    ch = memory.MarkovChannel(w)
+    want = memory.extended_exponent(ch, UNIFORM2, 0.1)
+    w[0, 0] = [5.0, -4.0]
+    assert memory.extended_exponent(ch, UNIFORM2, 0.1) == want
+
+
+# one fault in a value type's probability array: a value put at its first
+# entry, or (None) every entry scaled by 1 - 1e-9
+FAULTS = {
+    "negative": (-0.1, NegativeEntry),
+    "inf": (math.inf, NegativeEntry),
+    "-inf": (-math.inf, NegativeEntry),
+    "nan": (math.nan, NonStochasticRow),
+    "sum_off": (None, NonStochasticRow),
+}
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+@pytest.mark.parametrize("name", VALUE_TYPES)
+def test_probability_array_rule(name, fault):
+    make, fields = VALUE_TYPES[name]
+    key = next(iter(fields))
+    arr = np.array(fields[key], dtype=float)
+    value, error = FAULTS[fault]
+    if value is None:
+        arr *= 1 - 1e-9
+    else:
+        arr.flat[0] = value
+    with pytest.raises(error):
+        make(**{**fields, key: arr})
+
+
+def test_non_stochastic_row_names_the_row_and_its_sum():
+    with pytest.raises(NonStochasticRow, match=r"^channel row 1 sums to 0\.9$"):
+        Dmc([[0.9, 0.1], [0.5, 0.4]])
+    with pytest.raises(NonStochasticRow, match=r"^q sums to 0\.9$"):
+        InputDist([0.5, 0.4])
+    with pytest.raises(NonStochasticRow, match=r"^joint type sums to 0\.9$"):
+        types_opt.JointType([[0.5, 0.4], [0.0, 0.0]])
+    w = np.array(LIFT.w)
+    w[1, 0] = [0.5, 0.4]
+    with pytest.raises(NonStochasticRow, match=r"^w row \(1, 0\) sums to 0\.9$"):
+        memory.MarkovChannel(w)
+
+
+class TestMarkovChannelRows:
+    ALLOWED = np.array([[True, True], [True, False]])
+
+    def test_allowed_rows_renormalised_as_dmc_rows(self):
+        w = np.array(LIFT.w)
+        w[0, 1] = [0.7, 0.3 + 4e-13]
+        w[1, 1] = [0.5, 0.25]  # not allowed: kept as is
+        ch = memory.MarkovChannel(w, allowed=self.ALLOWED)
+        np.testing.assert_array_equal(ch.w[0, 1], Dmc([w[0, 1], w[0, 0]]).w[0])
+        np.testing.assert_array_equal(ch.w[1, 1], [0.5, 0.25])
+        np.testing.assert_array_equal(ch.w[1, 0], LIFT.w[1, 0])
+
+    def test_nan_in_a_row_not_allowed(self):
+        w = np.array(LIFT.w)
+        w[1, 1, 0] = math.nan
+        with pytest.raises(NonStochasticRow, match=r"row \(1, 1\) sums to nan"):
+            memory.MarkovChannel(w, allowed=self.ALLOWED)
+
+
+SHAPE_ERRORS = {
+    "Dmc vector": (lambda: Dmc([0.5, 0.5]), DimensionMismatch, "2-d"),
+    "Dmc 3-d": (lambda: Dmc(LIFT.w), DimensionMismatch, "2-d"),
+    "Dmc one input": (lambda: Dmc([[0.5, 0.5]]), DimensionMismatch, "2 input"),
+    "InputDist matrix": (lambda: InputDist([[0.5, 0.5]]), DimensionMismatch, "vector"),
+    "InputDist scalar": (lambda: InputDist(1.0), DimensionMismatch, "vector"),
+    "JointType not square": (lambda: types_opt.JointType([[0.5, 0.5]]), DimensionMismatch,
+                             "square"),
+    "JointType vector": (lambda: types_opt.JointType([0.5, 0.5]), DimensionMismatch,
+                         "square"),
+    "MarkovChannel w 2-d": (lambda: memory.MarkovChannel(BSC_W), ValueError, "shape"),
+    "MarkovChannel w not square": (lambda: memory.MarkovChannel(np.full((2, 3, 2), 0.5)),
+                                   ValueError, "shape"),
+    "MarkovChannel w_tilde": (lambda: memory.MarkovChannel(LIFT.w, w_tilde=BSC_W),
+                              ValueError, "w_tilde shape"),
+}
+
+
+@pytest.mark.parametrize("case", SHAPE_ERRORS)
+def test_shape_errors(case):
+    call, error, match = SHAPE_ERRORS[case]
+    with pytest.raises(error, match=match):
+        call()

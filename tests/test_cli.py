@@ -17,6 +17,7 @@ from trellisexp.cli import (
     main,
     parse_channel_spec,
 )
+from trellisexp import sim
 from trellisexp.exponents import CURVE_KINDS, cutoff_rate, exponent_curve
 from conftest import FIXTURES
 
@@ -75,6 +76,25 @@ class TestChannelSpec:
         assert spec.memory is not None
         again = parse_channel_spec(format_channel_spec(spec))
         assert np.allclose(again.memory.w, spec.memory.w)
+
+    def test_round_trip_with_metrics(self):
+        # a w_tilde, and a memory block whose metric differs from its w
+        mem_w = [[[0.9, 0.1], [0.8, 0.2]], [[0.1, 0.9], [0.2, 0.8]]]
+        doc = {
+            "input_alphabet_size": 2, "output_alphabet_size": 2,
+            "w": [[0.9, 0.1], [0.1, 0.9]], "q": [0.5, 0.5],
+            "w_tilde": [[0.8, 0.2], [0.2, 0.8]],
+            "memory": {"w": mem_w, "w_tilde": (2 * np.array(mem_w)).tolist()},
+        }
+        spec = parse_channel_spec(json.dumps(doc))
+        text = format_channel_spec(spec)
+        assert json.loads(text)["w_tilde"] == doc["w_tilde"]
+        assert json.loads(text)["memory"] == doc["memory"]
+        again = parse_channel_spec(text)
+        assert np.array_equal(again.w_tilde.w, spec.w_tilde.w)
+        assert np.array_equal(again.memory.w, spec.memory.w)
+        assert np.array_equal(again.memory.w_tilde, spec.memory.w_tilde)
+        assert not again.memory.matched
 
 
 def _spec_with(tmp_path, **extra):
@@ -277,6 +297,19 @@ class TestSimulate:
         assert rc == 0
 
 
+    def test_typical_column(self):
+        # each code's flag is the typicality check of that code
+        rc, out, _ = run(SIMULATE + ["--k", "2", "--L", "20", "--codes", "6", "--blocks", "2",
+                                     "--lmax", "2", "--epsilon", "0.5"])
+        assert rc == 0
+        spec = load_channel_spec(BSC)
+        cfg = sim.EnsembleConfig(m=1, n=2, k=2, L=20, seed=1)
+        want = [sim.typicality_check(sim.sample_code(cfg, j=2, q=spec.q, code_index=i),
+                                     spec.q, 0.5, 2).is_typical for i in range(6)]
+        got = [line.split(",")[8] for line in out.splitlines()[1:7]]
+        assert got == [str(int(t)) for t in want]
+        assert set(got) == {"0", "1"}
+
     def test_memory_rejected_w_tilde_used(self, tmp_path):
         argv = ["--m", "1", "--n", "2", "--k", "2", "--L", "20", "--blocks", "5",
                 "--seed", "3"]
@@ -335,6 +368,8 @@ class TestBadEnsembleArguments:
         AUDIT + ["--k", "12", "--L", "40", "--lmax", "1", "--codes", "1"],
         AUDIT + ["--k", "9", "--L", "40", "--lmax", "6", "--codes", "1"],
         AUDIT + ["--k", "2", "--lmax", "-1", "--codes", "1"],
+        # found by the typicality check of the first code: L < 2k + l - 1
+        SIMULATE + ["--k", "2", "--L", "4", "--lmax", "5"],
     ])
     def test_sim_error_exits_2(self, argv):
         rc, out, err = run(argv)
@@ -345,7 +380,7 @@ class TestBadEnsembleArguments:
         # the linear ensemble ignored q and drew uniform labels
         rc, out, err = run(["simulate", "--channel", _spec_with(tmp_path, q=[0.9, 0.1]),
                             "--m", "1", "--n", "2", "--k", "3", "--linear", "--seed", "1"])
-        assert rc == 2 and out.count("\n") == 1  # the CSV header, no code row
+        assert rc == 2 and out == ""
         assert err.startswith("error: ") and "uniform" in err and err.count("\n") == 1
 
     def test_negative_lmax_rejected_as_audit_does(self):
@@ -483,3 +518,23 @@ class TestImports:
         out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                              capture_output=True, text=True).stdout
         assert out == "[]\n"
+
+
+class TestShell:
+    @pytest.mark.parametrize("rows, rate, code", [
+        ([[0.9, 0.1], [0.1, 0.9]], "0.1", 0),
+        ([[0.9, 0.1], [0.1, 0.9]], "0.5", 1),  # above R0 = -ln 0.8
+        ([[0.8, 0.1], [0.1, 0.9]], "0.1", 2),  # row 0 sums to 0.9
+    ], ids=["valid", "above_r0", "bad_spec"])
+    def test_exit_code_reaches_the_shell(self, tmp_path, rows, rate, code):
+        # `python -m trellisexp.cli` hands main's return value to sys.exit
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = ["curve", "--channel", _spec_with(tmp_path, w=rows), "--kinds", "trtc",
+                "--rmin", rate, "--rmax", rate, "--points", "1"]
+        proc = subprocess.run([sys.executable, "-m", "trellisexp.cli", *argv], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == code, proc.stderr
+        assert proc.stdout.startswith("rate,kind,") == (code < 2)
+        assert ("sums to 0.9" in proc.stderr) == (code == 2)

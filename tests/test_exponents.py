@@ -588,6 +588,12 @@ class TestCostelloForm:
         with pytest.raises(RateOutOfRange):
             costello_form_cex(dmc, uniform2, 0.1)  # R0 = 0, no valid rate
 
+    def test_disjoint_supports_infinite(self, uniform2):
+        # Z = 0: ln Z is -inf, which the suite's warning filter makes an error
+        dmc = Dmc([[1.0, 0.0], [0.0, 1.0]])
+        want = exponent_curve("cex", dmc, uniform2, [0.3]).points[0][1]
+        assert costello_form_cex(dmc, uniform2, 0.3) == want == math.inf
+
     def test_guards(self, uniform2):
         dmc3 = Dmc([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]])
         with pytest.raises(NotBinaryInput):

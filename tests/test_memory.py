@@ -386,7 +386,8 @@ class TestLiftMemory:
 
 def _lift_by_loops(w, p, w_tilde):
     """Reference lift, one (cur, prev) pair of lifted symbols at a time:
-    (w, w_tilde, allowed, newest), with w_tilde = w when it is None."""
+    (w, w_tilde, allowed, newest), with each allowed row of w divided by its
+    sum, as MarkovChannel does, and w_tilde = w when it is None."""
     j, ny = w.shape[0], w.shape[-1]
     wt = w if w_tilde is None else w_tilde
     jl = j ** p
@@ -405,4 +406,5 @@ def _lift_by_loops(w, p, w_tilde):
             wl[cur, prev] = w[raw]
             wtl[cur, prev] = wt[raw]
             allowed[cur, prev] = np.array_equal(digits[cur, 1:], digits[prev, :-1])
-    return wl, wtl, allowed, digits[:, 0]
+    wl[allowed] /= wl[allowed].sum(axis=-1, keepdims=True)
+    return wl, wl if w_tilde is None else wtl, allowed, digits[:, 0]
