@@ -6,8 +6,6 @@ from .channels import (
     NonStochasticRow,
     DimensionMismatch,
     NegativeEntry,
-    bhattacharyya,
-    chernoff_distance,
     validate_channel,
 )
 from .exponents import (
@@ -28,7 +26,6 @@ from .types_opt import (
     DominantEvent,
     JointType,
     csiszar_exponent,
-    delta_max,
     delta_s,
     divergence_qq,
     dominant_joint_type,
@@ -42,7 +39,6 @@ from .memory import (
     extended_exponent,
     g_s,
     lift_memory,
-    markov_chernoff,
     memoryless_lift,
     perron_frobenius,
 )

@@ -53,6 +53,17 @@ def _distribution(values, what, rows=None) -> np.ndarray:
     return p
 
 
+def _metric(values, what) -> np.ndarray:
+    """The one rule of a decoding metric W~: a float copy of `values`
+    whose entries are all finite and >= 0, NegativeEntry otherwise (a NaN
+    entry too).  Unlike a probability array, its rows need not sum to 1.
+    """
+    m = np.array(values, dtype=float)
+    if not np.all((m >= 0) & (m < np.inf)):
+        raise NegativeEntry(f"{what} entries must be finite and >= 0")
+    return m
+
+
 @dataclass(frozen=True)
 class Dmc:
     """Discrete memoryless channel: row x of `w` is the distribution W(.|x)."""
@@ -124,29 +135,6 @@ def validate_channel(rows, q) -> tuple[Dmc, InputDist]:
     """
     dmc = Dmc(rows)
     return dmc, _input_dist(q, dmc.num_inputs, "channel input")
-
-
-def chernoff_distance(dmc: Dmc, x: int, xp: int, s: float) -> float:
-    """Chernoff distance d_s(x, x') = -ln sum_y W^{1-s}(y|x) W^s(y|x') in nats.
-
-    Returns +inf when the two rows have disjoint supports and s is interior
-    (the zero sum is represented exactly, never clamped).
-    """
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"s must lie in [0, 1], got {s}")
-    wx = dmc.w[x]
-    wxp = dmc.w[xp]
-    # numpy gives 0**0 == 1, which is exactly the convention that makes
-    # d_0(x, x') = -ln sum_y W(y|x) = 0.
-    total = float(np.sum(wx ** (1.0 - s) * wxp ** s))
-    if total <= 0.0:
-        return np.inf
-    return -np.log(total)
-
-
-def bhattacharyya(dmc: Dmc, x: int, xp: int) -> float:
-    """Bhattacharyya coefficient Z(x, x') = sum_y sqrt(W(y|x) W(y|x'))."""
-    return float(np.sum(np.sqrt(dmc.w[x] * dmc.w[xp])))
 
 
 def bhattacharyya_matrix(dmc: Dmc) -> np.ndarray:

@@ -141,14 +141,10 @@ class _PairTable:
 
 def expurgated_ex(dmc: Dmc, q: InputDist, rho: float) -> float:
     """Expurgated function Ex(rho, Q) = -rho ln sum QQ' Z(x,x')^{1/rho};
-    rho = inf gives the zero-rate limit of `expurgated_ex_limit`."""
+    rho = inf gives its zero-rate limit -E[ln Z], inf where some pair of
+    output supports is disjoint."""
     _check_nonnegative("rho", rho)
     return _PairTable(dmc, q).ex(rho)
-
-
-def expurgated_ex_limit(dmc: Dmc, q: InputDist) -> float:
-    """Zero-rate expurgated exponent lim_{rho->inf} Ex(rho, Q) = -E[ln Z]."""
-    return _PairTable(dmc, q).ex(np.inf)
 
 
 def cutoff_rate(dmc: Dmc, q: InputDist) -> float:

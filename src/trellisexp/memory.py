@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (NegativeEntry, _check_finite_nonnegative, _check_nonnegative,
-                       _distribution, _input_dist)
+from .channels import _check_finite_nonnegative, _distribution, _input_dist, _metric
 from .exponents import _argmax_concave, _unit_root, check_rate
 
 S_MAX = 8.0  # upper end of the search over the Chernoff parameter s
@@ -48,11 +47,9 @@ class MarkovChannel:
         if allowed.shape != (j, j):
             raise ValueError(f"allowed must have shape ({j}, {j}), got {allowed.shape}")
         w = _distribution(w, "w", allowed)
-        wt = w if self.w_tilde is None else np.array(self.w_tilde, dtype=float)
+        wt = w if self.w_tilde is None else _metric(self.w_tilde, "w_tilde")
         if wt.shape != w.shape:
             raise ValueError("w_tilde shape differs from w")
-        if not np.all(np.isfinite(wt) & (wt >= 0)):  # a metric need not sum to 1
-            raise NegativeEntry("w_tilde has a negative or non-finite entry")
         newest = np.arange(j) if self.newest is None else np.array(self.newest, int)
         if newest.shape != (j,) or np.any(newest < 0):
             raise ValueError(f"newest must map each of the {j} symbols to a base symbol "
@@ -73,30 +70,10 @@ class MarkovChannel:
 def memoryless_lift(dmc_w) -> MarkovChannel:
     """Embed a memoryless channel matrix W(y|x) as a MarkovChannel."""
     w = np.asarray(getattr(dmc_w, "w", dmc_w), dtype=float)
+    if w.ndim != 2:
+        raise ValueError(f"w must have shape (J, Y), got {w.shape}")
     j = w.shape[0]
     return MarkovChannel(np.broadcast_to(w[:, None, :], (j, j, w.shape[1])))
-
-
-def markov_chernoff(ch: MarkovChannel, x, xm, xp, xpm, s: float) -> float:
-    """Distance d_s(x, x-; x', x-') = -ln sum_y W(y|x,x-) [W~(y|x',x-')/W~(y|x,x-)]^s.
-
-    May be negative under mismatch; s >= 0 is unrestricted above.
-    """
-    _check_nonnegative("s", s)
-    w = ch.w[x, xm]
-    wt = ch.w_tilde[x, xm]
-    wtp = ch.w_tilde[xp, xpm]
-    support = w > 0
-    if s > 0 and np.any(support & (wt <= 0)):
-        raise MetricZeroInRatio(
-            f"metric W~(y|{x},{xm}) vanishes on the support of W(y|{x},{xm})"
-        )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(support, (wtp / np.where(support, wt, 1.0)) ** s, 0.0)
-    total = float(np.sum(w[support] * ratio[support]))
-    if total <= 0.0:
-        return np.inf
-    return -np.log(total)
 
 
 def _distance_tensor(ch: MarkovChannel, s: float) -> np.ndarray:

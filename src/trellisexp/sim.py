@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import PROB_ATOL, Dmc, _check_nonnegative, _input_dist
+from .channels import PROB_ATOL, Dmc, _check_nonnegative, _input_dist, _metric
 from .memory import MarkovChannel, memoryless_lift
 
 ENUM_BUDGET = 10_000_000
@@ -231,9 +231,7 @@ def _log_metric(metric) -> np.ndarray:
                         "a MarkovChannel needs memory-aware decoding, which "
                         "viterbi_decode does not do")
     else:
-        w = np.asarray(metric, dtype=float)
-        if not np.all((w >= 0) & (w < np.inf)):
-            raise ValueError("decoding metric entries must be finite and >= 0")
+        w = _metric(metric, "decoding metric")
     with np.errstate(divide="ignore"):
         return np.log(w)
 

@@ -40,28 +40,17 @@ class DominantEvent:
 
 
 def delta_s(p: JointType, dmc: Dmc, s: float) -> float:
-    """Average Chernoff distance sum_{x,x'} P(x,x') d_s(x,x')."""
+    """Average Chernoff distance sum_{x,x'} P(x,x') d_s(x,x'); P must be
+    J x J for the J inputs of the channel (DimensionMismatch otherwise)."""
+    j = dmc.num_inputs
+    if p.p.shape != (j, j):
+        raise DimensionMismatch(f"joint type must be {j} x {j} for the channel's {j} inputs, "
+                                f"got shape {p.p.shape}")
     d = chernoff_matrix(dmc, s)
     mask = p.p > 0
     if np.any(mask & np.isinf(d)):
         return np.inf
     return float(np.sum(p.p[mask] * d[mask]))
-
-
-def delta_max(p: JointType, dmc: Dmc) -> tuple[float, float]:
-    """Maximize Delta_s(P) over s in [0, 1]; returns (value, argmax s).
-
-    Delta_s is concave in s, so one bounded search suffices.  For a P that
-    yields a constant zero (e.g. diagonal types) the reported argmax is the
-    tie-break s = 1/2.
-    """
-    # disjoint-support pairs with positive mass make the max infinite
-    if np.isinf(delta_s(p, dmc, 0.5)):
-        return np.inf, 0.5
-    s, value = _argmax_concave(lambda s: delta_s(p, dmc, s), 0.0, 1.0)
-    if value <= 1e-15:
-        return max(value, 0.0), 0.5
-    return float(value), float(s)
 
 
 def divergence_qq(p: JointType, q: InputDist) -> float:

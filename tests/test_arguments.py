@@ -1,4 +1,4 @@
-"""The three argument rules that every route shares.
+"""The four argument rules that every route shares.
 
 Every entry that takes an input distribution reads it one way: an
 `InputDist` as is, anything else through `InputDist`, and either way with
@@ -8,6 +8,9 @@ never a plausible number.  Every probability array of a value type (`Dmc`,
 `InputDist`, `JointType`, `MarkovChannel`) is checked, renormalised and
 frozen one way: a negative or infinite entry is NegativeEntry, a NaN entry
 or a sum off 1 is NonStochasticRow, and the object holds a read-only copy.
+Every decoding metric, a raw (J, Y) matrix of `viterbi_decode` or the
+`w_tilde` of a `MarkovChannel`, is checked one way: an entry that is not
+finite and >= 0 (NaN included) is NegativeEntry, and rows need not sum to 1.
 """
 
 import dataclasses
@@ -17,8 +20,8 @@ import numpy as np
 import pytest
 
 from trellisexp import channels, exponents, memory, sim, types_opt
-from trellisexp.channels import (DimensionMismatch, Dmc, InputDist, NegativeEntry,
-                                 NonStochasticRow)
+from trellisexp.channels import (ChannelError, DimensionMismatch, Dmc, InputDist,
+                                 NegativeEntry, NonStochasticRow)
 
 BSC_W = [[0.9, 0.1], [0.1, 0.9]]
 BSC = Dmc(BSC_W)
@@ -35,7 +38,8 @@ Q_ENTRIES = {
     "validate_channel": lambda q: channels.validate_channel(BSC_W, q),
     "gallager_e0": lambda q: exponents.gallager_e0(BSC, q, 0.5),
     "expurgated_ex": lambda q: exponents.expurgated_ex(BSC, q, 2.0),
-    "expurgated_ex_limit": lambda q: exponents.expurgated_ex_limit(BSC, q),
+    # Ex at rho = inf, its zero-rate limit
+    "expurgated_ex_limit": lambda q: exponents.expurgated_ex(BSC, q, math.inf),
     "cutoff_rate": lambda q: exponents.cutoff_rate(BSC, q),
     "critical_rate": lambda q: exponents.critical_rate(BSC, q),
     "solve_rho cex": lambda q: exponents.solve_rho("cex", BSC, q, 0.1),
@@ -101,7 +105,8 @@ NAN_GUARDS = {
     "z_of_rhat_direct rhat": lambda: types_opt.z_of_rhat_direct(BSC, UNIFORM2, math.nan),
     "z_of_rhat_legendre rhat": lambda: types_opt.z_of_rhat_legendre(BSC, UNIFORM2, math.nan),
     "dominant_joint_type rho": lambda: types_opt.dominant_joint_type(BSC, UNIFORM2, math.nan),
-    "markov_chernoff s": lambda: memory.markov_chernoff(LIFT, 0, 0, 1, 1, math.nan),
+    # the pair-chain distances d_s(x, x-; x', x-')
+    "markov_chernoff s": lambda: memory._distance_tensor(LIFT, math.nan),
     "build_tilted s": lambda: memory.build_tilted(LIFT, UNIFORM2, math.nan, 0.5),
     "build_tilted r": lambda: memory.build_tilted(LIFT, UNIFORM2, 0.5, math.nan),
     "g_s r": lambda: memory.g_s(LIFT, UNIFORM2, 0.5, math.nan),
@@ -129,7 +134,9 @@ class TestInfiniteRho:
     def test_expurgated_ex_is_its_zero_rate_limit(self, dmc, q):
         # RuntimeWarnings are errors in this suite, so no NaN is formed
         value = exponents.expurgated_ex(dmc, q, math.inf)
-        assert value == exponents.expurgated_ex_limit(dmc, q)
+        with np.errstate(divide="ignore"):  # -E[ln Z] by hand, ln 0 = -inf
+            assert value == pytest.approx(-np.sum(np.outer(q.q, q.q) * np.log(
+                channels.bhattacharyya_matrix(dmc))), rel=1e-12)
         if dmc is W3:
             assert value == math.inf
         else:
@@ -212,6 +219,34 @@ def test_non_stochastic_row_names_the_row_and_its_sum():
     w[1, 0] = [0.5, 0.4]
     with pytest.raises(NonStochasticRow, match=r"^w row \(1, 0\) sums to 0\.9$"):
         memory.MarkovChannel(w)
+
+
+@pytest.mark.parametrize("entry", [math.nan, -0.1, math.inf, -math.inf],
+                         ids=["nan", "negative", "inf", "-inf"])
+def test_metric_rule_on_both_routes(entry):
+    raw = np.array(BSC_W)
+    raw[1, 0] = entry
+    raw3 = np.array(LIFT.w)
+    raw3[1, 1, 0] = entry
+    y = np.zeros(CFG.n * CFG.num_branches, dtype=np.int64)
+    with pytest.raises(ChannelError, match="decoding metric entries must be finite") as decode:
+        sim.viterbi_decode(CODE, raw, y)
+    with pytest.raises(ChannelError, match="w_tilde entries must be finite") as lifted:
+        memory.MarkovChannel(LIFT.w, w_tilde=raw3)
+    assert decode.type is lifted.type is NegativeEntry
+
+
+def test_raw_metric_need_not_sum_to_one():
+    y = np.zeros(CFG.n * CFG.num_branches, dtype=np.int64)
+    np.testing.assert_array_equal(sim.viterbi_decode(CODE, 2 * np.array(BSC_W), y),
+                                  sim.viterbi_decode(CODE, BSC, y))
+
+
+def test_matched_channel_checks_no_metric(monkeypatch):
+    # the matched metric is w itself, not a checked copy of it
+    monkeypatch.setattr(memory, "_metric", None)
+    ch = memory.MarkovChannel(LIFT.w)
+    assert ch.w_tilde is ch.w and ch.matched
 
 
 class TestMarkovChannelRows:

@@ -8,13 +8,20 @@ decode jobs size their trials as one full `viterbi_decode` batch per code,
 which holds only while `sim.DECODE_BATCH` equals the workloads' own copy.
 A change that breaks one of these would otherwise show only in a traced
 benchmark run.
+Its per-layer table looks up each function named in `run.py`'s
+`PER_LAYER` among the functions that the tracer wraps, so each of them must
+stay a public function of its module, also one that no library code calls
+(`memory.build_tilted`, `types_opt.z_of_rhat_legendre`).
 The smoke test runs each workload's set-up and the first job of each of its
 routes, checked by the job's own output check, so that a break in what the
 workloads call (`cli.load_channel_spec`, `validate_channel`, ...) shows here
 and not only as a failed benchmark run.
 """
 
+import ast
+import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -22,6 +29,7 @@ import pytest
 from trellisexp import exponents, memory, sim
 
 WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+RUN_PY = WORKLOADS_PY.with_name("run.py")
 
 
 def test_benchmark_hooks(monkeypatch, bsc01, uniform2):
@@ -68,3 +76,23 @@ def test_workload_smoke(workloads, tmp_path, name):
         firsts.setdefault(job.route, job)  # dominant jobs have no route
     for job in firsts.values():
         assert job.check(job.run()) == [], job.label
+
+
+def _per_layer_names():
+    """The function names of `run.py`'s PER_LAYER, read from its source:
+    importing `run.py` sets thread environment variables."""
+    tree = ast.parse(RUN_PY.read_text())
+    value = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["PER_LAYER"])
+    return [name for name, _quantities in ast.literal_eval(value)]
+
+
+@pytest.mark.parametrize("qualified", _per_layer_names())
+def test_per_layer_name_is_traced(qualified):
+    # the tracer's rule (`tracer.layer_functions`): a function defined in
+    # its layer's module, not private, and only `main` of the cli layer
+    layer, name = qualified.split(".")
+    module = importlib.import_module(f"trellisexp.{layer}")
+    fn = vars(module).get(name)
+    assert inspect.isfunction(fn) and fn.__module__ == module.__name__
+    assert not name.startswith("_") and (layer != "cli" or name == "main")

@@ -16,7 +16,6 @@ from trellisexp.exponents import (
     cutoff_rate,
     exponent_curve,
     expurgated_ex,
-    expurgated_ex_limit,
     gallager_e0,
     solve_rho,
 )
@@ -65,7 +64,7 @@ class TestExpurgatedEx:
         assert want == pytest.approx(0.2391, abs=5e-4)
 
     def test_large_rho_limit(self, bsc01, uniform2):
-        limit = expurgated_ex_limit(bsc01, uniform2)
+        limit = expurgated_ex(bsc01, uniform2, math.inf)
         assert limit == pytest.approx(-0.5 * math.log(0.6), abs=1e-12)
         assert expurgated_ex(bsc01, uniform2, 1e6) == pytest.approx(limit, abs=1e-3)
         assert limit == pytest.approx(0.2554, abs=1e-3)
@@ -457,8 +456,10 @@ class TestPortsMatchScipy:
                     elif route == "z_direct":
                         values.append(types_opt.z_of_rhat_direct(dmc, q, r0 * x)[1].p.tolist())
                     else:
-                        p = np.outer(q.q, q.q) * (1 - x) + np.diag(q.q) * x
-                        values.append(types_opt.delta_max(JointType(p), dmc))
+                        # max over s of Delta_s(P), concave in s
+                        p = JointType(np.outer(q.q, q.q) * (1 - x) + np.diag(q.q) * x)
+                        values.append(exponents._argmax_concave(
+                            lambda s: types_opt.delta_s(p, dmc, s), 0.0, 1.0))
             return repr(values)
 
         ported = outputs()

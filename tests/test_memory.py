@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from trellisexp.channels import Dmc, InputDist, NegativeEntry, chernoff_distance
+from trellisexp.channels import Dmc, InputDist, NegativeEntry, chernoff_matrix
 from trellisexp.exponents import RateOutOfRange, cutoff_rate, expurgated_ex
 from trellisexp.memory import (
     MarkovChannel,
@@ -13,7 +13,6 @@ from trellisexp.memory import (
     extended_exponent,
     g_s,
     lift_memory,
-    markov_chernoff,
     memoryless_lift,
     perron_frobenius,
     _distance_tensor,
@@ -67,6 +66,13 @@ class TestMarkovChannel:
     def test_matched_default(self, lifted_bsc):
         assert lifted_bsc.matched
 
+    @pytest.mark.parametrize("w", [[0.5, 0.5], 0.5, np.full((2, 2, 2), 0.5)],
+                             ids=["vector", "scalar", "three_axes"])
+    def test_memoryless_lift_rejects_non_matrix(self, w):
+        # the shape ValueError of MarkovChannel, not numpy's IndexError
+        with pytest.raises(ValueError, match=r"w must have shape \(J, Y\), got"):
+            memoryless_lift(w)
+
     BAD_INPUTS = {
         "q_longer_than_base": lambda ch: extended_exponent(ch, [0.5, 0.3, 0.2], 0.1),
         "q_zero_padded": lambda ch: extended_exponent(ch, [0.6, 0.4, 0.0], 0.1),
@@ -95,14 +101,27 @@ class TestMarkovChannel:
         assert ch.num_symbols == 2
 
 
+def _markov_chernoff(ch, x, xm, xp, xpm, s):
+    """d_s(x, x-; x', x-') = -ln sum_y W(y|x,x-) [W~(y|x',x-')/W~(y|x,x-)]^s
+    of one pair of transitions, summed over the support of W(y|x,x-), the
+    oracle of `_distance_tensor`; inf where the sum is 0."""
+    w, wt, wtp = ch.w[x, xm], ch.w_tilde[x, xm], ch.w_tilde[xp, xpm]
+    total = sum(w[y] * (wtp[y] / wt[y]) ** s for y in range(w.size) if w[y] > 0)
+    return -math.log(total) if total > 0 else math.inf
+
+
 class TestMarkovChernoff:
     def test_matched_memoryless_reduction(self, bsc01, lifted_bsc):
-        got = markov_chernoff(lifted_bsc, 0, 0, 1, 0, 0.5)
-        assert got == pytest.approx(chernoff_distance(bsc01, 0, 1, 0.5), abs=1e-12)
+        # on a memoryless lift d_s(x, x-; x', x-') is d_s(x, x') at every x-, x-'
+        for s in (0.0, 0.5, 0.7, 1.0):
+            d = _distance_tensor(lifted_bsc, s)
+            want = chernoff_matrix(bsc01, s)[:, None, :, None]
+            assert np.allclose(d, np.broadcast_to(want, d.shape), atol=1e-12)
 
-    def test_same_pair_zero(self, lifted_bsc):
-        assert markov_chernoff(lifted_bsc, 1, 0, 1, 0, 0.7) == pytest.approx(
-            0.0, abs=1e-12)
+    def test_same_pair_zero(self, lifted_bsc, isi):
+        for ch in (lifted_bsc, isi):
+            d = _distance_tensor(ch, 0.7).reshape(4, 4)
+            assert np.allclose(np.diag(d), 0.0, atol=1e-12)
 
     def test_mismatched_oracle(self, bsc01):
         wt = np.broadcast_to(np.array([[0.8, 0.2], [0.2, 0.8]])[:, None, :],
@@ -110,25 +129,28 @@ class TestMarkovChernoff:
         ch = MarkovChannel(memoryless_lift(bsc01).w, w_tilde=wt)
         # s = 1: -ln sum_y W(y|0) W~(y|1)/W~(y|0)
         want = -math.log(0.9 * 0.2 / 0.8 + 0.1 * 0.8 / 0.2)
-        assert markov_chernoff(ch, 0, 0, 1, 0, 1.0) == pytest.approx(want, abs=1e-12)
+        assert _distance_tensor(ch, 1.0)[0, 0, 1, 0] == pytest.approx(want, abs=1e-12)
 
     def test_metric_zero_raises(self, bsc01):
         wt = np.broadcast_to(np.array([[1.0, 0.0], [0.0, 1.0]])[:, None, :],
                              (2, 2, 2)).copy()
         ch = MarkovChannel(memoryless_lift(bsc01).w, w_tilde=wt)
         with pytest.raises(MetricZeroInRatio):
-            markov_chernoff(ch, 0, 0, 1, 0, 0.5)
+            _distance_tensor(ch, 0.5)
+        # at s = 0 no ratio is formed
+        assert np.allclose(_distance_tensor(ch, 0.0), 0.0, atol=1e-12)
 
     def test_tensor_matches_scalar(self):
         rng = np.random.default_rng(61)
         w = rng.random((2, 2, 3)) + 0.05
         w /= w.sum(axis=2, keepdims=True)
-        ch = MarkovChannel(w)
-        d = _distance_tensor(ch, 0.4)
-        for idx in np.ndindex(2, 2, 2, 2):
-            x, xm, xp, xpm = idx
-            assert d[idx] == pytest.approx(
-                markov_chernoff(ch, x, xm, xp, xpm, 0.4), abs=1e-12)
+        wt = rng.random((2, 2, 3)) + 0.05  # a metric need not sum to 1
+        disjoint = memoryless_lift([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
+        for ch in (MarkovChannel(w), MarkovChannel(w, w_tilde=wt), disjoint):
+            for s in (0.0, 0.4, 1.0, 2.5):
+                d = _distance_tensor(ch, s)
+                for idx in np.ndindex(2, 2, 2, 2):
+                    assert d[idx] == pytest.approx(_markov_chernoff(ch, *idx, s), abs=1e-12)
 
 
 class TestTiltedMatrix:
@@ -187,8 +209,7 @@ class TestPerronFrobenius:
             ch = memoryless_lift(dmc)
             s, r = rng.random(), rng.random() * 3
             tm = build_tilted(ch, q, s, r)
-            d = np.array([[chernoff_distance(dmc, x, xp, s) for xp in range(3)]
-                          for x in range(3)])
+            d = chernoff_matrix(dmc, s)
             want = float(np.sum(np.outer(q.q, q.q) * np.exp(-r * d)))
             assert perron_frobenius(tm) == pytest.approx(want, abs=1e-12)
 

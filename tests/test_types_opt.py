@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from trellisexp.channels import Dmc, InputDist, chernoff_distance
+from trellisexp.channels import DimensionMismatch, Dmc, InputDist
 from trellisexp.exponents import (
     RateOutOfRange,
+    _argmax_concave,
     cutoff_rate,
-    expurgated_ex_limit,
+    expurgated_ex,
     exponent_curve,
     solve_rho,
 )
@@ -15,7 +16,6 @@ from trellisexp.types_opt import (
     JointType,
     _legendre_edge,
     csiszar_exponent,
-    delta_max,
     delta_s,
     divergence_qq,
     dominant_joint_type,
@@ -62,36 +62,52 @@ class TestDeltaS:
         p = JointType([[0.0, 0.5], [0.5, 0.0]])
         assert delta_s(p, dmc, 0.5) == math.inf
 
+    @pytest.mark.parametrize("j", [1, 2, 4])
+    def test_joint_type_not_j_by_j(self, asym3, j):
+        # a type that does not fit the channel's inputs is named as such,
+        # not left to numpy's broadcast (2 x 2) or index (1 x 1) errors
+        dmc, _ = asym3
+        with pytest.raises(DimensionMismatch, match="3 x 3 for the channel's 3 inputs"):
+            delta_s(JointType(np.full((j, j), 1.0 / j ** 2)), dmc, 0.5)
+
+
+def _delta_max(p, dmc):
+    """max over s in [0, 1] of Delta_s(P), the value that the Csiszar form
+    reads off the tilted family; Delta_s is concave in s, so one bounded
+    search finds it.  Returns (value, argmax s)."""
+    return _argmax_concave(lambda s: delta_s(p, dmc, s), 0.0, 1.0)[::-1]
+
 
 class TestDeltaMax:
     def test_symmetric_argmax_half(self, bsc01):
         p = JointType([[0.0, 0.5], [0.5, 0.0]])
-        value, s = delta_max(p, bsc01)
+        value, s = _delta_max(p, bsc01)
         assert value == pytest.approx(-math.log(0.6), abs=1e-8)
         assert s == pytest.approx(0.5, abs=1e-4)
 
     def test_diagonal_tiebreak(self, bsc01, uniform2):
+        # a diagonal type has Delta_s = 0 at every s, so no s is preferred
         p = JointType(np.diag(uniform2.q))
-        value, s = delta_max(p, bsc01)
-        assert value <= 1e-12 and s == 0.5
+        assert all(abs(delta_s(p, bsc01, s)) <= 1e-12 for s in np.linspace(0.0, 1.0, 11))
 
     def test_asymmetric_vs_grid_oracle(self, asym3):
         dmc, _ = asym3
         rng = np.random.default_rng(41)
         p = random_joint_type(rng, 3)
-        value, s = delta_max(p, dmc)
+        value, s = _delta_max(p, dmc)
         grid = np.linspace(0.0, 1.0, 10_001)
         oracle = max(delta_s(p, dmc, sv) for sv in grid)
         assert value == pytest.approx(oracle, abs=1e-8)
 
     def test_transpose_invariance(self):
+        # d_s(x, x') = d_{1-s}(x', x), so Delta_s(P^T) = Delta_{1-s}(P)
         rng = np.random.default_rng(43)
         for _ in range(10):
             dmc, _ = random_channel(rng, j=3)
             p = random_joint_type(rng, 3)
-            vt, _ = delta_max(JointType(p.p.T), dmc)
-            v, _ = delta_max(p, dmc)
-            assert vt == pytest.approx(v, abs=1e-8)
+            for s in rng.random(3):
+                assert delta_s(JointType(p.p.T), dmc, s) == pytest.approx(
+                    delta_s(p, dmc, 1.0 - s), abs=1e-12)
 
     def test_symmetrization_does_not_increase(self):
         rng = np.random.default_rng(47)
@@ -99,7 +115,7 @@ class TestDeltaMax:
             dmc, q = random_channel(rng, j=3)
             p = random_joint_type(rng, 3)
             sym = JointType(0.5 * (p.p + p.p.T))
-            assert delta_max(sym, dmc)[0] <= delta_max(p, dmc)[0] + 1e-8
+            assert _delta_max(sym, dmc)[0] <= _delta_max(p, dmc)[0] + 1e-8
             assert divergence_qq(sym, q) <= divergence_qq(p, q) + 1e-10
 
 
@@ -120,7 +136,7 @@ class TestDivergence:
 
 class TestZOfRhat:
     def test_rhat_zero_is_ex_limit(self, bsc01, uniform2):
-        want = expurgated_ex_limit(bsc01, uniform2)
+        want = expurgated_ex(bsc01, uniform2, math.inf)
         assert z_of_rhat_legendre(bsc01, uniform2, 0.0) == pytest.approx(
             want, abs=1e-10)
 
