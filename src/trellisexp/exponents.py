@@ -80,10 +80,12 @@ class _PairTable:
         self.weights = qq[self.on] / qq[self.on].sum()
         self.log_z = np.log(z[self.on])
         self.rhat0 = float(-0.5 * np.log1p(-qq[~self.on].sum()))
-        self.r0 = gallager_e0(dmc, q, 1.0)
-        ex_one = self.ex(1.0)
-        if abs(self.r0 - ex_one) > 1e-10:
-            raise ArithmeticError(f"E0(1) and Ex(1) disagree: {self.r0} vs {ex_one}")
+        # R0 = Ex(1) = G(1) from the table, so it is exactly 0 where every
+        # pair of positive QQ' has equal rows; E0(1) is its cross-check
+        self.r0 = self.ex(1.0)
+        e0_one = gallager_e0(dmc, q, 1.0)
+        if abs(self.r0 - e0_one) > 1e-10:
+            raise ArithmeticError(f"E0(1) and Ex(1) disagree: {e0_one} vs {self.r0}")
 
     def g(self, r):
         """G(r) - 2 rhat0, with G(r) = Ex(1/r)/(1/r) increasing from
@@ -148,8 +150,8 @@ def expurgated_ex(dmc: Dmc, q: InputDist, rho: float) -> float:
 
 
 def cutoff_rate(dmc: Dmc, q: InputDist) -> float:
-    """Cutoff rate R0(Q) = E0(1, Q), checked against Ex(1, Q) to 1e-10
-    when the pair table of (W, Q) is built."""
+    """Cutoff rate R0(Q) = Ex(1, Q) from the pair table of (W, Q), checked
+    against E0(1, Q) to 1e-10 when the table is built."""
     return _PairTable(dmc, q).r0
 
 

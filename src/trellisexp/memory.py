@@ -7,6 +7,8 @@ Channels remembering p > 1 past inputs are handled by lifting to an alphabet
 of size J^p with a sparse consistency mask.
 """
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,80 +78,119 @@ def memoryless_lift(dmc_w) -> MarkovChannel:
     return MarkovChannel(np.broadcast_to(w[:, None, :], (j, j, w.shape[1])))
 
 
-def _distance_tensor(ch: MarkovChannel, s: float) -> np.ndarray:
-    """d_s for all (x, xm, x', xm'), shape (J, J, J, J); s = inf raises
-    ValueError, since W~^{-s} and W~^s would meet there as inf * 0."""
-    _check_finite_nonnegative("s", s)
-    w = ch.w          # (x, xm, y)
-    wt = ch.w_tilde
-    support = w > 0
-    if s > 0:
-        bad = support & (wt <= 0)
-        if np.any(bad[ch.allowed]):
+class _Distances:
+    """d_s(x, x-; x', x-') of one channel, for every s, as a (J^2, J^2)
+    matrix with rows (x, x') and columns (x_prev, x_prev'), the layout of
+    the pair chain.
+
+    d_s = -ln sum_y W(y|x,x-) [W~(y|x',x-')/W~(y|x,x-)]^s over the support
+    of W(y|x,x-).  What does not depend on s is built once: W, the metric
+    W~ with 1 off that support (where W is 0), and the `MetricZeroInRatio`
+    verdict, the same for every s > 0.  Pairs of allowed cells whose metric
+    rows are equal are at distance exactly 0, where the formula leaves a
+    rounding residue.
+    """
+
+    def __init__(self, ch: MarkovChannel):
+        w, wt, allowed = ch.w, ch.w_tilde, ch.allowed
+        self.n = ch.num_symbols ** 2
+        support = w > 0
+        self.zero_in_ratio = bool(np.any((support & (wt <= 0))[allowed]))
+        self.w, self.wt = w, wt
+        self.wt_on_support = np.where(support & (wt > 0), wt, 1.0)
+        equal = (np.all(wt[:, :, None, None] == wt[None, None], axis=-1)
+                 & allowed[:, :, None, None] & allowed[None, None])
+        self.equal = np.transpose(equal, (0, 2, 1, 3)).reshape(self.n, self.n)
+
+    def __call__(self, s: float) -> np.ndarray:
+        """d_s; s = inf raises ValueError, since W~^{-s} and W~^s would
+        meet there as inf * 0."""
+        _check_finite_nonnegative("s", s)
+        if s > 0 and self.zero_in_ratio:
             raise MetricZeroInRatio("metric vanishes on the channel support")
-    safe_wt = np.where(support, np.where(wt > 0, wt, 1.0), 1.0)
-    # base[x, xm, y] = W / W~^s ; tilt[x', xm', y] = W~^s
-    base = np.where(support, w * safe_wt ** (-s), 0.0)
-    tilt = np.where(wt > 0, wt, 0.0) ** s
-    total = np.einsum("aby,cdy->abcd", base, tilt)
-    with np.errstate(divide="ignore"):
-        return -np.log(total)
+        # [x, xm, y] = W / W~^s times [x', xm', y] = W~^s, summed over y
+        total = np.einsum("aby,cdy->acbd", self.w * self.wt_on_support ** -s,
+                          self.wt ** s).reshape(self.n, self.n)
+        with np.errstate(divide="ignore"):
+            d = -np.log(total)
+        d[self.equal] = 0.0
+        return d
 
 
 class _PairChain:
-    """The tilted pair chain of one (channel, Q, s).
+    """The tilted pair chains of one (channel, Q), one for each s.
 
     A_s(r) has rows (x, x'), columns (x_prev, x_prev') and entries
     Q Q' e^{-r d_s} on the allowed transition pairs; G_s(r) = -ln lambda_s(r)
     is concave in r and in s (Kingman's convexity of the log spectral
-    radius).  The s-dependent distances and the masked QQ' weights, which
-    are also 0 on pairs at distance +inf, are built once; `matrix(r)` is
-    A_s(r) and `g(r)` is G_s(r).  `q` is the input distribution over the
-    base alphabet, one probability per base symbol; lifted symbols are
-    weighted by the Q-probability of their newest component.
+    radius).  q is read and the masked QQ' weights and the distance
+    builder are made once, for every s of one call.  `q` is the input
+    distribution over the base alphabet, one probability per base symbol;
+    lifted symbols are weighted by the Q-probability of their newest
+    component.
     """
 
-    def __init__(self, ch: MarkovChannel, q, s: float):
+    def __init__(self, ch: MarkovChannel, q):
         qn = _input_dist(q, ch.newest.max() + 1, "base symbol").q[ch.newest]
-        n = ch.num_symbols ** 2
-        d = np.transpose(_distance_tensor(ch, s), (0, 2, 1, 3)).reshape(n, n)
-        # a pair at distance +inf carries weight 0, also at r = 0: A_s(0) is
-        # the limit r -> 0+
-        inf_d = np.isinf(d) & (d > 0)
-        self.d = np.where(inf_d, 0.0, d)
+        self.distances = _Distances(ch)
+        n = self.distances.n
         mask = (ch.allowed[:, None, :, None] & ch.allowed[None, :, None, :]).reshape(n, n)
-        self.weights = np.where(mask & ~inf_d, np.outer(qn, qn).reshape(n, 1), 0.0)
+        self.qq = np.where(mask, np.outer(qn, qn).reshape(n, 1), 0.0)
 
-    def matrix(self, r: float) -> np.ndarray:
+    def tilt(self, s: float):
+        """(weights, -d_s), with A_s(r) = weights e^{-r d_s}.  On the pairs
+        at distance +inf the weight is 0, also at r = 0 (A_s(0) is the limit
+        r -> 0+), and -d_s is 0."""
+        d = self.distances(s)
+        far = d == np.inf
+        return np.where(far, 0.0, self.qq), np.where(far, 0.0, -d)
+
+    def matrix(self, s: float, r: float) -> np.ndarray:
+        """A_s(r) for any finite r >= 0."""
+        weights, neg_d = self.tilt(s)
         _check_finite_nonnegative("r", r)  # r = inf would form 0 * inf at d = 0
         with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf where d = -inf
-            return self.weights * np.exp(np.clip(-r * self.d, -745.0, 700.0))
+            return _tilted(weights, neg_d, r)
 
-    def g(self, r: float) -> float:
-        lam = perron_frobenius(self.matrix(r))
-        return -np.log(lam) if lam > 0 else np.inf
+    def generator(self, s: float):
+        """G_s as a function of r in [0, 1]: one exp, one eigenvalue solve
+        and one log per r, with no check of r."""
+        weights, neg_d = self.tilt(s)
+        return lambda r: _minus_log(perron_frobenius(_tilted(weights, neg_d, r)))
+
+
+def _tilted(weights: np.ndarray, neg_d: np.ndarray, r: float) -> np.ndarray:
+    """A_s(r) = weights e^{-r d_s}, with -r d_s capped at 700 so that the
+    exp stays finite."""
+    return weights * np.exp(np.minimum(r * neg_d, 700.0))
+
+
+def _minus_log(lam: float) -> float:
+    """-ln lambda, inf at lambda = 0; +0.0, not -0.0, at lambda = 1."""
+    return 0.0 - math.log(lam) if lam > 0 else math.inf
 
 
 def build_tilted(ch: MarkovChannel, q, s: float, r: float) -> np.ndarray:
     """Tilted pair-chain matrix A_s(r), (J^2, J^2), with entries Q Q' e^{-r d_s},
     masked: rows (x, x'), columns (x_prev, x_prev')."""
-    return _PairChain(ch, q, s).matrix(r)
+    return _PairChain(ch, q).matrix(s, r)
 
 
 def perron_frobenius(a: np.ndarray) -> float:
     """Spectral radius of a nonnegative square matrix (its Perron root),
     from one dense eigenvalue solve; periodic and reducible masks are fine."""
-    return float(np.max(np.abs(np.linalg.eigvals(a))))
+    return float(np.abs(np.linalg.eigvals(a)).max())
 
 
 def g_s(ch: MarkovChannel, q, s: float, r: float) -> float:
     """Rate-function generator G_s(r) = -ln lambda_s(r) in nats."""
-    return _PairChain(ch, q, s).g(r)
+    return _minus_log(perron_frobenius(_PairChain(ch, q).matrix(s, r)))
 
 
 def extended_cutoff(ch: MarkovChannel, q) -> float:
     """Extended cutoff rate sup_{s >= 0} G_s(1), concave in s, over [0, S_MAX]."""
-    return float(_argmax_concave(lambda s: _PairChain(ch, q, s).g(1.0), 0.0, S_MAX,
+    chain = _PairChain(ch, q)
+    return float(_argmax_concave(lambda s: chain.generator(s)(1.0), 0.0, S_MAX,
                                  xatol=1e-8)[1])
 
 
@@ -175,12 +216,13 @@ def extended_exponent(ch: MarkovChannel, q, rate: float):
     above 1.  A value of at most 1 is therefore checked as R0_ext/R.
     """
     check_rate(rate, np.inf)  # sign and NaN, before any search
+    chain = _PairChain(ch, q)
 
     def value_at(s):
         # rho G_s(1/rho) is the perspective of a concave function, so
         # G_s(r) - (2 - r) R = [rho G_s(1/rho) - (2 rho - 1) R] / rho crosses
         # zero at most once on (0, 1], upward
-        g = _PairChain(ch, q, s).g
+        g = chain.generator(s)
         g1 = g(1.0)  # f(1) of the root and the value where the root clamps
         r = _unit_root(lambda r: (g1 if r == 1.0 else g(r)) - (2 - r) * rate)
         return g1 / rate if r == 1 else (2 - r) / r if r > 0 else np.inf
@@ -199,6 +241,8 @@ def lift_memory(w, p: int, w_tilde=None) -> MarkovChannel:
     J; a transition xbar_prev -> xbar is allowed iff the tuples overlap
     consistently, and only the newest raw component carries Q-weight.
     """
+    if not isinstance(p, numbers.Integral):
+        raise ValueError(f"p must be an integer, got {p!r}")
     w = np.asarray(w, dtype=float)
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")

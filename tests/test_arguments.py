@@ -106,7 +106,7 @@ NAN_GUARDS = {
     "z_of_rhat_legendre rhat": lambda: types_opt.z_of_rhat_legendre(BSC, UNIFORM2, math.nan),
     "dominant_joint_type rho": lambda: types_opt.dominant_joint_type(BSC, UNIFORM2, math.nan),
     # the pair-chain distances d_s(x, x-; x', x-')
-    "markov_chernoff s": lambda: memory._distance_tensor(LIFT, math.nan),
+    "markov_chernoff s": lambda: memory._Distances(LIFT)(math.nan),
     "build_tilted s": lambda: memory.build_tilted(LIFT, UNIFORM2, math.nan, 0.5),
     "build_tilted r": lambda: memory.build_tilted(LIFT, UNIFORM2, 0.5, math.nan),
     "g_s r": lambda: memory.g_s(LIFT, UNIFORM2, 0.5, math.nan),

@@ -15,7 +15,7 @@ from trellisexp.memory import (
     lift_memory,
     memoryless_lift,
     perron_frobenius,
-    _distance_tensor,
+    _Distances,
 )
 from conftest import random_channel
 
@@ -23,6 +23,12 @@ from conftest import random_channel
 @pytest.fixture(scope="module")
 def lifted_bsc(bsc01):
     return memoryless_lift(bsc01)
+
+
+@pytest.fixture(scope="module")
+def mismatched_bsc(lifted_bsc):
+    """BSC(0.1) decoded with the metric of an asymmetric channel."""
+    return MarkovChannel(lifted_bsc.w, w_tilde=memoryless_lift([[0.8, 0.2], [0.3, 0.7]]).w)
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +107,13 @@ class TestMarkovChannel:
         assert ch.num_symbols == 2
 
 
+def _distance_tensor(ch, s):
+    """d_s for all (x, xm, x', xm'), shape (J, J, J, J): `_Distances` in the
+    layout of the pair chain, (x, x') by (x_prev, x_prev'), viewed back."""
+    j = ch.num_symbols
+    return np.transpose(_Distances(ch)(s).reshape(j, j, j, j), (0, 2, 1, 3))
+
+
 def _markov_chernoff(ch, x, xm, xp, xpm, s):
     """d_s(x, x-; x', x-') = -ln sum_y W(y|x,x-) [W~(y|x',x-')/W~(y|x,x-)]^s
     of one pair of transitions, summed over the support of W(y|x,x-), the
@@ -175,6 +188,19 @@ class TestTiltedMatrix:
         assert np.all(a[dead.ravel()] == 0.0)
         assert np.allclose(a[~dead.ravel()], 1 / 9, atol=1e-15)
         assert np.allclose(a, build_tilted(ch, q, s=0.5, r=1e-12), atol=1e-12)
+
+    def test_exponent_capped_per_r(self, uniform2):
+        # a metric whose ratio reaches e^706 puts the pair (0, 1) at
+        # d_1 = -ln(e^706/2 + 1/2) < -700: e^{-r d} is exact wherever
+        # -r d <= 700 and e^700 above
+        wt = np.broadcast_to(np.array([[math.exp(-706), 1.0], [1.0, 1.0]])[:, None, :],
+                             (2, 2, 2)).copy()
+        ch = MarkovChannel(memoryless_lift([[0.5, 0.5]] * 2).w, w_tilde=wt)
+        d = -math.log(0.5 * math.exp(706) + 0.5)
+        for r, want in ((0.5, math.exp(-0.5 * d)), (0.99, math.exp(-0.99 * d)),
+                        (1.0, math.exp(700))):
+            a = build_tilted(ch, uniform2, s=1.0, r=r)
+            assert a[1] == pytest.approx(np.full(4, 0.25 * want), rel=1e-12)
 
     def test_masked_lift_zero_pattern(self, bsc01):
         w2 = np.broadcast_to(bsc01.w[:, None, None, :], (2, 2, 2, 2)).copy()
@@ -339,11 +365,11 @@ class TestExtendedExponent:
                     best = max(best, lhs / rate)
         assert value >= best - 0.02
 
-    @pytest.mark.parametrize("name", ["lifted_bsc", "isi"])
+    @pytest.mark.parametrize("name", ["lifted_bsc", "isi", "mismatched_bsc"])
     def test_each_s_solved_once(self, request, monkeypatch, uniform2, name):
         # each s solves G_s(1) once, for the root's f(1) and for the value
         # where the root clamps at r = 1, and every other eigenvalue solve is
-        # an evaluation inside the root search; an interior root gives its
+        # an evaluation inside the root search: an interior root gives its
         # value (2 - r)/r with no further solve
         from trellisexp import memory
         ch = request.getfixturevalue(name)
@@ -365,10 +391,113 @@ class TestExtendedExponent:
 
         monkeypatch.setattr(memory, "_unit_root", counting_root)
         monkeypatch.setattr(memory, "perron_frobenius", counting_pf)
-        for rate in (0.05, 0.1, 0.15):
-            extended_exponent(ch, uniform2, rate)
+        s_stars = [extended_exponent(ch, uniform2, rate)[1] for rate in (0.05, 0.1, 0.15)]
         assert counts["interior"] > 0 and counts["clamped"] > 0
         assert counts["pf"] == counts["evals"]
+        if name == "mismatched_bsc":
+            assert min(s_stars) > 0.9  # away from the matched s* = 1/2
+
+    def test_r_zero_drops_far_pairs_only_at_positive_s(self, disjoint3):
+        # rhat0 = 1/2 ln(9/7) > 0: at s > 0 the pairs of inputs 0 and 1 are
+        # at infinite distance and G_s(0) = 2 rhat0, while d_0 = 0 on every
+        # pair and G_0(0) = 0
+        q = np.full(3, 1 / 3)
+        for s in (0.5, 0.0, 2.0):
+            want = 0.0 if s == 0 else math.log(9 / 7)
+            assert g_s(disjoint3, q, s, 0.0) == pytest.approx(want, abs=1e-14)
+
+
+def _reference_generator(ch, q, s):
+    """G_s(r) of one (channel, Q, s) by the per-s formula, the oracle of
+    `_PairChain`: A_s(r) = QQ' e^{-r d_s} on the allowed transition pairs,
+    0 on pairs at infinite distance (also at r = 0), from the scalar
+    `_markov_chernoff` distances, one eigenvalue solve per r and nothing
+    shared between s or r."""
+    j = ch.num_symbols
+    n = j * j
+    qn = np.asarray(q, dtype=float)[ch.newest]
+    d = np.array([_markov_chernoff(ch, x, xm, xp, xpm, s)
+                  for x, xp, xm, xpm in np.ndindex(j, j, j, j)]).reshape(n, n)
+    far = d == math.inf
+    mask = (ch.allowed[:, None, :, None] & ch.allowed[None, :, None, :]).reshape(n, n)
+    weights = np.where(mask & ~far, np.outer(qn, qn).reshape(n, 1), 0.0)
+    d = np.where(far, 0.0, d)
+
+    def g(r):
+        lam = np.max(np.abs(np.linalg.eigvals(weights * np.exp(-r * d))))
+        return -math.log(lam) if lam > 0 else math.inf
+    return g
+
+
+def _reference_extended_exponent(ch, q, rate):
+    """`extended_exponent` with a fresh `_reference_generator` per s."""
+    from trellisexp.exponents import _argmax_concave, _unit_root
+    from trellisexp.memory import S_MAX
+
+    def value_at(s):
+        g = _reference_generator(ch, q, s)
+        g1 = g(1.0)
+        r = _unit_root(lambda r: (g1 if r == 1.0 else g(r)) - (2 - r) * rate)
+        return g1 / rate if r == 1 else (2 - r) / r if r > 0 else math.inf
+
+    s_star, best = _argmax_concave(value_at, 0.0, S_MAX, xatol=1e-6)
+    return best, s_star, max(1.0, (1.0 + best) / 2)
+
+
+def _reference_extended_cutoff(ch, q):
+    from trellisexp.exponents import _argmax_concave
+    from trellisexp.memory import S_MAX
+    return _argmax_concave(lambda s: _reference_generator(ch, q, s)(1.0), 0.0, S_MAX,
+                           xatol=1e-8)[1]
+
+
+@pytest.fixture(scope="module")
+def memory2():
+    """Two past inputs: crossover 0.04 plus 0.05 per past input != x."""
+    w = np.empty((2, 2, 2, 2))
+    for x, a, b in np.ndindex(2, 2, 2):
+        p = 0.04 + 0.05 * ((a != x) + (b != x))
+        w[x, a, b, x], w[x, a, b, 1 - x] = 1 - p, p
+    return lift_memory(w, 2)
+
+
+@pytest.fixture(scope="module")
+def disjoint3():
+    """The lift of a 3-input channel whose inputs 0 and 1 share no output."""
+    return memoryless_lift(Dmc([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [0.0, 0.5, 0.5]]))
+
+
+_RHAT0_DISJOINT3 = 0.5 * math.log(9 / 7)
+# fixture: (q, rates); a rate is a float, or (rate, tolerance of s*)
+ORACLE_CASES = {
+    "lifted_bsc": ([0.5, 0.5], (0.03, 0.12, 0.21)),
+    "isi": ([0.5, 0.5], (0.05, 0.15)),
+    "memory2": ([0.5, 0.5], (0.05, 0.15)),
+    "mismatched_bsc": ([0.5, 0.5], (0.05, 0.15)),
+    # rhat0 > 0: s = 0 and s > 0 have different infinite-distance masks.
+    # At 1.001 rhat0 the objective is flat to rounding over |s - 1/2| of
+    # about 1e-4 (the per-s formula itself moves s* by 9e-6 between scalar
+    # and tensor distances), so s* is compared there to the 1e-4 of
+    # `test_unbounded_exactly_below_edge`
+    "disjoint3": ([1 / 3] * 3, (0.999 * _RHAT0_DISJOINT3, (1.001 * _RHAT0_DISJOINT3, 1e-4),
+                                1.1 * _RHAT0_DISJOINT3, 0.3)),
+}
+
+
+class TestPairChainOracle:
+    @pytest.mark.parametrize("name", ORACLE_CASES)
+    def test_matches_per_s_formula(self, request, name):
+        q, rates = ORACLE_CASES[name]
+        ch = request.getfixturevalue(name)
+        assert extended_cutoff(ch, q) == pytest.approx(_reference_extended_cutoff(ch, q),
+                                                       rel=1e-12, abs=1e-15)
+        for rate in rates:
+            rate, s_atol = rate if isinstance(rate, tuple) else (rate, 1e-6)
+            value, s_star, rho = extended_exponent(ch, q, rate)
+            want_value, want_s, want_rho = _reference_extended_exponent(ch, q, rate)
+            assert value == pytest.approx(want_value, rel=1e-12)
+            assert rho == pytest.approx(want_rho, rel=1e-12)
+            assert s_star == pytest.approx(want_s, abs=s_atol)
 
 
 class TestLiftMemory:
@@ -376,6 +505,14 @@ class TestLiftMemory:
         ch = lift_memory(lifted_bsc.w, 1)
         assert np.array_equal(ch.w, lifted_bsc.w)
         assert np.all(ch.allowed)
+
+    @pytest.mark.parametrize("p", [2.0, 1.5, "2"])
+    def test_non_integer_p_raises(self, bsc01, p):
+        # 2.0 used to reach numpy's "can't multiply sequence by non-int"
+        # TypeError through `(j,) * (p + 1)`
+        w2 = np.broadcast_to(bsc01.w[:, None, None, :], (2, 2, 2, 2)).copy()
+        with pytest.raises(ValueError, match=f"p must be an integer, got {p!r}"):
+            lift_memory(w2, p)
 
     def test_p2_binary_successors(self, bsc01):
         w2 = np.broadcast_to(bsc01.w[:, None, None, :], (2, 2, 2, 2)).copy()

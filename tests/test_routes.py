@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from trellisexp.channels import Dmc, InputDist
 from trellisexp.exponents import cutoff_rate, exponent_curve
-from trellisexp.memory import extended_exponent, memoryless_lift
+from trellisexp.memory import extended_cutoff, extended_exponent, memoryless_lift
 from trellisexp.types_opt import (
     _legendre_edge,
     csiszar_exponent,
@@ -112,3 +112,27 @@ def test_legendre_and_direct_z_agree(channel, fraction):
         assert direct == math.inf
     else:
         assert abs(direct - legendre) <= 1e-6 * max(1.0, legendre)
+
+
+POINT_MASS_CHANNELS = {
+    "bsc": Dmc([[0.9, 0.1], [0.1, 0.9]]),
+    "asym3": Dmc([[0.7, 0.2, 0.1], [0.1, 0.8, 0.1], [0.25, 0.25, 0.5]]),
+}
+
+
+@pytest.mark.parametrize("name, x", [(n, x) for n, d in POINT_MASS_CHANNELS.items()
+                                     for x in range(d.num_inputs)])
+def test_point_mass_q_has_zero_cutoff_and_exponent(name, x):
+    # one input only: every pair has equal rows, so R0 is exactly 0, not a
+    # rounding residue of +-1e-16 that let R = 1e-17 pass the rate rule
+    # (rtc read 11.1 there, and the lift of asym3 at x = 2 read 3.92)
+    dmc = POINT_MASS_CHANNELS[name]
+    q = np.eye(dmc.num_inputs)[x]
+    lift = memoryless_lift(dmc)
+    assert cutoff_rate(dmc, q) == 0.0
+    assert extended_cutoff(lift, q) == 0.0
+    rate = 1e-17
+    for kind in ("rtc", "cex", "trtc", "rtimes_rtc", "rtimes_cex", "rtimes_trtc"):
+        assert _curve(kind, dmc, q, rate) == 0.0, kind
+    assert csiszar_exponent(dmc, q, rate) == 0.0
+    assert extended_exponent(lift, q, rate)[0] == 0.0

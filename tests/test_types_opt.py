@@ -273,11 +273,13 @@ class TestCsiszarExponent:
     def test_equals_trtc_just_above_rhat0(self):
         # the inputs never share an output, so R0 = 2 rhat0 and trtc is
         # finite, and huge, for every R > rhat0: both routes must use that
-        # one rule at the edge
+        # one rule at the edge.  R0 is exactly 2 rhat0, so R0/2 is the edge
+        # itself; the rate 2 ulps above it is what R0/2 read when R0 came
+        # from E0(1)
         dmc, q = Dmc([[0.0, 1.0], [1.0, 0.0]]), InputDist([3 / 7, 4 / 7])
         rhat0 = _legendre_edge(dmc, q)[0]
-        rates = [cutoff_rate(dmc, q) / 2]
-        rates += [rhat0 * (1 + f) for f in (1e-12, 1e-10, 1e-9)]
+        assert cutoff_rate(dmc, q) == 2 * rhat0
+        rates = [rhat0 * (1 + f) for f in (4.4e-16, 1e-12, 1e-10, 1e-9)]
         for rate, trtc, _ in exponent_curve("trtc", dmc, q, rates).points:
             assert trtc < math.inf
             assert csiszar_exponent(dmc, q, rate) == pytest.approx(trtc, rel=1e-12)
