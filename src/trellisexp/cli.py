@@ -147,12 +147,10 @@ def cmd_curve(args) -> int:
     spec = _load_spec_for(args, ("w_tilde", "memory"))
     kinds = [k for k in args.kinds.split(",") if k]
     if not kinds:
-        sys.stderr.write("error: empty kinds list\n")
-        return 2
+        raise ValueError("empty kinds list")
     for kind in kinds:
         if kind not in CURVE_KINDS:
-            sys.stderr.write(f"error: unknown curve kind {kind!r}\n")
-            return 2
+            raise ValueError(f"unknown curve kind {kind!r}")
     scale = LN2 if (args.units or spec.units) == "bits" else 1.0
     rmin, rmax = args.rmin * scale, args.rmax * scale  # internal rates in nats
     rates = np.linspace(rmin, rmax, args.points)
@@ -243,21 +241,14 @@ def cmd_audit(args) -> int:
 def cmd_dominant(args) -> int:
     spec = _load_spec_for(args, ("w_tilde", "memory"))
     scale = LN2 if spec.units == "bits" else 1.0
-    rate = args.rate * scale
     try:
-        rho = exponents.solve_rho("trtc", spec.dmc, spec.q, rate).rho
+        ev = types_opt.dominant_joint_type(spec.dmc, spec.q, args.rate * scale)
     except RateOutOfRange as e:
         sys.stderr.write(f"error: {e}\n")
         return 1
-    if rho == math.inf:
-        rhat0 = types_opt._legendre_edge(spec.dmc, spec.q)[0] / scale
-        sys.stderr.write(f"error: R={args.rate} <= rhat0={rhat0:.12g}: no trtc root, "
-                         "the exponent is unbounded\n")
-        return 1
-    ev = types_opt.dominant_joint_type(spec.dmc, spec.q, rho)
     report = {
         "rate": args.rate,
-        "rho_trtc": rho,
+        "rho_trtc": ev.rho,
         "p_star": ev.p_star.p.tolist(),
         "divergence": ev.divergence / scale,
         "delta_half": ev.delta_half / scale,
@@ -343,8 +334,8 @@ def main(argv=None) -> int:
         sys.stderr.write(f"channel spec error: {e}\n")
         return 2
     except (ValueError, sim.EnumerationBudgetExceeded) as e:
-        # bad ensemble arguments, found by `sim` (curve and dominant report
-        # their out-of-range rates themselves, with exit 1)
+        # bad ensemble arguments, found by `sim`, and bad curve kinds (curve
+        # and dominant report their out-of-range rates themselves, with exit 1)
         sys.stderr.write(f"error: {e}\n")
         return 2
 

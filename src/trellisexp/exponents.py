@@ -135,9 +135,10 @@ class _PairTable:
         G: Delta = -E_{P_r}[ln Z] = G'(r) and D = G(r) - r Delta.  At r = 0,
         Delta is the rho -> inf limit of Ex(rho) - 2 rho rhat0.  D carries
         an absolute rounding error of about eps r Delta, which can exceed
-        D - 2 rhat0 ~ r^2 at tiny r, so D - 2 rhat0 is floored at 0."""
+        D - 2 rhat0 ~ r^2 at tiny r, so D - 2 rhat0 is floored at 0.
+        Delta is +0.0, not -0.0, where it is zero."""
         mass = self.weights * np.exp(r * self.log_z)
-        delta = float(-np.sum(mass * self.log_z) / np.sum(mass))
+        delta = float(0.0 - np.sum(mass * self.log_z) / np.sum(mass))
         return max(float(self.g(r)) - r * delta, 0.0), delta
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .channels import (DimensionMismatch, Dmc, InputDist, _check_nonnegative, _distribution,
                        _input_dist, chernoff_matrix)
-from .exponents import _argmax_concave, _PairTable, _unit_root, check_rate
+from .exponents import RateOutOfRange, _argmax_concave, _PairTable, _unit_root, check_rate
 
 
 @dataclass(frozen=True)
@@ -68,24 +68,14 @@ def _diag_divergence(q: InputDist) -> float:
     return -np.log(np.sum(q.q ** 2))
 
 
-def _legendre_edge(dmc: Dmc, q: InputDist) -> tuple[float, float]:
-    """Left end (rhat0, Z(rhat0)) of the finite part of Z.
-
-    With P0 = QxQ restricted to the pairs whose output supports overlap
-    (Bhattacharyya Z > 0), Ex(rho) - 2 rho rhat is 2 rho (rhat0 - rhat)
-    plus a bounded increasing term with limit -E_P0[ln Z], where
-    rhat0 = -1/2 ln QxQ(Z > 0).  So Z is inf below rhat0 and equals that
-    limit at rhat0; rhat0 = 0 when every pair of supports overlaps.
-    """
-    table = _PairTable(dmc, q)
-    return table.rhat0, table.tilted_point(0.0)[1]
-
-
 def z_of_rhat_legendre(dmc: Dmc, q: InputDist, rhat: float) -> float:
     """Legendre form of Z: sup_{rho >= 0} [Ex(rho, Q) - 2 rho rhat].
 
-    Z is inf below the edge rhat0 of `_legendre_edge`, equals its limit
-    there, and is finite for every rhat >= rhat0.  Above rhat0 the objective
+    Z is inf below the edge `_PairTable.rhat0`, rhat0 = -1/2 ln QxQ(Z > 0),
+    and finite for every rhat >= rhat0.  With P0 = QxQ restricted to the
+    pairs of Z > 0, Ex(rho) - 2 rho rhat is 2 rho (rhat0 - rhat) plus a
+    bounded increasing term with limit -E_P0[ln Z], so Z equals that limit
+    at rhat0 (`_PairTable.tilted_point(0)`).  Above rhat0 the objective
     is concave in rho and tends to -inf as rho -> inf, so it is maximised
     over u = rho/(1 + rho) in [0, 1] with the value -inf at u = 1: a bounded
     search with no cap on rho.  Only Ex is evaluated, so this form stays an
@@ -117,9 +107,9 @@ def z_of_rhat_direct(dmc: Dmc, q: InputDist, rhat: float) -> tuple[float, JointT
     zero-Delta diagonal type is feasible.  The root is found by `_unit_root`
     in t = r/(1 + r) on [0, 1], with no cap: D runs from 2 rhat0 at t = 0
     (P_0, QxQ restricted to the finite-distance pairs) to -ln QxQ(Z = 1) at
-    t = 1 (P_inf, whose Delta is 0).  Below the edge rhat0 of
-    `_legendre_edge` every feasible type puts mass on an infinite distance,
-    so Z is inf; at and above it Z is finite, and at rhat0 the root is P_0.
+    t = 1 (P_inf, whose Delta is 0).  Below the edge `_PairTable.rhat0`
+    every feasible type puts mass on an infinite distance, so Z is inf; at
+    and above it Z is finite, and at rhat0 the root is P_0.
     """
     _check_nonnegative("rhat", rhat)
     table = _PairTable(dmc, q)
@@ -173,26 +163,25 @@ def csiszar_exponent(dmc: Dmc, q: InputDist, rate: float) -> float:
     return -float(_argmax_concave(neg_obj, 0.0, r_hi, xatol=1e-300)[1])
 
 
-def dominant_joint_type(dmc: Dmc, q: InputDist, rho: float) -> DominantEvent:
-    """Dominant error-event joint type P* at tilt rho, with the critical-length
-    factor evaluated at the rate R for which rho = rho_trtc(R).
+def dominant_joint_type(dmc: Dmc, q: InputDist, rate: float) -> DominantEvent:
+    """Dominant error-event joint type P* at rate R: the tilted type P_r of
+    `_PairTable.tilted` at r = 1/rho_trtc(R), with the critical-length
+    factor at R.
 
     The factor is 1 + theta(D) = 2R/(2R - D), theta(D) = D/(2R - D).  Near
     the edge both R and D/2 approach rhat0, so 2R - D is taken from the
-    edge: 2R - D = 2(R - rhat0) - e, with e = D - 2 rhat0 and
-    R - rhat0 = (rho g(1/rho) + rhat0)/(2 rho - 1), g = `_PairTable.g`,
-    a sum of nonnegative terms.  Where rhat0 = 0 this is the plain form.
+    edge: 2R - D = 2(R - rhat0) - e, with e = D - 2 rhat0 from
+    `_PairTable.tilted_point` and R - rhat0 the gap the trtc root is solved
+    with.  R follows the rate rule of `check_rate`, under which rho >= 1;
+    where R <= rhat0 there is no trtc root and RateOutOfRange is raised.
     """
-    if not 0 < rho < np.inf:
-        raise ValueError(f"rho must be > 0 and finite, got {rho}")
     table = _PairTable(dmc, q)
+    check_rate(rate, table.r0)
+    rho = float(table.rho("trtc", [rate])[0])
+    if rho == np.inf:
+        raise RateOutOfRange(f"R={rate} <= rhat0={table.rhat0:.12g}: no trtc root, "
+                             "the exponent is unbounded")
     p = JointType(table.tilted(1.0 / rho))
     e, delta = table.tilted_point(1.0 / rho)
-    div = 2 * table.rhat0 + e
-    if rho > 0.5:
-        rate = table.ex(rho) / (2 * rho - 1)
-        gap = (rho * table.g(1.0 / rho) + table.rhat0) / (2 * rho - 1)
-        factor = 2 * rate / (2 * gap - e)
-    else:
-        rate = factor = np.nan
-    return DominantEvent(p, rho, rate, div, delta, factor)
+    factor = 2 * rate / (2 * (rate - table.rhat0) - e)
+    return DominantEvent(p, rho, rate, 2 * table.rhat0 + e, delta, factor)

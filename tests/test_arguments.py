@@ -52,7 +52,7 @@ Q_ENTRIES = {
     "z_of_rhat_legendre": lambda q: types_opt.z_of_rhat_legendre(BSC, q, 0.05),
     "z_of_rhat_direct": lambda q: types_opt.z_of_rhat_direct(BSC, q, 0.05),
     "csiszar_exponent": lambda q: types_opt.csiszar_exponent(BSC, q, 0.1),
-    "dominant_joint_type": lambda q: types_opt.dominant_joint_type(BSC, q, 2.0),
+    "dominant_joint_type": lambda q: types_opt.dominant_joint_type(BSC, q, 0.1),
     "build_tilted": lambda q: memory.build_tilted(LIFT, q, 0.5, 0.5),
     "g_s": lambda q: memory.g_s(LIFT, q, 0.5, 0.5),
     "extended_cutoff": lambda q: memory.extended_cutoff(LIFT, q),
@@ -114,9 +114,14 @@ NAN_GUARDS = {
 }
 
 
+# dominant_joint_type takes the rate R and solves rho from it: a NaN rate
+# fails the rate rule of `check_rate`
+NAN_MESSAGES = {"dominant_joint_type rho": r"need 0 < R < R0=.*got R=nan"}
+
+
 @pytest.mark.parametrize("guard", NAN_GUARDS)
 def test_nan_parameter_raises(guard):
-    with pytest.raises(ValueError, match=r"must be >=? 0.*got nan"):
+    with pytest.raises(ValueError, match=NAN_MESSAGES.get(guard, r"must be >=? 0.*got nan")):
         NAN_GUARDS[guard]()
 
 
@@ -127,7 +132,8 @@ class TestInfiniteRho:
             exponents.gallager_e0(BSC, UNIFORM2, math.inf)
 
     def test_dominant_joint_type_raises(self):
-        with pytest.raises(ValueError, match="finite"):
+        # dominant_joint_type takes a rate, not rho: inf fails the rate rule
+        with pytest.raises(exponents.RateOutOfRange, match="got R=inf"):
             types_opt.dominant_joint_type(BSC, UNIFORM2, math.inf)
 
     @pytest.mark.parametrize("dmc, q", [(BSC, UNIFORM2), (W3, UNIFORM3)], ids=["bsc", "w3"])

@@ -475,6 +475,33 @@ class TestDominant:
         rc, out, _ = run(["dominant", "--channel", path, "--rate", "0.4"])
         assert rc == 0 and json.loads(out)["rho_trtc"] > 1.0
 
+    def test_point_mass_q_gives_valid_json(self, tmp_path):
+        # a point-mass q has R0 = 0 and the diagonal P*, so the factor is
+        # 2R/2R = 1 and Delta is +0.0; NaN would not be valid JSON
+        def no_constant(name):
+            raise ValueError(f"{name} is not valid JSON")
+
+        rc, out, err = run(["dominant", "--channel", _spec_with(tmp_path, q=[1.0, 0.0]),
+                            "--rate", "1e-17"])
+        assert rc == 0 and err == ""
+        doc = json.loads(out, parse_constant=no_constant)
+        assert doc["critical_length_factor"] == 1.0
+        assert doc["delta_half"] == 0.0 and math.copysign(1.0, doc["delta_half"]) == 1.0
+
+    def test_one_pair_table_per_run(self, monkeypatch):
+        from trellisexp import exponents, types_opt
+        built = []
+
+        class Counting(exponents._PairTable):
+            def __init__(self, *args):
+                built.append(1)
+                super().__init__(*args)
+
+        monkeypatch.setattr(exponents, "_PairTable", Counting)
+        monkeypatch.setattr(types_opt, "_PairTable", Counting)
+        rc, _, _ = run(["dominant", "--channel", BSC, "--rate", "0.1"])
+        assert rc == 0 and len(built) == 1
+
     def test_ignored_keys_rejected(self, tmp_path):
         for extra in ({"w_tilde": W_TILDE}, {"memory": MEMORY_BLOCK}):
             rc, out, err = run(["dominant", "--channel", _spec_with(tmp_path, **extra),

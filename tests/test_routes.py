@@ -9,10 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trellisexp.channels import Dmc, InputDist
-from trellisexp.exponents import cutoff_rate, exponent_curve
+from trellisexp.exponents import _PairTable, cutoff_rate, exponent_curve
 from trellisexp.memory import extended_cutoff, extended_exponent, memoryless_lift
 from trellisexp.types_opt import (
-    _legendre_edge,
     csiszar_exponent,
     z_of_rhat_direct,
     z_of_rhat_legendre,
@@ -103,7 +102,7 @@ RHAT_FRACTIONS = st.one_of(
 @given(channels_with_copies(), RHAT_FRACTIONS)
 def test_legendre_and_direct_z_agree(channel, fraction):
     dmc, q = channel
-    rhat0, _ = _legendre_edge(dmc, q)
+    rhat0 = _PairTable(dmc, q).rhat0
     d_diag = -math.log(np.sum(q.q ** 2))
     rhat = rhat0 + fraction * (d_diag / 2 - rhat0)
     legendre = z_of_rhat_legendre(dmc, q, rhat)

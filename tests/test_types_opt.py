@@ -5,16 +5,16 @@ import pytest
 
 from trellisexp.channels import DimensionMismatch, Dmc, InputDist
 from trellisexp.exponents import (
+    RATE_TOL,
     RateOutOfRange,
     _argmax_concave,
+    _PairTable,
     cutoff_rate,
     expurgated_ex,
     exponent_curve,
-    solve_rho,
 )
 from trellisexp.types_opt import (
     JointType,
-    _legendre_edge,
     csiszar_exponent,
     delta_s,
     divergence_qq,
@@ -155,12 +155,11 @@ class TestZOfRhat:
             delta_s(JointType(np.full((2, 2), 0.25)), bsc01, 0.5), abs=1e-12)
 
     def test_direct_equals_legendre_at_edge(self):
-        # pairs (0,1), (1,0), (1,2), (2,1) have disjoint output supports, so Z
-        # is finite from rhat0 = -1/2 ln(5/9) on, and inf below it
-        from trellisexp.types_opt import _legendre_edge
+        # pairs (0,1) and (1,0) have disjoint output supports, so Z is
+        # finite from rhat0 = -1/2 ln(7/9) on, and inf below it
         dmc = Dmc([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [0.0, 0.5, 0.5]])
         q = InputDist(np.full(3, 1 / 3))
-        rhat0, _ = _legendre_edge(dmc, q)
+        rhat0 = _PairTable(dmc, q).rhat0
         assert rhat0 == pytest.approx(0.125657, abs=1e-6)
         zl = z_of_rhat_legendre(dmc, q, rhat0)
         zd, p = z_of_rhat_direct(dmc, q, rhat0)
@@ -277,7 +276,7 @@ class TestCsiszarExponent:
         # itself; the rate 2 ulps above it is what R0/2 read when R0 came
         # from E0(1)
         dmc, q = Dmc([[0.0, 1.0], [1.0, 0.0]]), InputDist([3 / 7, 4 / 7])
-        rhat0 = _legendre_edge(dmc, q)[0]
+        rhat0 = _PairTable(dmc, q).rhat0
         assert cutoff_rate(dmc, q) == 2 * rhat0
         rates = [rhat0 * (1 + f) for f in (4.4e-16, 1e-12, 1e-10, 1e-9)]
         for rate, trtc, _ in exponent_curve("trtc", dmc, q, rates).points:
@@ -291,7 +290,7 @@ class TestCsiszarExponent:
         # lies where D >= 2R near rhat0; the chord bound on r* keeps the
         # search off that region
         dmc, q = W3
-        rhat0 = _legendre_edge(dmc, q)[0]
+        rhat0 = _PairTable(dmc, q).rhat0
         rates = [rhat0 * (1 + f) for f in (1e-3, 1e-2, 1e-1)]
         for rate, trtc, _ in exponent_curve("trtc", dmc, q, rates).points:
             assert csiszar_exponent(dmc, q, rate) == pytest.approx(trtc, rel=1e-11)
@@ -301,7 +300,7 @@ class TestCsiszarExponent:
         # both routes measure the rate from the edge, so neither cancels
         # R against rhat0
         dmc, q = W3
-        rate = _legendre_edge(dmc, q)[0] * (1 + 10.0 ** -j)
+        rate = _PairTable(dmc, q).rhat0 * (1 + 10.0 ** -j)
         trtc = exponent_curve("trtc", dmc, q, [rate]).points[0][1]
         assert csiszar_exponent(dmc, q, rate) == pytest.approx(trtc, rel=1e-12)
 
@@ -309,12 +308,12 @@ class TestCsiszarExponent:
         # D and Delta of P* come from the type itself, not from G
         dmc, q = channel
         for rate in cutoff_rate(dmc, q) * np.linspace(0.05, 0.95, 19):
-            rho = solve_rho("trtc", dmc, q, rate).rho
             got = csiszar_exponent(dmc, q, rate)
-            if rho == math.inf:
+            try:
+                p = dominant_joint_type(dmc, q, rate).p_star
+            except RateOutOfRange:  # R <= rhat0: no trtc root
                 assert got == math.inf
                 continue
-            p = dominant_joint_type(dmc, q, rho).p_star
             div, delta = divergence_qq(p, q), delta_s(p, dmc, 0.5)
             assert got == pytest.approx((delta + div / 2) / (rate - div / 2), rel=1e-8)
 
@@ -339,36 +338,48 @@ class TestCsiszarExponent:
 
 class TestDominantJointType:
     def test_bsc_rho_one(self, bsc01, uniform2):
-        ev = dominant_joint_type(bsc01, uniform2, 1.0)
+        # at R = R0 the trtc root is rho = 1 exactly
+        ev = dominant_joint_type(bsc01, uniform2, cutoff_rate(bsc01, uniform2))
+        assert ev.rho == 1.0
         assert np.allclose(ev.p_star.p,
                            [[0.3125, 0.1875], [0.1875, 0.3125]], atol=1e-10)
 
     def test_large_rho_product(self, bsc01, uniform2):
-        ev = dominant_joint_type(bsc01, uniform2, 1e6)
+        ev = dominant_joint_type(bsc01, uniform2, 1e-7)
+        assert ev.rho > 1e6
         assert np.allclose(ev.p_star.p, 0.25, atol=1e-5)
 
-    def test_small_rho_diagonal(self, bsc01, uniform2):
-        ev = dominant_joint_type(bsc01, uniform2, 1e-3)
-        assert np.allclose(ev.p_star.p, np.diag([0.5, 0.5]), atol=1e-9)
+    def test_rate_above_r0_raises(self, bsc01, uniform2):
+        # rho < 1 would need R > R0, which the rate rule rejects
+        r0 = cutoff_rate(bsc01, uniform2)
+        for rate in (r0 + RATE_TOL, 2 * r0):
+            with pytest.raises(RateOutOfRange, match="R0="):
+                dominant_joint_type(bsc01, uniform2, rate)
 
-    # rho = rho_trtc(R) on W3 at R = rhat0 (1 + 1e-14), (1 + 1e-6) and (1 + 0.1),
-    # and the factor 2R/(2R - D) at that rho from an 80-digit evaluation
-    @pytest.mark.parametrize("rho,factor", [
-        (169223373100997.8, 100606183605220.3842478),
-        (1682037.8969856044, 1000001.058659654928895),
-        (17.2242559655313, 11.06163038584005977039),
+    def test_rate_at_or_below_rhat0_raises(self):
+        # noiseless BSC: rhat0 = ln2/2, the trtc root exists only above it
+        noiseless, q = Dmc([[1.0, 0.0], [0.0, 1.0]]), InputDist([0.5, 0.5])
+        with pytest.raises(RateOutOfRange, match="rhat0=0.34657359"):
+            dominant_joint_type(noiseless, q, 0.3)
+        ev = dominant_joint_type(noiseless, q, 0.4)
+        assert 1.0 < ev.rho < math.inf
+
+    # on W3 at R = rhat0 (1 + f): rho_trtc(R), and the factor 2R/(2R - D) at R
+    # from an 80-digit evaluation that takes the float R and the float rhat0
+    # as exact; that evaluation gives the same rho to 5e-16
+    @pytest.mark.parametrize("rho,factor,f", [
+        (169223373100997.8, 100606183605220.4141632995, 1e-14),
+        (1682037.8969856044, 1000001.058659655264699, 1e-6),
+        (17.2242559655313, 11.06163038584006390726, 0.1),
     ])
-    def test_factor_accurate_near_the_edge(self, rho, factor):
-        ev = dominant_joint_type(*W3, rho)
+    def test_factor_accurate_near_the_edge(self, rho, factor, f):
+        dmc, q = W3
+        ev = dominant_joint_type(dmc, q, _PairTable(dmc, q).rhat0 * (1 + f))
+        assert ev.rho == pytest.approx(rho, rel=1e-13)
         assert ev.critical_length_factor == pytest.approx(factor, rel=1e-13)
 
-    def test_factor_undefined_at_or_below_half(self, bsc01, uniform2):
-        for rho in (0.5, 0.25):
-            ev = dominant_joint_type(bsc01, uniform2, rho)
-            assert math.isnan(ev.rate) and math.isnan(ev.critical_length_factor)
-
     def test_symmetric_and_factor_at_least_one(self, bsc01, uniform2):
-        for rho in (1.0, 1.5, 3.0):
-            ev = dominant_joint_type(bsc01, uniform2, rho)
+        for rate in (0.05, 0.1, 0.2):
+            ev = dominant_joint_type(bsc01, uniform2, rate)
             assert np.allclose(ev.p_star.p, ev.p_star.p.T, atol=1e-12)
             assert ev.critical_length_factor >= 1.0
