@@ -286,8 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("curve", parents=[channel], help="emit exponent curves as CSV")
     c.add_argument("--kinds", required=True,
                    help="comma list from " + ",".join(CURVE_KINDS))
-    c.add_argument("--rmin", type=float, required=True)
-    c.add_argument("--rmax", type=float, required=True)
+    c.add_argument("--rmin", type=_finite_float, required=True)
+    c.add_argument("--rmax", type=_finite_float, required=True)
     c.add_argument("--points", type=_positive_int, default=50)
     c.add_argument("--units", choices=("nats", "bits"), default=None,
                    help="units of the rates and values (default: the spec's)")

@@ -102,10 +102,16 @@ class _PairTable:
         return rho * (self.g(1.0 / rho) + 2 * self.rhat0) if rho > 0 else 0.0
 
     def rho(self, kind, rates):
-        """rho of the cex or trtc equation at each rate of an array, inf
-        where there is no root (see `solve_rho`).  In r = 1/rho on [0, 1],
-        from the edge: cex is g(r) = R - 2 rhat0 and trtc is
-        g(r) = (2 - r)(R - rhat0) - r rhat0."""
+        """rho >= 1 of the cex equation R = Ex(rho)/rho or the trtc equation
+        R = Ex(rho)/(2 rho - 1) at each rate of an array.
+
+        In r = 1/rho on [0, 1], Ex(rho) = G(r)/r, so cex reads G(r) = R and
+        trtc reads G(r) = (2 - r) R.  Both are solved from the edge, on g:
+        cex as g(r) = R - 2 rhat0 and trtc as
+        g(r) = (2 - r)(R - rhat0) - r rhat0, so that no rate near the edge
+        is cancelled against 2 rhat0.  The trtc root exists iff R > rhat0
+        and the cex root iff R > 2 rhat0; otherwise rho = inf (the exponent
+        is unbounded)."""
         rates = np.asarray(rates, dtype=float)
         # one rate is a float equation for `_unit_root`, whose plain-float
         # steps cost less than array steps of one
@@ -254,10 +260,9 @@ def _fminbound(f, lo, hi, xatol):
 def _unit_root(f):
     """Root in [0, 1] of an f that crosses zero at most once, upward.
 
-    The root finder of `memory.extended_exponent` (in r = 1/rho), of the
-    rtc solve (in rho), of `types_opt.z_of_rhat_direct` (in t = r/(1 + r))
-    and of one-rate cex/trtc solves (in r = 1/rho), which `_PairTable.rho`
-    hands it.
+    The root finder of `memory.extended_exponent` (in r = 1/rho), of
+    `types_opt.z_of_rhat_direct` (in t = r/(1 + r)) and of one-rate
+    cex/trtc solves (in r = 1/rho), which `_PairTable.rho` hands it.
     Returns 1 when f(1) <= 0 (the root lies at or beyond 1) and 0 when
     f(0) >= 0 (for r = 1/rho: no root, rho is unbounded); `_brentq` finds
     it otherwise, handed the two end values, so f is evaluated once at
@@ -387,58 +392,12 @@ def check_rate(rate: float, r0: float) -> None:
 
 
 def solve_rho(curve_kind: str, dmc: Dmc, q: InputDist, rate: float) -> RhoValue:
-    """Solve the defining rho-equation of a curve at rate R (nats).
-
-    cex : R = Ex(rho)/rho, rho >= 1
-    trtc: R = Ex(rho)/(2 rho - 1), rho >= 1
-    rtc : R = E0(rho)/rho for R0(Q) < R < I(Q;W), rho in (0, 1)
-
-    cex and trtc are solved in r = 1/rho on [0, 1] by `_PairTable.rho`.  With
-    G(r) = -ln sum_{Z > 0} QQ' Z^r, increasing from G(0) = 2 rhat0
-    (rhat0 = -1/2 ln QxQ(Z > 0)) to G(1) = R0, Ex(rho) = G(r)/r, so cex
-    reads G(r) = R and trtc reads G(r) = (2 - r) R.  Both are solved from
-    the edge, on g = G - 2 rhat0 (`_PairTable.g`): cex as g(r) = R - 2 rhat0
-    and trtc as g(r) = (2 - r)(R - rhat0) - r rhat0, so that no rate near
-    the edge is cancelled against 2 rhat0.
-    The trtc root exists iff R > rhat0 and the cex root iff R > 2 rhat0;
-    otherwise rho = inf (the exponent is unbounded).
-    rtc is solved in rho on [0, 1] by `_unit_root`, on R - E0(rho)/rho with
-    its rho -> 0 value R - I(Q;W) in closed form and E0(rho)/rho in a
-    log1p/expm1 form that keeps its relative accuracy at small rho, so a
-    rate just below I gets rho ~ 2 (I - R)/V (V the information variance),
-    not a root lost in the rounding of E0 ~ rho I.  A rate outside
-    (R0, I) raises RateOutOfRange.
-    """
-    if curve_kind in ("cex", "trtc"):
-        table = _PairTable(dmc, q)
-        check_rate(rate, table.r0)
-        return RhoValue(float(table.rho(curve_kind, [rate])[0]))
-    if curve_kind != "rtc":
-        raise ValueError(f"unknown curve kind {curve_kind!r}")
-    r0 = cutoff_rate(dmc, q)
-    if rate <= r0:
-        raise RateOutOfRange(f"rtc rho branch needs R > R0={r0:.6g}")
-    # With P the output distribution of QW and t = rho/(1 + rho),
-    # sum_x Q W^{1/(1+rho)} = P (1 + u), u = sum_x Q W expm1(-t ln W) / P,
-    # so E0 = -log1p(sum_y P expm1((1 + rho) log1p(u) + rho ln P)): small
-    # at small rho without cancelling against 1, and E0/rho -> I(Q;W).
-    qw = _input_dist(q, dmc.num_inputs, "channel input").q[:, None] * dmc.w
-    p = qw.sum(axis=0)
-    out = p > 0
-    qw, p = qw[:, out], p[out]
-    log_p = np.log(p)
-    log_w = np.log(dmc.w[:, out], out=np.zeros_like(qw), where=qw > 0)
-    info = float(np.sum(qw * (log_w - log_p)))
-
-    def e0_over_rho(rho):
-        u = np.sum(qw * np.expm1(-rho / (1 + rho) * log_w), axis=0) / p
-        return -np.log1p(np.sum(p * np.expm1((1 + rho) * np.log1p(u) + rho * log_p))) / rho
-
-    # R - E0(rho)/rho rises from R - I at rho = 0 to R - R0 > 0 at rho = 1
-    rho = _unit_root(lambda rho: rate - (info if rho == 0 else e0_over_rho(rho)))
-    if rho == 0:
-        raise RateOutOfRange(f"rtc rho branch needs R < I(Q;W)={info:.6g}")
-    return RhoValue(rho)
+    """rho of the cex or trtc curve at one rate R (nats): the rho column of
+    `exponent_curve(curve_kind, dmc, q, [R])`, under its rate rule and with
+    its pair table, inf where the root does not exist."""
+    if curve_kind not in ("cex", "trtc"):
+        raise ValueError(f"solve_rho solves cex and trtc, got {curve_kind!r}")
+    return RhoValue(exponent_curve(curve_kind, dmc, q, [rate]).points[0][2])
 
 
 def exponent_curve(kind: str, dmc: Dmc, q: InputDist, rate_grid) -> ExponentCurve:
@@ -459,9 +418,8 @@ def exponent_curve(kind: str, dmc: Dmc, q: InputDist, rate_grid) -> ExponentCurv
         raise ValueError("rate grid must be strictly increasing")
     base = kind.removeprefix("rtimes_")
     table = _PairTable(dmc, q)
-    ok = (rates > 0) & (rates < table.r0 + RATE_TOL)  # check_rate's rule; NaN fails
-    if not ok.all():
-        check_rate(rates[np.argmin(ok)], table.r0)  # raises at the first failing rate
+    for rate in rates.tolist():
+        check_rate(rate, table.r0)
     if base == "rtc":
         values, rhos = table.r0 / rates, [None] * rates.size
     else:

@@ -167,9 +167,10 @@ def _block_windows(blocks, cfg):
 
 def encode(code: TrellisCode, info_bits) -> np.ndarray:
     """Encode m*L info bits, or a (B, m*L) batch, into n*(L+k-1) channel
-    symbols per message (zero-tail)."""
+    symbols per message (zero-tail).  Bits outside {0, 1} raise ValueError."""
     cfg = code.cfg
     bits, single = _batch(info_bits, cfg.m * cfg.L, "info bits")
+    _check_symbols(bits, 2, "info bits", "binary alphabet")
     blocks = _info_to_blocks(bits, cfg.m, cfg.L)
     tail = np.zeros((blocks.shape[0], cfg.k - 1), dtype=np.int64)
     blocks = np.concatenate([blocks, tail], axis=1)

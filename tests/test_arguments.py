@@ -44,7 +44,6 @@ Q_ENTRIES = {
     "critical_rate": lambda q: exponents.critical_rate(BSC, q),
     "solve_rho cex": lambda q: exponents.solve_rho("cex", BSC, q, 0.1),
     "solve_rho trtc": lambda q: exponents.solve_rho("trtc", BSC, q, 0.1),
-    "solve_rho rtc": lambda q: exponents.solve_rho("rtc", BSC, q, 0.3),
     "exponent_curve": lambda q: exponents.exponent_curve("trtc", BSC, q, [0.05, 0.1]),
     "costello_form_cex": lambda q: exponents.costello_form_cex(BSC, q, 0.1),
     "divergence_qq": lambda q: types_opt.divergence_qq(

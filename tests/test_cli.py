@@ -423,6 +423,16 @@ class TestBadEnsembleArguments:
         assert exc.value.code == 2 and out == ""
         assert "must be finite" in err.splitlines()[-1] and "Traceback" not in err
 
+    @pytest.mark.parametrize("option", ["--rmin", "--rmax"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_rate_bound_is_usage_error(self, option, value, capsys):
+        # unchecked, an inf bound gives rate=nan rows and a numpy RuntimeWarning
+        with pytest.raises(SystemExit) as exc:
+            main(CURVE + [option, value])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert "must be finite" in err.splitlines()[-1] and "Traceback" not in err
+
 
 class TestDominant:
     def test_report_fields(self):

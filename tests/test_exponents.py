@@ -115,7 +115,7 @@ class TestPairTable:
 class TestRateRule:
     def test_same_tolerance_on_every_route(self, bsc01, uniform2):
         from trellisexp.memory import extended_cutoff, extended_exponent, memoryless_lift
-        from trellisexp.types_opt import csiszar_exponent
+        from trellisexp.types_opt import csiszar_exponent, dominant_joint_type
         lift = memoryless_lift(bsc01)
         r0 = cutoff_rate(bsc01, uniform2)
         ext_r0 = extended_cutoff(lift, uniform2)
@@ -125,6 +125,7 @@ class TestRateRule:
             lambda r: exponent_curve("rtc", bsc01, uniform2, [r0 + r]),
             lambda r: costello_form_cex(bsc01, uniform2, r0 + r),
             lambda r: csiszar_exponent(bsc01, uniform2, r0 + r),
+            lambda r: dominant_joint_type(bsc01, uniform2, r0 + r),
             lambda r: extended_exponent(lift, uniform2, ext_r0 + r),
         ]
         for route in routes:
@@ -170,27 +171,10 @@ class TestSolveRho:
         with pytest.raises(RateOutOfRange):
             solve_rho("cex", bsc01, uniform2, 0.0)
 
-    def test_rtc_branch(self, bsc01, uniform2):
-        sol = solve_rho("rtc", bsc01, uniform2, 0.25)
-        assert 0 < sol.rho < 1
-        assert abs(gallager_e0(bsc01, uniform2, sol.rho) / sol.rho - 0.25) <= 1e-10
-
-    def test_rtc_just_below_mutual_information(self, bsc01, uniform2):
-        # E0(rho)/rho = I - rho V/2 + O(rho^2), V the information variance;
-        # at R = I - 1e-8 a 60-digit solve gives 4.6029748e-8 = 2 delta/V
-        p = 0.1
-        info = math.log(2) + p * math.log(p) + (1 - p) * math.log(1 - p)
-        var = p * (1 - p) * math.log((1 - p) / p) ** 2
-        delta = 1e-8
-        rho = solve_rho("rtc", bsc01, uniform2, info - delta).rho
-        assert rho == pytest.approx(2 * delta / var, rel=1e-6)
-
-    def test_rtc_above_mutual_information(self, bsc01, uniform2):
-        p = 0.1
-        info = math.log(2) + p * math.log(p) + (1 - p) * math.log(1 - p)
-        for rate in (info * (1 + 1e-6), 0.3681):
-            with pytest.raises(RateOutOfRange, match="I\\(Q;W\\)"):
-                solve_rho("rtc", bsc01, uniform2, rate)
+    def test_only_cex_and_trtc(self, bsc01, uniform2):
+        # rtc is R0/R below R0, with no rho to solve
+        with pytest.raises(ValueError, match="solve_rho solves cex and trtc, got 'rtc'"):
+            solve_rho("rtc", bsc01, uniform2, 0.1)
 
     def test_tiny_rate_finite(self, bsc01, uniform2):
         # rhat0 = 0 for the BSC, so the roots exist at every rate; at
@@ -431,7 +415,7 @@ class TestPortsMatchScipy:
         assert len(self._same_minimum(lambda x: x, 0.0, 1.0, 1e-300)) == 500
 
     @pytest.mark.parametrize("route", [
-        "rtc", "cex", "trtc", "csiszar", "z_legendre", "z_direct", "delta_max"])
+        "cex", "trtc", "csiszar", "z_legendre", "z_direct", "delta_max"])
     def test_routes_unchanged_with_scipy(self, monkeypatch, route, bsc01, uniform2, asym3):
         # every route's output through the ports equals its output with the
         # scipy calls swapped in
@@ -443,12 +427,8 @@ class TestPortsMatchScipy:
             for dmc, q in ((bsc01, uniform2), asym3, W3):
                 r0 = cutoff_rate(dmc, q)
                 for x in (0.001, 0.05, 0.2, 0.5, 0.8, 0.99):
-                    if route in ("rtc", "cex", "trtc"):
-                        rate = r0 * (1 + 3 * x) if route == "rtc" else r0 * x
-                        try:
-                            values.append(solve_rho(route, dmc, q, rate).rho)
-                        except RateOutOfRange:
-                            values.append(None)
+                    if route in ("cex", "trtc"):
+                        values.append(solve_rho(route, dmc, q, r0 * x).rho)
                     elif route == "csiszar":
                         values.append(types_opt.csiszar_exponent(dmc, q, r0 * x))
                     elif route == "z_legendre":

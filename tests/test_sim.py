@@ -126,6 +126,15 @@ class TestEncode:
         with pytest.raises(LengthMismatch):
             encode(code, np.zeros(shape, dtype=np.int8))
 
+    @pytest.mark.parametrize("bit", [2, -1, 0.5])
+    def test_bits_outside_binary_alphabet_rejected(self, bit):
+        # unchecked, a 2 overflows into the next block's bit field, a -1 reads
+        # the label table from its end and a 0.5 is truncated, each into a
+        # plausible code word
+        code = sample_code(EnsembleConfig(m=1, n=2, k=2, L=5, seed=1), j=2, q=UNIFORM2)
+        with pytest.raises(ValueError, match="info bits"):
+            encode(code, [bit] * 5)
+
     def test_affine_linearity(self):
         cfg = EnsembleConfig(m=1, n=2, k=3, L=8, seed=13, linear=True)
         code = sample_code(cfg, j=2)
