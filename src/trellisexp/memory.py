@@ -69,13 +69,28 @@ class MarkovChannel:
         return self.w_tilde is self.w or np.array_equal(self.w_tilde, self.w)
 
 
-def memoryless_lift(dmc_w) -> MarkovChannel:
-    """Embed a memoryless channel matrix W(y|x) as a MarkovChannel."""
+def memoryless_lift(dmc_w, w_tilde=None) -> MarkovChannel:
+    """Embed a memoryless channel matrix W(y|x), and its decoding metric
+    W~(y|x) if one is given, as a MarkovChannel.  A `w_tilde` whose shape
+    is not that of W raises ValueError."""
     w = np.asarray(getattr(dmc_w, "w", dmc_w), dtype=float)
     if w.ndim != 2:
         raise ValueError(f"w must have shape (J, Y), got {w.shape}")
-    j = w.shape[0]
-    return MarkovChannel(np.broadcast_to(w[:, None, :], (j, j, w.shape[1])))
+    wt = _same_shape_metric(getattr(w_tilde, "w", w_tilde), w)
+    shape = (w.shape[0], *w.shape)
+    return MarkovChannel(np.broadcast_to(w[:, None, :], shape),
+                         w_tilde=None if wt is None else np.broadcast_to(wt[:, None, :], shape))
+
+
+def _same_shape_metric(w_tilde, w):
+    """w_tilde as a float array of w's shape, or None; any other shape
+    raises ValueError (an index into a larger metric would crop it)."""
+    if w_tilde is None:
+        return None
+    wt = np.asarray(w_tilde, dtype=float)
+    if wt.shape != w.shape:
+        raise ValueError(f"w_tilde must have the shape of w, {w.shape}, got {wt.shape}")
+    return wt
 
 
 class _Distances:
@@ -187,20 +202,38 @@ def g_s(ch: MarkovChannel, q, s: float, r: float) -> float:
     return _minus_log(perron_frobenius(_PairChain(ch, q).matrix(s, r)))
 
 
+def _sup_over_s(ch: MarkovChannel, f, xatol: float):
+    """(s*, f(s*)) for the sup over s >= 0 of an f that rises with G_s.
+
+    On a matched channel s* = 1/2, with one evaluation of f.  Swapping the
+    pair order is a permutation similarity of A_s(r) to A_{1-s}(r), so
+    G_s = G_{1-s} on (0, 1); G_s(r) is concave in s (Kingman), so
+    G_{1/2}(r) >= G_s(r) for every s >= 0 and every r.  Otherwise a
+    bounded search over [0, S_MAX] finds the maximum of the concave or
+    quasi-concave f, and a boundary-active argmax (s == S_MAX) is
+    reported as-is.
+    """
+    if ch.matched:
+        return 0.5, f(0.5)
+    return _argmax_concave(f, 0.0, S_MAX, xatol)
+
+
 def extended_cutoff(ch: MarkovChannel, q) -> float:
-    """Extended cutoff rate sup_{s >= 0} G_s(1), concave in s, over [0, S_MAX]."""
+    """Extended cutoff rate sup_{s >= 0} G_s(1), concave in s: G_{1/2}(1)
+    on a matched channel, else the maximum over [0, S_MAX]."""
     chain = _PairChain(ch, q)
-    return float(_argmax_concave(lambda s: chain.generator(s)(1.0), 0.0, S_MAX,
-                                 xatol=1e-8)[1])
+    return float(_sup_over_s(ch, lambda s: chain.generator(s)(1.0), xatol=1e-8)[1])
 
 
 def extended_exponent(ch: MarkovChannel, q, rate: float):
     """Typical-code exponent bound sup_{s >= 0} rho_{R,s} G_s(1/rho_{R,s}) / R.
 
     Returns (value, argmax s, rho at the argmax).  {s : rho_{R,s} >= t} is
-    an interval, so the objective is quasi-concave in s and one bounded
-    search over [0, S_MAX] finds its maximum; a boundary-active argmax
-    (s == S_MAX) is reported as-is.  The root is solved in r = 1/rho on
+    an interval, so the objective is quasi-concave in s, and it rises with
+    G_s: a larger G_s(r) gives a smaller root r and so a larger value
+    (2 - r)/r.  So `_sup_over_s` applies: s* is exactly 1/2 on a matched
+    channel, with one root search, and the maximum of one bounded search
+    over [0, S_MAX] otherwise.  The root is solved in r = 1/rho on
     [0, 1] by `_unit_root`: G_s(r) = (2 - r) R, value G_s(r)/(r R).  Where
     no root rho >= 1 exists the objective takes its continuous extension
     G_s(1)/R (rho = 1); it is inf exactly when G_s(0) >= 2R (no root).
@@ -227,7 +260,7 @@ def extended_exponent(ch: MarkovChannel, q, rate: float):
         r = _unit_root(lambda r: (g1 if r == 1.0 else g(r)) - (2 - r) * rate)
         return g1 / rate if r == 1 else (2 - r) / r if r > 0 else np.inf
 
-    s_star, best = _argmax_concave(value_at, 0.0, S_MAX, xatol=1e-6)
+    s_star, best = _sup_over_s(ch, value_at, xatol=1e-6)
     if best <= 1:
         check_rate(rate, best * rate)
     return float(best), float(s_star), max(1.0, (1.0 + float(best)) / 2)
@@ -240,6 +273,7 @@ def lift_memory(w, p: int, w_tilde=None) -> MarkovChannel:
     symbols are p-tuples (x_t, ..., x_{t-p+1}) encoded newest-first in base
     J; a transition xbar_prev -> xbar is allowed iff the tuples overlap
     consistently, and only the newest raw component carries Q-weight.
+    A `w_tilde` whose shape is not that of `w` raises ValueError.
     """
     if not isinstance(p, numbers.Integral):
         raise ValueError(f"p must be an integer, got {p!r}")
@@ -251,7 +285,7 @@ def lift_memory(w, p: int, w_tilde=None) -> MarkovChannel:
     j = w.shape[0]
     if w.shape[:-1] != (j,) * (p + 1):
         raise ValueError(f"inconsistent input axes in shape {w.shape}")
-    wt = None if w_tilde is None else np.asarray(w_tilde, dtype=float)
+    wt = _same_shape_metric(w_tilde, w)
     digits = np.stack(np.unravel_index(np.arange(j ** p), (j,) * p), axis=1)
     allowed = np.all(digits[:, None, 1:] == digits[None, :, :-1], axis=2)
     # [cur, prev] reads w at the raw inputs (cur's p digits, prev's oldest)

@@ -453,9 +453,7 @@ class TestPortsMatchScipy:
         channels = [memory.memoryless_lift(bsc01),
                     memory.MarkovChannel([[[0.95, 0.05], [0.85, 0.15]],
                                           [[0.15, 0.85], [0.05, 0.95]]]),
-                    memory.MarkovChannel(memory.memoryless_lift(bsc01).w,
-                                         w_tilde=memory.memoryless_lift(
-                                             [[0.8, 0.2], [0.2, 0.8]]).w)]
+                    memory.memoryless_lift(bsc01, [[0.8, 0.2], [0.2, 0.8]])]
 
         def outputs():
             values = []

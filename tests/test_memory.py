@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from trellisexp.channels import Dmc, InputDist, NegativeEntry, chernoff_matrix
 from trellisexp.exponents import RateOutOfRange, cutoff_rate, expurgated_ex
 from trellisexp.memory import (
+    S_MAX,
     MarkovChannel,
     MetricZeroInRatio,
     build_tilted,
@@ -26,22 +29,34 @@ def lifted_bsc(bsc01):
 
 
 @pytest.fixture(scope="module")
-def mismatched_bsc(lifted_bsc):
+def mismatched_bsc(bsc01):
     """BSC(0.1) decoded with the metric of an asymmetric channel."""
-    return MarkovChannel(lifted_bsc.w, w_tilde=memoryless_lift([[0.8, 0.2], [0.3, 0.7]]).w)
+    return memoryless_lift(bsc01, [[0.8, 0.2], [0.3, 0.7]])
+
+
+def _isi_w(p0, p1):
+    """W[x, x_prev, y] of the binary channel whose flip probability is p0
+    after input 0 and p1 after input 1."""
+    w = np.empty((2, 2, 2))
+    for x in range(2):
+        for xm, p in enumerate((p0, p1)):
+            w[x, xm, x] = 1 - p
+            w[x, xm, 1 - x] = p
+    return w
 
 
 @pytest.fixture(scope="module")
 def isi():
-    """Binary channel whose flip probability is 0.05 after input 0 and 0.15
-    after input 1."""
-    w = np.empty((2, 2, 2))
-    for x in range(2):
-        for xm in range(2):
-            p = 0.05 if xm == 0 else 0.15
-            w[x, xm, x] = 1 - p
-            w[x, xm, 1 - x] = p
-    return MarkovChannel(w)
+    return MarkovChannel(_isi_w(0.05, 0.15))
+
+
+@pytest.fixture(scope="module")
+def mismatched_isi():
+    """The ISI channel with flip probabilities 0.1 and 0.2, decoded with
+    +0.05 on every y = 0 metric entry and -0.05 on every y = 1 entry.  (On
+    `isi` that shift puts a metric zero on the channel support.)"""
+    w = _isi_w(0.1, 0.2)
+    return MarkovChannel(w, w_tilde=w + [0.05, -0.05])
 
 
 class TestMarkovChannel:
@@ -97,14 +112,21 @@ class TestMarkovChannel:
 
     def test_two_state_isi(self):
         # binary channel whose flip probability depends on the previous input
-        w = np.empty((2, 2, 2))
-        for x in range(2):
-            for xm in range(2):
-                p = 0.1 if xm == 0 else 0.2
-                w[x, xm, x] = 1 - p
-                w[x, xm, 1 - x] = p
-        ch = MarkovChannel(w)
+        ch = MarkovChannel(_isi_w(0.1, 0.2))
         assert ch.num_symbols == 2
+
+    def test_memoryless_lift_metric(self, bsc01):
+        wt = np.array([[0.8, 0.2], [0.3, 0.7]])
+        ch = memoryless_lift(bsc01, wt)
+        assert not ch.matched
+        assert np.array_equal(ch.w_tilde, np.broadcast_to(wt[:, None, :], (2, 2, 2)))
+        assert np.array_equal(ch.w, memoryless_lift(bsc01).w)
+        assert memoryless_lift(bsc01, bsc01).matched
+
+    @pytest.mark.parametrize("shape", [(3, 2), (2, 3), (2, 2, 2)])
+    def test_memoryless_lift_rejects_metric_of_another_shape(self, bsc01, shape):
+        with pytest.raises(ValueError, match=r"w_tilde must have the shape of w, \(2, 2\)"):
+            memoryless_lift(bsc01, np.full(shape, 0.5))
 
 
 def _distance_tensor(ch, s):
@@ -137,17 +159,13 @@ class TestMarkovChernoff:
             assert np.allclose(np.diag(d), 0.0, atol=1e-12)
 
     def test_mismatched_oracle(self, bsc01):
-        wt = np.broadcast_to(np.array([[0.8, 0.2], [0.2, 0.8]])[:, None, :],
-                             (2, 2, 2)).copy()
-        ch = MarkovChannel(memoryless_lift(bsc01).w, w_tilde=wt)
+        ch = memoryless_lift(bsc01, [[0.8, 0.2], [0.2, 0.8]])
         # s = 1: -ln sum_y W(y|0) W~(y|1)/W~(y|0)
         want = -math.log(0.9 * 0.2 / 0.8 + 0.1 * 0.8 / 0.2)
         assert _distance_tensor(ch, 1.0)[0, 0, 1, 0] == pytest.approx(want, abs=1e-12)
 
     def test_metric_zero_raises(self, bsc01):
-        wt = np.broadcast_to(np.array([[1.0, 0.0], [0.0, 1.0]])[:, None, :],
-                             (2, 2, 2)).copy()
-        ch = MarkovChannel(memoryless_lift(bsc01).w, w_tilde=wt)
+        ch = memoryless_lift(bsc01, [[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(MetricZeroInRatio):
             _distance_tensor(ch, 0.5)
         # at s = 0 no ratio is formed
@@ -193,9 +211,7 @@ class TestTiltedMatrix:
         # a metric whose ratio reaches e^706 puts the pair (0, 1) at
         # d_1 = -ln(e^706/2 + 1/2) < -700: e^{-r d} is exact wherever
         # -r d <= 700 and e^700 above
-        wt = np.broadcast_to(np.array([[math.exp(-706), 1.0], [1.0, 1.0]])[:, None, :],
-                             (2, 2, 2)).copy()
-        ch = MarkovChannel(memoryless_lift([[0.5, 0.5]] * 2).w, w_tilde=wt)
+        ch = memoryless_lift([[0.5, 0.5]] * 2, [[math.exp(-706), 1.0], [1.0, 1.0]])
         d = -math.log(0.5 * math.exp(706) + 0.5)
         for r, want in ((0.5, math.exp(-0.5 * d)), (0.99, math.exp(-0.99 * d)),
                         (1.0, math.exp(700))):
@@ -293,7 +309,7 @@ class TestExtendedExponent:
             value, s_star, rho = extended_exponent(lifted_bsc, uniform2, rate)
             want = exponent_curve("trtc", bsc01, uniform2, [rate]).points[0][1]
             assert value == pytest.approx(want, abs=1e-3)
-            assert s_star == pytest.approx(0.5, abs=0.02)
+            assert s_star == 0.5
             want_rho = solve_rho("trtc", bsc01, uniform2, rate).rho
             assert rho == pytest.approx(want_rho, rel=1e-9)
         # at the extended cutoff the root clamps at r = 1
@@ -301,9 +317,7 @@ class TestExtendedExponent:
         assert extended_exponent(lifted_bsc, uniform2, cutoff)[2] == 1.0
 
     def test_mismatched_cutoff_not_better(self, bsc01, uniform2, lifted_bsc):
-        wt = np.broadcast_to(np.array([[0.8, 0.2], [0.2, 0.8]])[:, None, :],
-                             (2, 2, 2)).copy()
-        mm = MarkovChannel(lifted_bsc.w, w_tilde=wt)
+        mm = memoryless_lift(bsc01, [[0.8, 0.2], [0.2, 0.8]])
         assert extended_cutoff(mm, uniform2) <= (
             extended_cutoff(lifted_bsc, uniform2) + 1e-9)
 
@@ -322,9 +336,8 @@ class TestExtendedExponent:
         assert value > 1 and rho > 1
 
     @pytest.mark.parametrize("w_tilde", [None, [[0.8, 0.2], [0.3, 0.7]]])
-    def test_rate_rule_at_extended_cutoff(self, lifted_bsc, uniform2, w_tilde):
-        wt = None if w_tilde is None else memoryless_lift(w_tilde).w
-        ch = MarkovChannel(lifted_bsc.w, w_tilde=wt)
+    def test_rate_rule_at_extended_cutoff(self, bsc01, uniform2, w_tilde):
+        ch = memoryless_lift(bsc01, w_tilde)
         r0 = extended_cutoff(ch, uniform2)
         assert extended_exponent(ch, uniform2, r0 * (1 + 1e-12))[2] == 1.0
         with pytest.raises(RateOutOfRange):
@@ -351,7 +364,7 @@ class TestExtendedExponent:
         want = exponent_curve("trtc", dmc, q, [1.001 * rhat0]).points[0][1]
         assert math.isfinite(want)
         assert value == pytest.approx(want, rel=1e-9)
-        assert s_star == pytest.approx(0.5, abs=1e-4)
+        assert s_star == 0.5
 
     def test_isi_channel_vs_grid_oracle(self, uniform2, isi):
         ch = isi
@@ -365,21 +378,19 @@ class TestExtendedExponent:
                     best = max(best, lhs / rate)
         assert value >= best - 0.02
 
-    @pytest.mark.parametrize("name", ["lifted_bsc", "isi", "mismatched_bsc"])
-    def test_each_s_solved_once(self, request, monkeypatch, uniform2, name):
-        # each s solves G_s(1) once, for the root's f(1) and for the value
-        # where the root clamps at r = 1, and every other eigenvalue solve is
-        # an evaluation inside the root search: an interior root gives its
-        # value (2 - r)/r with no further solve
+    @staticmethod
+    def _count_solves(monkeypatch):
+        """Count root searches, their evaluations (clamped and interior
+        roots apart) and eigenvalue solves of the memory route."""
         from trellisexp import memory
-        ch = request.getfixturevalue(name)
-        counts = dict(evals=0, clamped=0, interior=0, pf=0)
+        counts = dict(roots=0, evals=0, clamped=0, interior=0, pf=0)
         unit_root, pf = memory._unit_root, memory.perron_frobenius
 
         def counting_root(f):
             def counted(r):
                 counts["evals"] += 1
                 return f(r)
+            counts["roots"] += 1
             r = unit_root(counted)
             counts["clamped"] += r == 1.0
             counts["interior"] += 0.0 < r < 1.0
@@ -391,11 +402,41 @@ class TestExtendedExponent:
 
         monkeypatch.setattr(memory, "_unit_root", counting_root)
         monkeypatch.setattr(memory, "perron_frobenius", counting_pf)
+        return counts
+
+    @pytest.mark.parametrize("name", ["mismatched_bsc", "mismatched_isi"])
+    def test_each_s_solved_once(self, request, monkeypatch, uniform2, name):
+        # each s of the search solves G_s(1) once, for the root's f(1) and
+        # for the value where the root clamps at r = 1, and every other
+        # eigenvalue solve is an evaluation inside the root search: an
+        # interior root gives its value (2 - r)/r with no further solve
+        ch = request.getfixturevalue(name)
+        counts = self._count_solves(monkeypatch)
         s_stars = [extended_exponent(ch, uniform2, rate)[1] for rate in (0.05, 0.1, 0.15)]
         assert counts["interior"] > 0 and counts["clamped"] > 0
         assert counts["pf"] == counts["evals"]
+        assert 0.5 not in s_stars  # a search, not the matched s* = 1/2
         if name == "mismatched_bsc":
-            assert min(s_stars) > 0.9  # away from the matched s* = 1/2
+            assert min(s_stars) > 0.9
+
+    @pytest.mark.parametrize("name", ["lifted_bsc", "isi", "memory2"])
+    def test_matched_solved_at_half(self, request, monkeypatch, uniform2, name):
+        # a matched channel takes s = 1/2 with no search over s: one root
+        # search per point, whose evaluations are every eigenvalue solve
+        from trellisexp import memory
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("search over s on a matched channel")
+
+        ch = request.getfixturevalue(name)
+        monkeypatch.setattr(memory, "_argmax_concave", no_search)
+        counts = self._count_solves(monkeypatch)
+        rates = (0.05, 0.1, 0.15)
+        assert [extended_exponent(ch, uniform2, rate)[1] for rate in rates] == [0.5] * 3
+        assert counts["roots"] == len(rates)
+        assert counts["pf"] == counts["evals"]
+        extended_cutoff(ch, uniform2)
+        assert counts["pf"] == counts["evals"] + 1
 
     def test_r_zero_drops_far_pairs_only_at_positive_s(self, disjoint3):
         # rhat0 = 1/2 ln(9/7) > 0: at s > 0 the pairs of inputs 0 and 1 are
@@ -429,24 +470,30 @@ def _reference_generator(ch, q, s):
     return g
 
 
-def _reference_extended_exponent(ch, q, rate):
-    """`extended_exponent` with a fresh `_reference_generator` per s."""
-    from trellisexp.exponents import _argmax_concave, _unit_root
-    from trellisexp.memory import S_MAX
+def _reference_value_at(ch, q, rate):
+    """The objective of `extended_exponent` at each s, from a fresh
+    `_reference_generator` per s."""
+    from trellisexp.exponents import _unit_root
 
     def value_at(s):
         g = _reference_generator(ch, q, s)
         g1 = g(1.0)
         r = _unit_root(lambda r: (g1 if r == 1.0 else g(r)) - (2 - r) * rate)
         return g1 / rate if r == 1 else (2 - r) / r if r > 0 else math.inf
+    return value_at
 
-    s_star, best = _argmax_concave(value_at, 0.0, S_MAX, xatol=1e-6)
+
+def _reference_extended_exponent(ch, q, rate):
+    """`extended_exponent` by the search over [0, S_MAX] on every channel,
+    matched or not, with the objective of `_reference_value_at`."""
+    from trellisexp.exponents import _argmax_concave
+    s_star, best = _argmax_concave(_reference_value_at(ch, q, rate), 0.0, S_MAX, xatol=1e-6)
     return best, s_star, max(1.0, (1.0 + best) / 2)
 
 
 def _reference_extended_cutoff(ch, q):
+    """`extended_cutoff` by the search over [0, S_MAX] on every channel."""
     from trellisexp.exponents import _argmax_concave
-    from trellisexp.memory import S_MAX
     return _argmax_concave(lambda s: _reference_generator(ch, q, s)(1.0), 0.0, S_MAX,
                            xatol=1e-8)[1]
 
@@ -468,18 +515,14 @@ def disjoint3():
 
 
 _RHAT0_DISJOINT3 = 0.5 * math.log(9 / 7)
-# fixture: (q, rates); a rate is a float, or (rate, tolerance of s*)
+# fixture: (q, rates)
 ORACLE_CASES = {
     "lifted_bsc": ([0.5, 0.5], (0.03, 0.12, 0.21)),
     "isi": ([0.5, 0.5], (0.05, 0.15)),
     "memory2": ([0.5, 0.5], (0.05, 0.15)),
     "mismatched_bsc": ([0.5, 0.5], (0.05, 0.15)),
-    # rhat0 > 0: s = 0 and s > 0 have different infinite-distance masks.
-    # At 1.001 rhat0 the objective is flat to rounding over |s - 1/2| of
-    # about 1e-4 (the per-s formula itself moves s* by 9e-6 between scalar
-    # and tensor distances), so s* is compared there to the 1e-4 of
-    # `test_unbounded_exactly_below_edge`
-    "disjoint3": ([1 / 3] * 3, (0.999 * _RHAT0_DISJOINT3, (1.001 * _RHAT0_DISJOINT3, 1e-4),
+    # rhat0 > 0: s = 0 and s > 0 have different infinite-distance masks
+    "disjoint3": ([1 / 3] * 3, (0.999 * _RHAT0_DISJOINT3, 1.001 * _RHAT0_DISJOINT3,
                                 1.1 * _RHAT0_DISJOINT3, 0.3)),
 }
 
@@ -492,12 +535,74 @@ class TestPairChainOracle:
         assert extended_cutoff(ch, q) == pytest.approx(_reference_extended_cutoff(ch, q),
                                                        rel=1e-12, abs=1e-15)
         for rate in rates:
-            rate, s_atol = rate if isinstance(rate, tuple) else (rate, 1e-6)
             value, s_star, rho = extended_exponent(ch, q, rate)
-            want_value, want_s, want_rho = _reference_extended_exponent(ch, q, rate)
+            want_value, _, want_rho = _reference_extended_exponent(ch, q, rate)
             assert value == pytest.approx(want_value, rel=1e-12)
             assert rho == pytest.approx(want_rho, rel=1e-12)
-            assert s_star == pytest.approx(want_s, abs=s_atol)
+            # s* is a maximiser of the per-s formula, not necessarily the
+            # search's point: below rhat0 on disjoint3 every s > 0 is one
+            at_s_star = _reference_value_at(ch, q, rate)(s_star)
+            assert at_s_star == pytest.approx(want_value, rel=1e-12)
+
+
+@st.composite
+def matched_channels(draw):
+    """Random matched (MarkovChannel, q) with 2-3 outputs and zero entries
+    allowed: 2-3 inputs with one past input, or 2 inputs with two past
+    inputs, lifted by `lift_memory` to 4 symbols with a consistency mask."""
+    two_past = draw(st.booleans())
+    j = 2 if two_past else draw(st.integers(2, 3))
+    ny = draw(st.integers(2, 3))
+    cells = (j,) * (3 if two_past else 2)
+    weight = st.integers(0, 9)
+    w = np.array([draw(st.lists(weight, min_size=ny, max_size=ny)
+                       .filter(lambda row: sum(row) > 0))
+                  for _ in range(math.prod(cells))], float).reshape(*cells, ny)
+    w /= w.sum(axis=-1, keepdims=True)
+    q = np.array(draw(st.lists(weight, min_size=j, max_size=j)
+                      .filter(lambda row: sum(row) > 0)), float)
+    return lift_memory(w, 2) if two_past else MarkovChannel(w), q / q.sum()
+
+
+class TestMatchedHalf:
+    """On a matched channel G_s = G_{1-s} on (0, 1) and G_{1/2} >= G_s, so
+    s = 1/2 gives what the search over [0, S_MAX] gives."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(matched_channels(), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           st.floats(0.0, 1.0))
+    def test_g_symmetric_about_half(self, channel, s, r):
+        ch, q = channel
+        assert g_s(ch, q, s, r) == pytest.approx(g_s(ch, q, 1 - s, r), rel=1e-12, abs=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(matched_channels(), st.floats(0.0, S_MAX), st.floats(0.0, 1.0))
+    def test_half_is_maximiser(self, channel, s, r):
+        ch, q = channel
+        assert g_s(ch, q, 0.5, r) >= g_s(ch, q, s, r) - 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(matched_channels(), st.floats(0.05, 0.95))
+    def test_matches_search(self, channel, fraction):
+        # G_s is -ln of an eigenvalue solved to about 1e-15 absolute, and
+        # the search over s keeps the largest of its rounded values, so G_s
+        # matches to 1e-14 absolute and a value G_s(r)/(r R) to 1e-14/R
+        # relative beyond 1e-12 (at R = 7.9e-5 the per-s formula read
+        # 1.3e-12 higher at the searched s* than at s = 1/2)
+        ch, q = channel
+        r0 = extended_cutoff(ch, q)
+        assert r0 == pytest.approx(_reference_extended_cutoff(ch, q), rel=1e-12, abs=1e-14)
+        assume(r0 > 1e-3)
+        rate = fraction * r0
+        # at R = rhat0 = G_s(0)/2 the value is inf or finite by rounding
+        rhat0 = g_s(ch, q, 0.5, 0.0) / 2
+        assume(abs(rate - rhat0) > 1e-9 * rhat0)
+        value, s_star, rho = extended_exponent(ch, q, rate)
+        want_value, _, want_rho = _reference_extended_exponent(ch, q, rate)
+        assert s_star == 0.5
+        rel = 1e-12 + 1e-14 / rate
+        assert value == pytest.approx(want_value, rel=rel)
+        assert rho == pytest.approx(want_rho, rel=rel)
 
 
 class TestLiftMemory:
@@ -513,6 +618,15 @@ class TestLiftMemory:
         w2 = np.broadcast_to(bsc01.w[:, None, None, :], (2, 2, 2, 2)).copy()
         with pytest.raises(ValueError, match=f"p must be an integer, got {p!r}"):
             lift_memory(w2, p)
+
+    @pytest.mark.parametrize("shape", [(3, 3, 3, 2), (3, 2, 2, 2)])
+    def test_rejects_w_tilde_of_another_shape(self, bsc01, shape):
+        # the fancy index of the lift used to crop a larger metric to its
+        # first slices, a plausible wrong metric with no error
+        w2 = np.broadcast_to(bsc01.w[:, None, None, :], (2, 2, 2, 2))
+        with pytest.raises(ValueError,
+                           match=r"w_tilde must have the shape of w, \(2, 2, 2, 2\)"):
+            lift_memory(w2, 2, w_tilde=np.full(shape, 0.5))
 
     def test_p2_binary_successors(self, bsc01):
         w2 = np.broadcast_to(bsc01.w[:, None, None, :], (2, 2, 2, 2)).copy()
