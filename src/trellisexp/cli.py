@@ -164,28 +164,31 @@ def cmd_curve(args) -> int:
             errors.append(e)
     # one solve per base kind on the sorted distinct valid rates; an rtimes_
     # row is its base row's value times the rate, the product exponent_curve
-    # forms.  Rows keep the order of the requested grid, which may repeat or
-    # decrease.
+    # forms.  Each grid rate, and each base kind's value and rho, is
+    # formatted once; rows keep the order of the requested grid, which may
+    # repeat or decrease, and the CSV is written in one piece.
     grid = np.unique(rates[[e is None for e in errors]])
     at = np.searchsorted(grid, rates)
+    rate_cells = [_fmt(r / scale) for r in grid.tolist()]
     curves = {}
-    sys.stdout.write("rate,kind,value,rho,s\n")
-    failed = 0
+    lines, messages = ["rate,kind,value,rho,s\n"], []
     for kind in kinds:
         base = kind.removeprefix("rtimes_")
         if base not in curves:
-            curves[base] = exponents.exponent_curve(base, spec.dmc, spec.q, grid).points
+            points = exponents.exponent_curve(base, spec.dmc, spec.q, grid).points
+            curves[base] = points, [_fmt(rho) for _r, _value, rho in points]
+        points, rho_cells = curves[base]
+        values = [value * r if kind != base else value for r, value, _rho in points]
+        rows = [f"{rate},{kind},{_fmt(value / scale)},{rho},\n"
+                for rate, value, rho in zip(rate_cells, values, rho_cells)]
         for rate, e, i in zip(rates, errors, at):
-            if e is not None:
-                sys.stderr.write(f"error: kind={kind} rate={_fmt(rate / scale)}: {e}\n")
-                failed += 1
-                continue
-            r, value, rho = curves[base][i]
-            if kind != base:
-                value *= r
-            sys.stdout.write(f"{_fmt(r / scale)},{kind},{_fmt(value / scale)},"
-                             f"{_fmt(rho)},\n")
-    return 1 if failed else 0
+            if e is None:
+                lines.append(rows[i])
+            else:
+                messages.append(f"error: kind={kind} rate={_fmt(rate / scale)}: {e}\n")
+    sys.stdout.write("".join(lines))
+    sys.stderr.write("".join(messages))
+    return 1 if messages else 0
 
 
 def cmd_simulate(args) -> int:

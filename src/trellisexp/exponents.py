@@ -91,8 +91,12 @@ class _PairTable:
         """G(r) - 2 rhat0, with G(r) = Ex(1/r)/(1/r) increasing from
         G(0) = 2 rhat0 to G(1) = R0.  An array of r gives the array of
         values, each the same float as the scalar call."""
-        r_log_z = np.multiply.outer(r, self.log_z)
-        return -np.log1p(np.add.reduce(self.weights * np.expm1(r_log_z), axis=-1))
+        return self._g_at(np.multiply.outer(r, self.log_z))
+
+    def _g_at(self, r_log_z):
+        """G - 2 rhat0 from r ln Z (the last axis runs over the pairs): the
+        one expression of G, shared by `g` and `tilted_point`."""
+        return -np.log1p((self.weights * np.expm1(r_log_z)).sum(axis=-1))
 
     def ex(self, rho):
         """Ex(rho) = rho G(1/rho), with Ex(0) = 0 and Ex(inf) its zero-rate
@@ -143,9 +147,10 @@ class _PairTable:
         an absolute rounding error of about eps r Delta, which can exceed
         D - 2 rhat0 ~ r^2 at tiny r, so D - 2 rhat0 is floored at 0.
         Delta is +0.0, not -0.0, where it is zero."""
-        mass = self.weights * np.exp(r * self.log_z)
-        delta = float(0.0 - np.sum(mass * self.log_z) / np.sum(mass))
-        return max(float(self.g(r)) - r * delta, 0.0), delta
+        r_log_z = r * self.log_z
+        mass = self.weights * np.exp(r_log_z)
+        delta = float(0.0 - (mass @ self.log_z) / mass.sum())
+        return max(float(self._g_at(r_log_z)) - r * delta, 0.0), delta
 
 
 def expurgated_ex(dmc: Dmc, q: InputDist, rho: float) -> float:

@@ -16,6 +16,10 @@ The smoke test runs each workload's set-up and the first job of each of its
 routes, checked by the job's own output check, so that a break in what the
 workloads call (`cli.load_channel_spec`, `validate_channel`, ...) shows here
 and not only as a failed benchmark run.
+The coverage guard runs one pass of each workload's job list under the
+tracer and pins which `PER_LAYER` functions it sees called, so that a
+change which routes a workload around a traced function (and leaves its
+metrics reading 0) shows here too.
 """
 
 import ast
@@ -30,6 +34,22 @@ from trellisexp import exponents, memory, sim
 
 WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 RUN_PY = WORKLOADS_PY.with_name("run.py")
+TRACER_PY = WORKLOADS_PY.with_name("tracer.py")
+
+# the PER_LAYER functions that one pass of each workload calls
+TRACED = {
+    "analytic": {"cli.main", "exponents.cutoff_rate", "exponents.gallager_e0",
+                 "exponents.exponent_curve", "channels.bhattacharyya_matrix",
+                 "types_opt.csiszar_exponent", "types_opt.dominant_joint_type",
+                 "memory.perron_frobenius", "memory.extended_exponent"},
+    "decode": {"cli.main", "sim.sample_code", "sim.encode", "sim.transmit",
+               "sim.viterbi_decode", "sim.estimate_error_exponent"},
+    "audit": {"cli.main", "sim.sample_code", "sim.enumerate_pair_types",
+              "sim.typicality_check"},
+}
+# and those that no workload calls, whose metrics read 0 everywhere
+IDLE = {"exponents.expurgated_ex", "exponents.solve_rho", "channels.chernoff_matrix",
+        "types_opt.z_of_rhat_legendre", "memory.build_tilted", "memory.extended_cutoff"}
 
 
 def test_benchmark_hooks(monkeypatch, bsc01, uniform2):
@@ -53,12 +73,16 @@ def test_benchmark_hooks(monkeypatch, bsc01, uniform2):
     assert calls
 
 
-@pytest.fixture(scope="module")
-def workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PY)
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _load("perfbench_workloads", WORKLOADS_PY)
 
 
 def test_decode_jobs_are_one_batch_per_code(workloads):
@@ -96,3 +120,22 @@ def test_per_layer_name_is_traced(qualified):
     fn = vars(module).get(name)
     assert inspect.isfunction(fn) and fn.__module__ == module.__name__
     assert not name.startswith("_") and (layer != "cli" or name == "main")
+
+
+def test_idle_names_are_the_untraced_rest():
+    assert IDLE == set(_per_layer_names()).difference(*TRACED.values())
+
+
+@pytest.mark.parametrize("name", ["analytic", "decode", "audit"])
+def test_tracer_sees_each_workload_layer(workloads, tmp_path, name):
+    tracer = _load("perfbench_tracer", TRACER_PY).Tracer()
+    workloads.write_inputs(tmp_path)
+    jobs = workloads.build_jobs(name, workloads.setup(name, tmp_path), seed=1)
+    tracer.install()
+    try:
+        for job in jobs:
+            job.run()
+    finally:
+        tracer.uninstall()
+    called = {tracer.names[i] for i in set(tracer.fn)}
+    assert called.intersection(_per_layer_names()) == TRACED[name]

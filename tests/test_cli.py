@@ -18,7 +18,7 @@ from trellisexp.cli import (
     parse_channel_spec,
 )
 from trellisexp import sim
-from trellisexp.exponents import CURVE_KINDS, cutoff_rate, exponent_curve
+from trellisexp.exponents import CURVE_KINDS, RateOutOfRange, cutoff_rate, exponent_curve
 from conftest import FIXTURES
 
 BSC = os.path.join(FIXTURES, "bsc01.json")
@@ -164,6 +164,28 @@ class TestCurve:
         assert rc == 1
         assert "error" in err
 
+    def test_all_kinds_in_bits_across_r0(self):
+        # every row of the one-piece CSV against its own exponent_curve point,
+        # rtimes_ rows included, and the error lines of the rates above R0
+        # in kind-major order, all scaled to bits
+        spec = load_channel_spec(BSC)
+        ln2 = math.log(2.0)
+        rc, out, err = run(["curve", "--channel", BSC, "--kinds", ",".join(CURVE_KINDS),
+                            "--rmin", "0.05", "--rmax", "0.5", "--points", "10",
+                            "--units", "bits"])
+        want, want_err = ["rate,kind,value,rho,s"], []
+        for kind in CURVE_KINDS:
+            for rate in np.linspace(0.05 * ln2, 0.5 * ln2, 10).tolist():
+                try:
+                    r, value, rho = exponent_curve(kind, spec.dmc, spec.q, [rate]).points[0]
+                except RateOutOfRange as e:
+                    want_err.append(f"error: kind={kind} rate={_fmt(rate / ln2)}: {e}")
+                    continue
+                want.append(f"{_fmt(r / ln2)},{kind},{_fmt(value / ln2)},{_fmt(rho)},")
+        assert rc == 1
+        assert 6 < len(want_err) < 54  # the grid crosses R0 = 0.3219 bits
+        assert out.split("\n") == want + [""]
+        assert [line for line in err.split("\n") if line.startswith("error:")] == want_err
 
     def test_ignored_keys_rejected(self, tmp_path):
         for extra in ({"w_tilde": W_TILDE}, {"memory": MEMORY_BLOCK}):

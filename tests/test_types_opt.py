@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from trellisexp.channels import DimensionMismatch, Dmc, InputDist
 from trellisexp.exponents import (
@@ -318,13 +320,15 @@ class TestCsiszarExponent:
             assert got == pytest.approx((delta + div / 2) / (rate - div / 2), rel=1e-8)
 
     def test_few_g_evaluations(self, monkeypatch, bsc01, uniform2, asym3):
+        # each point of the search is one `tilted_point`, which evaluates G
+        # once through `_g_at`, not through `g`
         from trellisexp import types_opt
         calls = []
 
         class Counting(types_opt._PairTable):
-            def g(self, r):
+            def tilted_point(self, r):
                 calls.append(r)
-                return super().g(r)
+                return super().tilted_point(r)
 
         monkeypatch.setattr(types_opt, "_PairTable", Counting)
         for dmc, q in ((bsc01, uniform2), asym3, W3):
@@ -334,6 +338,55 @@ class TestCsiszarExponent:
                 calls.clear()
                 csiszar_exponent(dmc, q, rate)
                 assert len(calls) <= 60
+
+
+@st.composite
+def channels_with_zeros(draw):
+    """(W, Q, disjoint): W of 2-4 inputs and outputs with integer weights
+    0..4, so zero entries are common; with `disjoint`, rows 0 and 1 sit on
+    disjoint output sets, so that rhat0 > 0.  Q is positive."""
+    j, ny = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    w = np.array(draw(st.lists(st.lists(st.integers(0, 4), min_size=ny, max_size=ny),
+                               min_size=j, max_size=j)), dtype=float)
+    disjoint = draw(st.booleans())
+    if disjoint:
+        w[0, ny // 2:] = 0.0
+        w[1, :ny // 2] = 0.0
+        if not w[1].any():
+            w[1, -1] = 1.0
+    w[~w.any(axis=1), 0] = 1.0  # output 0 is in row 0's half where disjoint
+    q = np.array(draw(st.lists(st.integers(1, 4), min_size=j, max_size=j)), dtype=float)
+    return Dmc(w / w.sum(axis=1, keepdims=True)), InputDist(q / q.sum()), disjoint
+
+
+class TestTiltedPoint:
+    # (D - 2 rhat0, Delta) of `_PairTable.tilted_point(r)` against their
+    # definitions on the type `tilted(r)` itself.  The tolerances follow
+    # from the rounding bound of the docstring:
+    # - Delta: both sides sum at most 16 nonnegative terms P d, so each has
+    #   a relative error of a few eps, plus a few eps absolute where Z = 1
+    #   (clipped to exactly 1 in the table, -ln of a sum near 1 in
+    #   `chernoff_matrix`): |error| <= 64 eps (1 + Delta);
+    # - D - 2 rhat0: `tilted_point` forms G(r) - r Delta, whose absolute
+    #   error is about eps (G(r) + r Delta), and `divergence_qq` sums 16
+    #   terms P ln(P/QQ') with absolute error about eps (D + 2):
+    #   |error| <= 64 eps (2 + G(r) + r Delta), G(r) = 2 rhat0 + e.
+    @pytest.mark.parametrize("r", [0.0, 1e-9, 0.3, 1.0, 4.0])
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(channel=channels_with_zeros())
+    @example(channel=(Dmc([[1.0, 0.0], [0.0, 1.0]]), InputDist([0.5, 0.5]), True))
+    def test_against_the_tilted_type(self, channel, r):
+        dmc, q, disjoint = channel
+        table = _PairTable(dmc, q)
+        assert table.rhat0 > 0 or not disjoint
+        e, delta = table.tilted_point(r)
+        p = JointType(table.tilted(r))
+        eps = np.finfo(float).eps
+        assert delta == pytest.approx(delta_s(p, dmc, 0.5), rel=0, abs=64 * eps * (1 + delta))
+        assert e == pytest.approx(divergence_qq(p, q) - 2 * table.rhat0, rel=0,
+                                  abs=64 * eps * (2 + 2 * table.rhat0 + e + r * delta))
+        assert e >= 0
+        assert delta > 0 or math.copysign(1.0, delta) == 1.0
 
 
 class TestDominantJointType:
