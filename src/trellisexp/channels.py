@@ -53,12 +53,16 @@ def _distribution(values, what, rows=None) -> np.ndarray:
     return p
 
 
-def _metric(values, what) -> np.ndarray:
+def _metric(values, what, shape=None) -> np.ndarray:
     """The one rule of a decoding metric W~: a float copy of `values`
     whose entries are all finite and >= 0, NegativeEntry otherwise (a NaN
     entry too).  Unlike a probability array, its rows need not sum to 1.
+    Where the channel's `shape` is given, any other shape raises
+    DimensionMismatch, before a caller's index could crop the metric.
     """
     m = np.array(values, dtype=float)
+    if shape is not None and m.shape != shape:
+        raise DimensionMismatch(f"{what} must have the shape of w, {shape}, got {m.shape}")
     if not np.all((m >= 0) & (m < np.inf)):
         raise NegativeEntry(f"{what} entries must be finite and >= 0")
     return m

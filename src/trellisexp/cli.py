@@ -162,30 +162,24 @@ def cmd_curve(args) -> int:
             errors.append(None)
         except RateOutOfRange as e:
             errors.append(e)
-    # one solve per base kind on the sorted distinct valid rates; an rtimes_
+    # one solve per base kind on the valid rates, in grid order; an rtimes_
     # row is its base row's value times the rate, the product exponent_curve
-    # forms.  Each grid rate, and each base kind's value and rho, is
-    # formatted once; rows keep the order of the requested grid, which may
-    # repeat or decrease, and the CSV is written in one piece.
-    grid = np.unique(rates[[e is None for e in errors]])
-    at = np.searchsorted(grid, rates)
-    rate_cells = [_fmt(r / scale) for r in grid.tolist()]
+    # forms.  Each valid rate, and each base kind's value and rho, is
+    # formatted once, and the CSV is written in one piece.
+    valid = rates[[e is None for e in errors]]
+    rate_cells = [_fmt(r / scale) for r in valid.tolist()]
     curves = {}
-    lines, messages = ["rate,kind,value,rho,s\n"], []
+    lines = ["rate,kind,value,rho,s\n"]
     for kind in kinds:
         base = kind.removeprefix("rtimes_")
         if base not in curves:
-            points = exponents.exponent_curve(base, spec.dmc, spec.q, grid).points
+            points = exponents.exponent_curve(base, spec.dmc, spec.q, valid).points
             curves[base] = points, [_fmt(rho) for _r, _value, rho in points]
         points, rho_cells = curves[base]
-        values = [value * r if kind != base else value for r, value, _rho in points]
-        rows = [f"{rate},{kind},{_fmt(value / scale)},{rho},\n"
-                for rate, value, rho in zip(rate_cells, values, rho_cells)]
-        for rate, e, i in zip(rates, errors, at):
-            if e is None:
-                lines.append(rows[i])
-            else:
-                messages.append(f"error: kind={kind} rate={_fmt(rate / scale)}: {e}\n")
+        lines += [f"{rate},{kind},{_fmt((value * r if kind != base else value) / scale)},{rho},\n"
+                  for rate, (r, value, _rho), rho in zip(rate_cells, points, rho_cells)]
+    messages = [f"error: kind={kind} rate={_fmt(rate / scale)}: {e}\n"
+                for kind in kinds for rate, e in zip(rates, errors) if e is not None]
     sys.stdout.write("".join(lines))
     sys.stderr.write("".join(messages))
     return 1 if messages else 0

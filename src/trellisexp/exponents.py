@@ -412,15 +412,15 @@ def exponent_curve(kind: str, dmc: Dmc, q: InputDist, rate_grid) -> ExponentCurv
     `_PairTable.rho`, exact to rounding there (rho for cex, 2 rho - 1 for
     trtc).  One pair table of (W, Q) and one vectorised root solve serve
     the whole grid.  A point where the root does not exist has value inf
-    and rho inf.  The grid is one-dimensional and strictly increasing.
+    and rho inf.  The grid is any one-dimensional array of rates, in any
+    order and with repeats; its first rate that fails `check_rate` is the
+    one named.
     """
     if kind not in CURVE_KINDS:
         raise ValueError(f"unknown curve kind {kind!r}")
     rates = np.asarray(rate_grid, dtype=float)
     if rates.ndim != 1:
         raise ValueError(f"rate grid must be one-dimensional, got shape {rates.shape}")
-    if np.any(np.diff(rates) <= 0):
-        raise ValueError("rate grid must be strictly increasing")
     base = kind.removeprefix("rtimes_")
     table = _PairTable(dmc, q)
     for rate in rates.tolist():

@@ -49,9 +49,7 @@ class MarkovChannel:
         if allowed.shape != (j, j):
             raise ValueError(f"allowed must have shape ({j}, {j}), got {allowed.shape}")
         w = _distribution(w, "w", allowed)
-        wt = w if self.w_tilde is None else _metric(self.w_tilde, "w_tilde")
-        if wt.shape != w.shape:
-            raise ValueError("w_tilde shape differs from w")
+        wt = w if self.w_tilde is None else _metric(self.w_tilde, "w_tilde", w.shape)
         newest = np.arange(j) if self.newest is None else np.array(self.newest, int)
         if newest.shape != (j,) or np.any(newest < 0):
             raise ValueError(f"newest must map each of the {j} symbols to a base symbol "
@@ -71,26 +69,15 @@ class MarkovChannel:
 
 def memoryless_lift(dmc_w, w_tilde=None) -> MarkovChannel:
     """Embed a memoryless channel matrix W(y|x), and its decoding metric
-    W~(y|x) if one is given, as a MarkovChannel.  A `w_tilde` whose shape
-    is not that of W raises ValueError."""
+    W~(y|x) if one is given, as a MarkovChannel.  `w_tilde` is read by
+    the metric rule, `channels._metric`, at the shape of W."""
     w = np.asarray(getattr(dmc_w, "w", dmc_w), dtype=float)
     if w.ndim != 2:
         raise ValueError(f"w must have shape (J, Y), got {w.shape}")
-    wt = _same_shape_metric(getattr(w_tilde, "w", w_tilde), w)
+    wt = None if w_tilde is None else _metric(getattr(w_tilde, "w", w_tilde), "w_tilde", w.shape)
     shape = (w.shape[0], *w.shape)
     return MarkovChannel(np.broadcast_to(w[:, None, :], shape),
                          w_tilde=None if wt is None else np.broadcast_to(wt[:, None, :], shape))
-
-
-def _same_shape_metric(w_tilde, w):
-    """w_tilde as a float array of w's shape, or None; any other shape
-    raises ValueError (an index into a larger metric would crop it)."""
-    if w_tilde is None:
-        return None
-    wt = np.asarray(w_tilde, dtype=float)
-    if wt.shape != w.shape:
-        raise ValueError(f"w_tilde must have the shape of w, {w.shape}, got {wt.shape}")
-    return wt
 
 
 class _Distances:
@@ -123,11 +110,23 @@ class _Distances:
         _check_finite_nonnegative("s", s)
         if s > 0 and self.zero_in_ratio:
             raise MetricZeroInRatio("metric vanishes on the channel support")
-        # [x, xm, y] = W / W~^s times [x', xm', y] = W~^s, summed over y
-        total = np.einsum("aby,cdy->acbd", self.w * self.wt_on_support ** -s,
-                          self.wt ** s).reshape(self.n, self.n)
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            # [x, xm, y] = W / W~^s times [x', xm', y] = W~^s, summed over y
+            total = np.einsum("aby,cdy->acbd", self.w * self.wt_on_support ** -s,
+                              self.wt ** s).reshape(self.n, self.n)
             d = -np.log(total)
+            # where a power overflowed or the sum left the normal range, take
+            # the log of the same sum by log-sum-exp over y (ln 0 = -inf;
+            # a top of -inf, an empty sum, is held finite so that its log
+            # stays -inf)
+            lost = ~((total >= np.finfo(float).tiny) & (total < np.inf))
+            if lost.any():
+                log_wt_s = s * np.log(self.wt) if s > 0 else np.zeros_like(self.wt)
+                terms = ((np.log(self.w) - s * np.log(self.wt_on_support))[:, :, None, None]
+                         + log_wt_s[None, None])  # [x, xm, x', xm', y]
+                top = np.maximum(terms.max(axis=-1), -np.finfo(float).max)
+                log_total = top + np.log(np.exp(terms - top[..., None]).sum(axis=-1))
+                d[lost] = -log_total.transpose(0, 2, 1, 3).reshape(self.n, self.n)[lost]
         d[self.equal] = 0.0
         return d
 
@@ -153,31 +152,38 @@ class _PairChain:
         self.qq = np.where(mask, np.outer(qn, qn).reshape(n, 1), 0.0)
 
     def tilt(self, s: float):
-        """(weights, -d_s), with A_s(r) = weights e^{-r d_s}.  On the pairs
-        at distance +inf the weight is 0, also at r = 0 (A_s(0) is the limit
-        r -> 0+), and -d_s is 0."""
+        """(weights, -d_s, top), with A_s(r) = weights e^{-r d_s}.  On the
+        pairs at distance +inf the weight is 0, also at r = 0 (A_s(0) is the
+        limit r -> 0+), and -d_s is 0 wherever the weight is.  top is the
+        largest -d_s, and 0 where none is positive, so r top is the largest
+        exponent of A_s(r) for every r >= 0, and 0 where d_s >= 0, as on a
+        matched channel at s = 1/2."""
         d = self.distances(s)
-        far = d == np.inf
-        return np.where(far, 0.0, self.qq), np.where(far, 0.0, -d)
+        weights = np.where(d == np.inf, 0.0, self.qq)
+        neg_d = np.where(weights > 0, -d, 0.0)
+        return weights, neg_d, float(neg_d.max(initial=0.0))
 
     def matrix(self, s: float, r: float) -> np.ndarray:
-        """A_s(r) for any finite r >= 0."""
-        weights, neg_d = self.tilt(s)
+        """A_s(r) for any finite r >= 0; an entry beyond the float range is
+        inf."""
+        weights, neg_d, _top = self.tilt(s)
         _check_finite_nonnegative("r", r)  # r = inf would form 0 * inf at d = 0
-        with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf where d = -inf
+        with np.errstate(over="ignore"):
             return _tilted(weights, neg_d, r)
 
     def generator(self, s: float):
-        """G_s as a function of r in [0, 1]: one exp, one eigenvalue solve
-        and one log per r, with no check of r."""
-        weights, neg_d = self.tilt(s)
-        return lambda r: _minus_log(perron_frobenius(_tilted(weights, neg_d, r)))
+        """G_s as a function of r >= 0: one exp, one eigenvalue solve and
+        one log per r, with no check of r.  The eigenvalue is solved on
+        A_s(r) e^{-r top}, whose entries are at most QQ', so that no exp
+        overflows: G_s(r) = -ln lambda(A_s(r) e^{-r top}) - r top."""
+        weights, neg_d, top = self.tilt(s)
+        shifted = neg_d - top
+        return lambda r: _minus_log(perron_frobenius(_tilted(weights, shifted, r))) - r * top
 
 
 def _tilted(weights: np.ndarray, neg_d: np.ndarray, r: float) -> np.ndarray:
-    """A_s(r) = weights e^{-r d_s}, with -r d_s capped at 700 so that the
-    exp stays finite."""
-    return weights * np.exp(np.minimum(r * neg_d, 700.0))
+    """A_s(r) = weights e^{-r d_s}, or its shift by e^{-r top}."""
+    return weights * np.exp(r * neg_d)
 
 
 def _minus_log(lam: float) -> float:
@@ -199,7 +205,9 @@ def perron_frobenius(a: np.ndarray) -> float:
 
 def g_s(ch: MarkovChannel, q, s: float, r: float) -> float:
     """Rate-function generator G_s(r) = -ln lambda_s(r) in nats."""
-    return _minus_log(perron_frobenius(_PairChain(ch, q).matrix(s, r)))
+    g = _PairChain(ch, q).generator(s)
+    _check_finite_nonnegative("r", r)
+    return g(r)
 
 
 def _sup_over_s(ch: MarkovChannel, f, xatol: float):
@@ -273,7 +281,8 @@ def lift_memory(w, p: int, w_tilde=None) -> MarkovChannel:
     symbols are p-tuples (x_t, ..., x_{t-p+1}) encoded newest-first in base
     J; a transition xbar_prev -> xbar is allowed iff the tuples overlap
     consistently, and only the newest raw component carries Q-weight.
-    A `w_tilde` whose shape is not that of `w` raises ValueError.
+    `w_tilde` is read by the metric rule, `channels._metric`, at the
+    shape of `w`.
     """
     if not isinstance(p, numbers.Integral):
         raise ValueError(f"p must be an integer, got {p!r}")
@@ -285,7 +294,7 @@ def lift_memory(w, p: int, w_tilde=None) -> MarkovChannel:
     j = w.shape[0]
     if w.shape[:-1] != (j,) * (p + 1):
         raise ValueError(f"inconsistent input axes in shape {w.shape}")
-    wt = _same_shape_metric(w_tilde, w)
+    wt = None if w_tilde is None else _metric(w_tilde, "w_tilde", w.shape)
     digits = np.stack(np.unravel_index(np.arange(j ** p), (j,) * p), axis=1)
     allowed = np.all(digits[:, None, 1:] == digits[None, :, :-1], axis=2)
     # [cur, prev] reads w at the raw inputs (cur's p digits, prev's oldest)

@@ -394,8 +394,6 @@ class ErrorEstimate:
 
 
 def _wilson(successes, trials, z=1.959963984540054):
-    if trials == 0:
-        return 0.0, 1.0
     phat = successes / trials
     denom = 1 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom

@@ -10,7 +10,8 @@ frozen one way: a negative or infinite entry is NegativeEntry, a NaN entry
 or a sum off 1 is NonStochasticRow, and the object holds a read-only copy.
 Every decoding metric, a raw (J, Y) matrix of `viterbi_decode` or the
 `w_tilde` of a `MarkovChannel`, is checked one way: an entry that is not
-finite and >= 0 (NaN included) is NegativeEntry, and rows need not sum to 1.
+finite and >= 0 (NaN included) is NegativeEntry, rows need not sum to 1,
+and a `w_tilde` not of the shape of w is DimensionMismatch.
 """
 
 import dataclasses
@@ -287,7 +288,8 @@ SHAPE_ERRORS = {
     "MarkovChannel w not square": (lambda: memory.MarkovChannel(np.full((2, 3, 2), 0.5)),
                                    ValueError, "shape"),
     "MarkovChannel w_tilde": (lambda: memory.MarkovChannel(LIFT.w, w_tilde=BSC_W),
-                              ValueError, "w_tilde shape"),
+                              DimensionMismatch,
+                              r"^w_tilde must have the shape of w, \(2, 2, 2\), got \(2, 2\)$"),
 }
 
 

@@ -524,10 +524,24 @@ class TestExponentCurve:
             assert value == pytest.approx(want, rel=1e-14, abs=0)
 
     def test_bad_grid(self, bsc01, uniform2):
-        with pytest.raises(ValueError):
-            exponent_curve("trtc", bsc01, uniform2, [0.2, 0.1])
         with pytest.raises(RateOutOfRange):
             exponent_curve("trtc", bsc01, uniform2, [0.3])
+
+    @pytest.mark.parametrize("w, q", [
+        ([[0.9, 0.1], [0.1, 0.9]], [0.5, 0.5]),
+        ([[0.7, 0.2, 0.1], [0.1, 0.8, 0.1], [0.25, 0.25, 0.5]], [0.5, 0.3, 0.2]),
+        # rows 0 and 1 have disjoint supports, so the lowest rates have no
+        # cex or trtc root: value and rho inf
+        ([[0.6, 0.4, 0.0], [0.0, 0.0, 1.0], [0.3, 0.3, 0.4]], [0.4, 0.3, 0.3])])
+    def test_grid_in_any_order(self, w, q):
+        # a decreasing grid with one repeated rate: each point is the point
+        # of a one-rate curve, whatever its neighbours
+        dmc, q = Dmc(w), InputDist(q)
+        r0 = cutoff_rate(dmc, q)
+        grid = [0.9 * r0, 0.6 * r0, 0.3 * r0, 0.3 * r0, 0.05 * r0, 1e-3 * r0]
+        for kind in CURVE_KINDS:
+            want = [exponent_curve(kind, dmc, q, [rate]).points[0] for rate in grid]
+            assert exponent_curve(kind, dmc, q, grid).points == want
 
     @pytest.mark.parametrize("grid, bad", [([-0.1, 0.05], 0), ([0.0, 0.1], 0),
                                            ([0.05, 0.3, 0.4], 1), ([0.05, math.nan], 1)])

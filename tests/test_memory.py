@@ -1,12 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from trellisexp.channels import Dmc, InputDist, NegativeEntry, chernoff_matrix
-from trellisexp.exponents import RateOutOfRange, cutoff_rate, expurgated_ex
+from trellisexp.channels import Dmc, DimensionMismatch, InputDist, NegativeEntry, chernoff_matrix
+from trellisexp.exponents import RateOutOfRange, cutoff_rate, exponent_curve, expurgated_ex
 from trellisexp.memory import (
     S_MAX,
     MarkovChannel,
@@ -183,6 +184,22 @@ class TestMarkovChernoff:
                 for idx in np.ndindex(2, 2, 2, 2):
                     assert d[idx] == pytest.approx(_markov_chernoff(ch, *idx, s), abs=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    def test_metric_scale_free(self, scale):
+        # d_s reads W~ only through its ratios, so a scaled metric has the
+        # same d_s; scaled by 1e-300 or 1e300, W~^{-s} or W~^s overflows past
+        # s of about 1.03 and d_s is formed by log-sum-exp there.  The tolerance
+        # is that of ln(c W~): about 700 eps per log, times s <= S_MAX, twice
+        rng = np.random.default_rng(62)
+        w = rng.random((2, 2, 3)) + 0.05
+        w[0, 1, 2] = 0.0
+        w /= w.sum(axis=2, keepdims=True)
+        wt = rng.random((2, 2, 3)) + 0.05
+        ch, scaled = MarkovChannel(w, w_tilde=wt), MarkovChannel(w, w_tilde=wt * scale)
+        for s in (0.0, 0.5, 1.0, 1.5, 3.0, S_MAX):
+            want = _distance_tensor(ch, s)
+            assert _distance_tensor(scaled, s) == pytest.approx(want, rel=1e-11, abs=1e-11)
+
 
 class TestTiltedMatrix:
     def test_memoryless_lift_bsc_pattern(self, lifted_bsc, uniform2):
@@ -207,16 +224,17 @@ class TestTiltedMatrix:
         assert np.allclose(a[~dead.ravel()], 1 / 9, atol=1e-15)
         assert np.allclose(a, build_tilted(ch, q, s=0.5, r=1e-12), atol=1e-12)
 
-    def test_exponent_capped_per_r(self, uniform2):
+    def test_exponent_exact_past_e700(self, uniform2):
         # a metric whose ratio reaches e^706 puts the pair (0, 1) at
-        # d_1 = -ln(e^706/2 + 1/2) < -700: e^{-r d} is exact wherever
-        # -r d <= 700 and e^700 above
+        # d_1 = -ln(e^706/2 + 1/2), about -705.3: e^{-r d} is exact up to
+        # r = 1, with no cap, and G_1 solved on the shifted matrix agrees
         ch = memoryless_lift([[0.5, 0.5]] * 2, [[math.exp(-706), 1.0], [1.0, 1.0]])
         d = -math.log(0.5 * math.exp(706) + 0.5)
-        for r, want in ((0.5, math.exp(-0.5 * d)), (0.99, math.exp(-0.99 * d)),
-                        (1.0, math.exp(700))):
+        for r in (0.5, 0.99, 1.0):
             a = build_tilted(ch, uniform2, s=1.0, r=r)
-            assert a[1] == pytest.approx(np.full(4, 0.25 * want), rel=1e-12)
+            assert a[1] == pytest.approx(np.full(4, 0.25 * math.exp(-r * d)), rel=1e-12)
+            assert g_s(ch, uniform2, 1.0, r) == pytest.approx(
+                -math.log(perron_frobenius(a)), rel=1e-12)
 
     def test_masked_lift_zero_pattern(self, bsc01):
         w2 = np.broadcast_to(bsc01.w[:, None, None, :], (2, 2, 2, 2)).copy()
@@ -545,6 +563,27 @@ class TestPairChainOracle:
             assert at_s_star == pytest.approx(want_value, rel=1e-12)
 
 
+class TestMlEquivalentMetric:
+    """BSC(0.1) decoded with the metric of a BSC(eps), eps < 1/2, decides as
+    the ML decoder does, so the sup over s meets the matched values: R0 and
+    trtc.  The smaller eps, the narrower the peak in s (near
+    s = ln 9 / (2 ln(1/eps))) and the larger d_s past it: W~^{-s} overflows
+    from s of about 709 / ln(1/eps), and the largest entry of A_s(r) leaves
+    the float range soon after."""
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-40, 1e-100, 1e-200, 1e-300])
+    def test_meets_the_matched_values(self, bsc01, uniform2, eps):
+        ch = memoryless_lift(bsc01, [[1 - eps, eps], [eps, 1 - eps]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r0_ext = extended_cutoff(ch, uniform2)
+            values = [extended_exponent(ch, uniform2, rate)[0] for rate in (0.02, 0.1)]
+        assert r0_ext == pytest.approx(cutoff_rate(bsc01, uniform2), rel=1e-9)
+        for rate, value in zip((0.02, 0.1), values):
+            want = exponent_curve("trtc", bsc01, uniform2, [rate]).points[0][1]
+            assert value == pytest.approx(want, rel=1e-6)
+
+
 @st.composite
 def matched_channels(draw):
     """Random matched (MarkovChannel, q) with 2-3 outputs and zero entries
@@ -603,6 +642,34 @@ class TestMatchedHalf:
         rel = 1e-12 + 1e-14 / rate
         assert value == pytest.approx(want_value, rel=rel)
         assert rho == pytest.approx(want_rho, rel=rel)
+
+
+BSC_W = np.array([[0.9, 0.1], [0.1, 0.9]])
+METRIC_DOORS = {
+    # door: (w as the door takes it, its metric's required shape, the call)
+    "MarkovChannel": ((2, 2, 2), lambda wt: MarkovChannel(
+        np.broadcast_to(BSC_W[:, None, :], (2, 2, 2)), w_tilde=wt)),
+    "memoryless_lift": ((2, 2), lambda wt: memoryless_lift(BSC_W, wt)),
+    "lift_memory": ((2, 2, 2, 2), lambda wt: lift_memory(
+        np.broadcast_to(BSC_W[:, None, None, :], (2, 2, 2, 2)), 2, w_tilde=wt)),
+}
+
+
+@pytest.mark.parametrize("door", METRIC_DOORS)
+@pytest.mark.parametrize("grow", [(-1, 0), (0, 1), (1, 0), (1, 1), "axis"])
+def test_metric_shape_one_rule(door, grow):
+    # every door reads w_tilde by `channels._metric` at the shape of w: one
+    # class and one message, also for a larger metric, whose leading slice
+    # a lift's index would otherwise have read as the metric
+    shape, call = METRIC_DOORS[door]
+    if grow == "axis":
+        got = (*shape, 2)
+    else:
+        got = (*shape[:-2], shape[-2] + grow[0], shape[-1] + grow[1])
+    with pytest.raises(DimensionMismatch) as e:
+        call(np.full(got, 0.5))
+    assert str(e.value) == f"w_tilde must have the shape of w, {shape}, got {got}"
+    assert not call(np.full(shape, 0.5)).matched
 
 
 class TestLiftMemory:
