@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exponents, sim, types_opt
-from .channels import Dmc, InputDist, _check_nonnegative, validate_channel
+from .channels import Dmc, InputDist, _check_nonnegative, _metric, validate_channel
 from .exponents import CURVE_KINDS, RateOutOfRange
 from .memory import MarkovChannel
 
@@ -91,8 +91,7 @@ def _build_spec(doc) -> ChannelSpec:
     w_tilde = None
     if doc.get("w_tilde") is not None:
         w_tilde = Dmc(doc["w_tilde"])
-        if w_tilde.w.shape != dmc.w.shape:
-            raise ChannelSpecError("w_tilde shape differs from w")
+        _metric(w_tilde.w, "w_tilde", dmc.w.shape)
     mem = None
     if doc.get("memory") is not None:
         block = doc["memory"]

@@ -110,25 +110,47 @@ class _PairTable:
         R = Ex(rho)/(2 rho - 1) at each rate of an array.
 
         In r = 1/rho on [0, 1], Ex(rho) = G(r)/r, so cex reads G(r) = R and
-        trtc reads G(r) = (2 - r) R.  Both are solved from the edge, on g:
-        cex as g(r) = R - 2 rhat0 and trtc as
-        g(r) = (2 - r)(R - rhat0) - r rhat0, so that no rate near the edge
-        is cancelled against 2 rhat0.  The trtc root exists iff R > rhat0
-        and the cex root iff R > 2 rhat0; otherwise rho = inf (the exponent
-        is unbounded)."""
+        trtc reads G(r) = (2 - r) R.  Both are solved from the edge, as
+        f(r) = g(r) - target + slope r = 0: cex with target R - 2 rhat0 and
+        slope 0, trtc with target 2(R - rhat0) and slope R, so that no rate
+        near the edge is cancelled against 2 rhat0.  f is concave and
+        increasing, with f(0) = -target and f(1) = R0 - R: rho = 1 where
+        R >= R0, and rho = inf (the exponent is unbounded) where
+        target <= 0, i.e. R <= 2 rhat0 for cex and R <= rhat0 for trtc.
+
+        The other rates are solved together by Newton's method from r = 0,
+        whose iterates rise monotonically to the root of a concave
+        increasing f.  A rate whose next iterate does not rise keeps its
+        current one, and so gets the same next iterate at every later
+        step; the solve ends when no rate rises.  The first step is
+        target / f'(0), with f'(0) = G'(0) + slope and G'(0) = -E[ln Z]
+        under the table's weights, so it costs no evaluation; each later
+        one forms r ln Z once and reads g from its expm1 (`_g_at`) and
+        G' = Delta(P_r) from its exp.  Every array operation is
+        element-wise or a sum along the pair axis, so a rate takes the same
+        iterates in any grid, alone included.
+        """
         rates = np.asarray(rates, dtype=float)
-        # one rate is a float equation for `_unit_root`, whose plain-float
-        # steps cost less than array steps of one
-        rate = float(rates[0]) if rates.size == 1 else rates
         if kind == "cex":
-            target = rate - 2 * self.rhat0
-            f = lambda r: self.g(r) - target
+            target, slope = rates - 2 * self.rhat0, np.zeros(rates.shape)
         else:
-            gap = rate - self.rhat0
-            f = lambda r: self.g(r) - ((2 - r) * gap - r * self.rhat0)
-        r = np.array([_unit_root(f)]) if rates.size == 1 else _unit_roots(f, rates.size)
-        rho = np.full(rates.size, np.inf)
-        np.divide(1.0, r, out=rho, where=r > 0)
+            target, slope = 2 * (rates - self.rhat0), rates
+        rho = np.where(rates >= self.r0, 1.0, np.inf)
+        idx = np.flatnonzero((rates < self.r0) & (target > 0))  # f(0) < 0 < f(1)
+        target, slope = target[idx], slope[idx]
+        x = target / (slope - self.weights @ self.log_z)
+        for _ in range(2000):
+            r_log_z = np.multiply.outer(x, self.log_z)
+            mass = self.weights * np.exp(r_log_z)
+            nxt = x - ((self._g_at(r_log_z) - target + slope * x)
+                       / (slope - (mass * self.log_z).sum(axis=-1) / mass.sum(axis=-1)))
+            rises = nxt > x
+            if not rises.any():
+                break
+            x = np.where(rises, nxt, x)
+        else:
+            raise RuntimeError("Newton's method failed to converge after 2000 steps")
+        rho[idx] = 1.0 / x
         return rho
 
     def tilted(self, r):
@@ -265,9 +287,8 @@ def _fminbound(f, lo, hi, xatol):
 def _unit_root(f):
     """Root in [0, 1] of an f that crosses zero at most once, upward.
 
-    The root finder of `memory.extended_exponent` (in r = 1/rho), of
-    `types_opt.z_of_rhat_direct` (in t = r/(1 + r)) and of one-rate
-    cex/trtc solves (in r = 1/rho), which `_PairTable.rho` hands it.
+    The root finder of `memory.extended_exponent` (in r = 1/rho) and of
+    `types_opt.z_of_rhat_direct` (in t = r/(1 + r)).
     Returns 1 when f(1) <= 0 (the root lies at or beyond 1) and 0 when
     f(0) >= 0 (for r = 1/rho: no root, rho is unbounded); `_brentq` finds
     it otherwise, handed the two end values, so f is evaluated once at
@@ -326,67 +347,6 @@ def _brentq(f, f0, f1):
         if fcur != fcur:
             raise ValueError("f is NaN inside the bracket; the root cannot be found")
     raise RuntimeError("brentq failed to converge after 2000 iterations")
-
-
-def _unit_roots(f, n):
-    """`_unit_root` for n functions at once, with the same roots.
-
-    f maps r, an array of n points or one point for all n, to the n values
-    f_i(r_i); each f_i crosses zero at most once, upward.  The ends follow
-    `_unit_root`: 1 where f(1) <= 0 and 0 where f(0) >= 0.  The open
-    brackets are solved together by an element-wise port of scipy's brentq,
-    the array form of `_brentq` with its tolerances, so each element takes
-    the iterates of a scalar `_brentq` call and its root is the same float.
-    Each step is one evaluation of f on all n points, the solved ones held
-    at their roots.
-    """
-    f1, f0 = f(1.0), f(0.0)
-    roots = np.where(f1 <= 0, 1.0, 0.0)
-    idx = np.flatnonzero((f1 > 0) & (f0 < 0))  # the open brackets
-    # brentq's state for the open elements: the previous iterate, the
-    # current one, the far end of the bracket and the last two steps
-    xpre, xcur, fpre, fcur = np.zeros(idx.size), np.ones(idx.size), f0[idx], f1[idx]
-    xblk, fblk, spre, scur = xpre, fpre, xcur, xcur  # the first bracket is [0, 1]
-    for _ in range(2000):
-        if not idx.size:
-            return roots
-        flip = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
-        xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
-        spre, scur = np.where(flip, xcur - xpre, spre), np.where(flip, xcur - xpre, scur)
-        swap = np.abs(fblk) < np.abs(fcur)
-        xpre, xcur, xblk = (np.where(swap, xcur, xpre), np.where(swap, xblk, xcur),
-                            np.where(swap, xcur, xblk))
-        fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
-                            np.where(swap, fcur, fblk))
-        delta = (_XTOL + _RTOL * np.abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        done = (fcur == 0) | (np.abs(sbis) < delta)
-        if done.any():
-            roots[idx[done]] = xcur[done]
-            keep = ~done
-            idx, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (
-                a[keep] for a in (idx, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur,
-                                  delta, sbis))
-        # inverse quadratic interpolation, or the secant where only two
-        # points are distinct; lanes that bisect may divide by zero
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dpre = (fpre - fcur) / (xpre - xcur)
-            dblk = (fblk - fcur) / (xblk - xcur)
-            stry = np.where(xpre == xblk, -fcur * (xcur - xpre) / (fcur - fpre),
-                            -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre)))
-        good = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
-                & (2 * np.abs(stry) < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta)))
-        spre, scur = np.where(good, scur, sbis), np.where(good, stry, sbis)
-        xpre, fpre = xcur, fcur
-        xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
-        x = roots.copy()
-        x[idx] = xcur
-        fcur = f(x)[idx]
-        if np.isnan(fcur).any():
-            raise ValueError("f is NaN inside the bracket; the root cannot be found")
-    if idx.size:
-        raise RuntimeError("brentq failed to converge after 2000 iterations")
-    return roots
 
 
 def check_rate(rate: float, r0: float) -> None:

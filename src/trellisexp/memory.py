@@ -268,7 +268,7 @@ def extended_exponent(ch: MarkovChannel, q, rate: float):
         r = _unit_root(lambda r: (g1 if r == 1.0 else g(r)) - (2 - r) * rate)
         return g1 / rate if r == 1 else (2 - r) / r if r > 0 else np.inf
 
-    s_star, best = _sup_over_s(ch, value_at, xatol=1e-6)
+    s_star, best = _sup_over_s(ch, value_at, xatol=1e-300)
     if best <= 1:
         check_rate(rate, best * rate)
     return float(best), float(s_star), max(1.0, (1.0 + float(best)) / 2)

@@ -171,8 +171,8 @@ def dominant_joint_type(dmc: Dmc, q: InputDist, rate: float) -> DominantEvent:
     The factor is 1 + theta(D) = 2R/(2R - D), theta(D) = D/(2R - D).  Near
     the edge both R and D/2 approach rhat0, so 2R - D is taken from the
     edge: 2R - D = 2(R - rhat0) - e, with e = D - 2 rhat0 from
-    `_PairTable.tilted_point` and R - rhat0 the gap the trtc root is solved
-    with.  R follows the rate rule of `check_rate`, under which rho >= 1;
+    `_PairTable.tilted_point` and 2(R - rhat0) the target the trtc root
+    is solved against.  R follows the rate rule of `check_rate`, under which rho >= 1;
     where R <= rhat0 there is no trtc root and RateOutOfRange is raised.
     """
     table = _PairTable(dmc, q)

@@ -2,6 +2,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from trellisexp.channels import Dmc, InputDist
 
@@ -35,3 +36,22 @@ def random_channel(rng, j=None, ny=None):
     q = rng.random(j) + 0.1
     q /= q.sum()
     return Dmc(w), InputDist(q)
+
+
+@st.composite
+def channels_with_zeros(draw):
+    """(W, Q, disjoint): W of 2-4 inputs and outputs with integer weights
+    0..4, so zero entries are common; with `disjoint`, rows 0 and 1 sit on
+    disjoint output sets, so that rhat0 > 0.  Q is positive."""
+    j, ny = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    w = np.array(draw(st.lists(st.lists(st.integers(0, 4), min_size=ny, max_size=ny),
+                               min_size=j, max_size=j)), dtype=float)
+    disjoint = draw(st.booleans())
+    if disjoint:
+        w[0, ny // 2:] = 0.0
+        w[1, :ny // 2] = 0.0
+        if not w[1].any():
+            w[1, -1] = 1.0
+    w[~w.any(axis=1), 0] = 1.0  # output 0 is in row 0's half where disjoint
+    q = np.array(draw(st.lists(st.integers(1, 4), min_size=j, max_size=j)), dtype=float)
+    return Dmc(w / w.sum(axis=1, keepdims=True)), InputDist(q / q.sum()), disjoint

@@ -18,7 +18,9 @@ from trellisexp.cli import (
     parse_channel_spec,
 )
 from trellisexp import sim
-from trellisexp.exponents import CURVE_KINDS, RateOutOfRange, cutoff_rate, exponent_curve
+from trellisexp.channels import Dmc
+from trellisexp.exponents import (CURVE_KINDS, RateOutOfRange, cutoff_rate, exponent_curve,
+                                   expurgated_ex)
 from conftest import FIXTURES
 
 BSC = os.path.join(FIXTURES, "bsc01.json")
@@ -488,6 +490,18 @@ class TestDominant:
         rc, _, err = run(["dominant", "--channel", BSC, "--rate", "0.5"])
         assert rc == 1
         assert "error" in err
+
+    def test_tiny_rate_on_a_near_noiseless_channel(self, tmp_path):
+        # BSC(1e-300) at R = 1e-300: the trtc root r = 1/rho is about
+        # 1.2e-302, and rho = (Ex(inf) + R) / (2R) to first order in r
+        w = [[1.0, 1e-300], [1e-300, 1.0]]
+        rc, out, err = run(["dominant", "--channel", _spec_with(tmp_path, w=w),
+                            "--rate", "1e-300"])
+        assert (rc, err) == (0, "")
+        rho = json.loads(out)["rho_trtc"]
+        want = (expurgated_ex(Dmc(w), [0.5, 0.5], math.inf) + 1e-300) / 2e-300
+        assert rho == pytest.approx(want, rel=1e-14, abs=0)
+        assert rho == pytest.approx(8.6174e301, rel=1e-5)
 
     def test_unbounded_exponent(self, tmp_path):
         # noiseless BSC: no trtc root below R = ln2/2, however large rho

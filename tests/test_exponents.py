@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from trellisexp.channels import Dmc, InputDist
 from trellisexp.exponents import (
@@ -10,6 +11,7 @@ from trellisexp.exponents import (
     NotBinaryInput,
     NotUniformQ,
     RateOutOfRange,
+    _PairTable,
     check_rate,
     costello_form_cex,
     critical_rate,
@@ -19,7 +21,7 @@ from trellisexp.exponents import (
     gallager_e0,
     solve_rho,
 )
-from conftest import random_channel
+from conftest import channels_with_zeros, random_channel
 
 # direct high-precision evaluation of the E0 formula for the BSC:
 # E0(rho) = -ln[ 2 (0.5 (0.9^{1/(1+rho)} + 0.1^{1/(1+rho)}))^{1+rho} / 2 ]
@@ -244,48 +246,83 @@ def _root_channels(bsc01, uniform2, asym3):
                                              for _ in range(4)]
 
 
-class TestUnitRoots:
-    """The array form `_unit_roots` against the scalar `_unit_root`."""
+class TestPairTableRho:
+    """`_PairTable.rho`, one Newton solve of the cex or trtc equation for a
+    grid of any size, against scipy's brentq on the same equation."""
 
     @staticmethod
-    def _equations(table, kind, rates):
-        """The cex or trtc equation of `_PairTable.rho`, for an array of
-        rates and for one rate."""
+    def _equation(table, kind, rate):
+        """(f, target, slope) of the equation f(r) = g(r) - target + slope r
+        that `_PairTable.rho` solves at one rate."""
         if kind == "cex":
-            return (lambda r: table.g(r) - (rates - 2 * table.rhat0),
-                    lambda rate: lambda r: table.g(r) - (rate - 2 * table.rhat0))
-        return (lambda r: table.g(r) - ((2 - r) * (rates - table.rhat0) - r * table.rhat0),
-                lambda rate: lambda r: table.g(r) - ((2 - r) * (rate - table.rhat0)
-                                                      - r * table.rhat0))
+            target, slope = rate - 2 * table.rhat0, 0.0
+        else:
+            target, slope = 2 * (rate - table.rhat0), rate
+        return (lambda r: float(table.g(r)) - target + slope * r), target, slope
+
+    def _check_roots(self, table, kind):
+        # rates from 1e-300 R0 to past R0: roots clamped at rho = 1
+        # (R >= R0), unbounded ones (f(0) >= 0, which the appended rhat0 and
+        # 2 rhat0 give) and interior ones, tiny ones among them
+        rates = np.concatenate([np.geomspace(1e-300, 1e-3, 60),
+                                np.linspace(2e-3, 1.2, 90)]) * table.r0
+        rates = np.append(rates, [table.rhat0, 2 * table.rhat0, table.r0])
+        rhos = table.rho(kind, rates)
+        g0 = -(table.weights @ table.log_z)  # G'(0)
+        for rate, rho in zip(rates.tolist(), rhos.tolist()):
+            f, target, slope = self._equation(table, kind, rate)
+            if rate >= table.r0:
+                assert rho == 1.0
+            elif target <= 0:
+                assert rho == math.inf
+            else:
+                r = 1 / rho
+                assert 0 < r < 1
+                if r > 1e-250:
+                    want = _scipy_brentq(f, -target, table.r0 - rate)
+                    assert r == pytest.approx(want, rel=5e-14, abs=0)
+                if r < 1e-280:  # the first Newton step, target / f'(0)
+                    assert r == pytest.approx(target / (g0 + slope), rel=1e-15, abs=0)
+        return rhos
 
     @pytest.mark.parametrize("kind", ["cex", "trtc"])
-    def test_bit_identical_to_scalar_roots(self, kind, bsc01, uniform2, asym3):
-        # rates from 1e-300 to past R0: roots clamped at 1 (R >= R0),
-        # unbounded ones at 0 (R <= rhat0 for trtc, R <= 2 rhat0 for cex,
-        # which the appended rhat0 = 0 of most channels gives) and interior ones
-        from trellisexp.exponents import _PairTable, _unit_root, _unit_roots
-        for dmc, q in _root_channels(bsc01, uniform2, asym3):
-            table = _PairTable(dmc, q)
-            rates = np.concatenate([np.geomspace(1e-300, 1e-3, 60),
-                                    np.linspace(2e-3, 1.2, 90)]) * table.r0
-            rates = np.append(rates, [table.rhat0, 2 * table.rhat0, table.r0])
-            vector, scalar = self._equations(table, kind, rates)
-            got = _unit_roots(vector, rates.size)
-            want = [_unit_root(scalar(rate)) for rate in rates]
-            assert got.tolist() == want
-            assert {0.0, 1.0} < set(want)  # both clamps and interior roots
+    def test_roots_against_brentq(self, kind, bsc01, uniform2, asym3):
+        rhos = np.concatenate([self._check_roots(_PairTable(dmc, q), kind)
+                               for dmc, q in _root_channels(bsc01, uniform2, asym3)])
+        assert {1.0, math.inf} < set(rhos.tolist())  # both clamps and interior roots
 
-    def test_one_and_no_element(self, bsc01, uniform2):
-        from trellisexp.exponents import _PairTable, _unit_root, _unit_roots
-        table = _PairTable(bsc01, uniform2)
-        rates = np.array([0.1])
-        vector, scalar = self._equations(table, "trtc", rates)
-        assert _unit_roots(vector, 1).tolist() == [_unit_root(scalar(0.1))]
-        vector, _ = self._equations(table, "trtc", np.zeros(0))
-        assert _unit_roots(vector, 0).shape == (0,)
+    @pytest.mark.parametrize("kind", ["cex", "trtc"])
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(channel=channels_with_zeros())
+    def test_roots_against_brentq_with_zeros(self, kind, channel):
+        dmc, q, _disjoint = channel
+        self._check_roots(_PairTable(dmc, q), kind)
+
+    def test_iteration_cap(self):
+        # a stub table whose g never rises (g = 0, G' = 1): f = -target at
+        # every step, so each Newton step rises by target and never stops
+        table = _PairTable.__new__(_PairTable)
+        table.weights, table.log_z = np.array([1.0]), np.array([-1.0])
+        table.rhat0, table.r0 = 0.0, 1.0
+        table._g_at = lambda r_log_z: np.zeros(r_log_z.shape[:-1])
+        with pytest.raises(RuntimeError, match="failed to converge after 2000 steps"):
+            table.rho("cex", [1e-4])
+
+    def test_tiny_rate_on_a_near_noiseless_channel(self):
+        # BSC(1e-300) at R = 1e-300: the roots r = 1/rho, about 6e-303 for
+        # cex and 1.2e-302 for trtc, lie below brentq's absolute xtol of
+        # 1e-300; both values are Ex(inf)/R to first order in r
+        dmc, q = Dmc([[1.0, 1e-300], [1e-300, 1.0]]), InputDist([0.5, 0.5])
+        want = expurgated_ex(dmc, q, math.inf) / 1e-300
+        for kind in ("cex", "trtc"):
+            value = exponent_curve(kind, dmc, q, [1e-300]).points[0][1]
+            assert value == pytest.approx(want, rel=1e-14, abs=0)
+
+    def test_empty_grid(self, bsc01, uniform2):
+        for kind in CURVE_KINDS:
+            assert exponent_curve(kind, bsc01, uniform2, []).points == []
 
     def test_g_on_an_array_equals_scalar_calls(self, bsc01, uniform2, asym3):
-        from trellisexp.exponents import _PairTable
         r = np.concatenate([np.geomspace(1e-300, 1.0, 40), np.linspace(0, 1, 41)])
         for dmc, q in _root_channels(bsc01, uniform2, asym3):
             table = _PairTable(dmc, q)
@@ -293,21 +330,22 @@ class TestUnitRoots:
 
     @pytest.mark.parametrize("kind", ["cex", "trtc"])
     def test_few_g_evaluations(self, kind, monkeypatch, bsc01, uniform2, asym3):
-        # one array evaluation of G per Brent step for the whole grid
+        # one array evaluation of G per Newton step for the whole grid, plus
+        # one for R0 when the table is built and one for the values
         from trellisexp import exponents
         calls = []
+        g_at = exponents._PairTable._g_at
 
-        class Counting(exponents._PairTable):
-            def g(self, r):
-                calls.append(r)
-                return super().g(r)
+        def counting(table, r_log_z):
+            calls.append(r_log_z.shape)
+            return g_at(table, r_log_z)
 
-        monkeypatch.setattr(exponents, "_PairTable", Counting)
+        monkeypatch.setattr(exponents._PairTable, "_g_at", counting)
         for dmc, q in ((bsc01, uniform2), asym3, W3):
             r0 = cutoff_rate(dmc, q)
             calls.clear()
             exponent_curve(kind, dmc, q, np.linspace(0.05, 0.95, 200) * r0)
-            assert len(calls) <= 20
+            assert len(calls) <= 10
 
 
 def _scipy_brentq(f, f0, f1):

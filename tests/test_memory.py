@@ -581,7 +581,7 @@ class TestMlEquivalentMetric:
         assert r0_ext == pytest.approx(cutoff_rate(bsc01, uniform2), rel=1e-9)
         for rate, value in zip((0.02, 0.1), values):
             want = exponent_curve("trtc", bsc01, uniform2, [rate]).points[0][1]
-            assert value == pytest.approx(want, rel=1e-6)
+            assert value == pytest.approx(want, rel=1e-12)
 
 
 @st.composite
