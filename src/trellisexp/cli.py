@@ -228,7 +228,7 @@ def cmd_audit(args) -> int:
         cfg, spec.dmc.num_inputs, spec.q, args.codes, args.epsilon, args.lmax)
     sys.stdout.write("code,is_typical,violations\n")
     for i, rep in enumerate(reports):
-        sys.stdout.write(f"{i},{int(rep.is_typical)},{len(rep.violations)}\n")
+        sys.stdout.write(f"{i},{int(rep.is_typical)},{len(rep.ls)}\n")
     sys.stdout.write(f"summary,{_fmt(1.0 - frac)},{_fmt(frac)}\n")
     sys.stdout.write(f"bound,,{_fmt(bound)}\n")
     return 0

@@ -176,7 +176,11 @@ def encode(code: TrellisCode, info_bits) -> np.ndarray:
     blocks = np.concatenate([blocks, tail], axis=1)
     rows = _block_windows(blocks, cfg)  # row t 2^K + window of the flat labels
     rows += np.arange(cfg.num_branches) << cfg.constraint_length
-    symbols = code.labels.reshape(-1, cfg.n)[rows]  # (B, T, n)
+    flat = code.labels.reshape(-1, cfg.n)
+    # one gather per symbol column: a gather of n-symbol rows is slower
+    symbols = np.empty(rows.shape + (cfg.n,), dtype=flat.dtype)  # (B, T, n)
+    for i in range(cfg.n):
+        symbols[..., i] = np.take(flat[:, i], rows)
     out = symbols.reshape(blocks.shape[0], -1)
     return out[0] if single else out
 
@@ -483,6 +487,21 @@ def _deviation_patterns(l, k, m):
     return tuple(map(tuple, seqs[keep].tolist()))
 
 
+@functools.cache
+def _pattern_windows(l, k, m):
+    """Windows of the input difference of each `_deviation_patterns(l, k, m)`
+    pattern over the k+l branches from the divergence node: a read-only
+    (patterns, k+l) int64 array, built once per (l, k, m) and shared by
+    every code.  No difference precedes the node, so the windows start
+    from zero history."""
+    pats = _deviation_patterns(l, k, m)
+    diffs = np.zeros((len(pats), k + l), dtype=np.int64)
+    diffs[:, :l + 1] = np.reshape(pats, (-1, l + 1))
+    dwin = _block_windows(diffs, EnsembleConfig(m=m, n=1, k=k, L=1))
+    dwin.flags.writeable = False
+    return dwin
+
+
 def _key_layout(cells, total):
     """Packing of a count row of `cells` cells, each at most `total`, as
     base-(total + 1) digits, cell 0 most significant, into as few int64
@@ -499,21 +518,23 @@ def _key_layout(cells, total):
     return word, np.int64(base) ** (last - cell)
 
 
-def _pair_keys(code: TrellisCode, l, pats, weight, fixed) -> np.ndarray:
+def _pair_keys(code: TrellisCode, l, dwin, weight, fixed) -> np.ndarray:
     """Packed type keys (words, pairs) of every (correct path, pattern)
     pair over the k+l branches from node k-1, pattern-major.
 
-    weight[:, x*j + x'] is the packed key of one symbol pair (x, x').  The
-    per-branch table F[:, p, t, w] sums it over the n symbols of branch
-    node + t with correct window w and incorrect window w ^ dwin_p(t), for
-    only the windows the correct path can take there: all 2^K, or the one
-    window of `fixed` (block integers covering 2k+l-1 blocks), whose keys
-    are F summed along that window.  Over all correct paths, the keys are
-    built branch by branch: the carried keys of windows w, viewed as
-    (prefix, next state w >> m, dropped block), move the dropped block into
-    the prefix, and F of the next branch, viewed as (new block, state), is
-    added by broadcasting.  So each pair costs one int64 add per word per
-    branch.  Only the multiset of keys matters, not their order.
+    weight[:, x*j + x'] is the packed key of one symbol pair (x, x'), and
+    dwin (patterns, k+l) the patterns' difference windows
+    (`_pattern_windows`).  The per-branch table F[:, p, t, w] sums the
+    weight over the n symbols of branch node + t with correct window w and
+    incorrect window w ^ dwin_p(t), for only the windows the correct path
+    can take there: all 2^K, or the one window of `fixed` (block integers
+    covering 2k+l-1 blocks), whose keys are F summed along that window.
+    Over all correct paths, the keys are built branch by branch: the
+    carried keys of windows w, viewed as (prefix, next state w >> m,
+    dropped block), move the dropped block into the prefix, and F of the
+    next branch, viewed as (new block, state), is added by broadcasting.
+    So each pair costs one int64 add per word per branch.  Only the
+    multiset of keys matters, not their order.
     """
     cfg, j = code.cfg, code.j
     node, span = cfg.k - 1, cfg.k + l
@@ -523,9 +544,6 @@ def _pair_keys(code: TrellisCode, l, pats, weight, fixed) -> np.ndarray:
         wins = _block_windows(fixed[None, :node + span], cfg)[0, node:, None]  # (span, 1)
     # windows pack blocks into disjoint bit fields, so an incorrect
     # path's window is the correct one XOR the window of the difference
-    diffs = np.zeros((len(pats), node + span), dtype=np.int64)
-    diffs[:, node:node + l + 1] = np.reshape(pats, (-1, l + 1))
-    dwin = _block_windows(diffs, cfg)[:, node:]  # (patterns, span)
     t_span = np.arange(node, node + span)[:, None]
     cells = (code.labels[t_span, wins].astype(np.intp) * j
              + code.labels[t_span, wins ^ dwin[:, :, None]])  # (patterns, span, X, n)
@@ -534,7 +552,7 @@ def _pair_keys(code: TrellisCode, l, pats, weight, fixed) -> np.ndarray:
         f += weight[:, cells[..., i]]
     if fixed is not None:
         return f.sum(axis=(2, 3))
-    words, count = len(weight), len(pats)
+    words, count = len(weight), len(dwin)
     u_count, s_count = 1 << cfg.m, cfg.num_states
     keys = f[:, :, 0, None, :]  # (words, patterns, prefixes, 2^K)
     for t in range(1, span):
@@ -571,20 +589,21 @@ def enumerate_pair_types(code: TrellisCode, l_max: int, fixed_message=None) -> P
     `fixed_message` (a sequence of block integers in [0, 2^m) covering the
     window) restricts to one correct path.
 
-    Each count row of j^2 cells, each at most N = n(k+l), is packed as
-    base-(N+1) digits into int64 words: one word whenever
-    (N+1)^{j^2} < 2^63, that is N <= 55,107 at j = 2, N <= 126 at j = 3
-    and N <= 14 at j = 4; j = 16 takes 12 words at N = 6.  The keys are
-    summed branch by branch along the trellis (`_pair_keys`): one int64
-    add per pair per word per branch, with no per-pair label gather.  One
-    sort of the keys (a lexsort over the words when there are several)
-    gives the distinct types in ascending order, and only those are
-    unpacked into count rows.  The per-l blocks of rows and multiplicities
-    are concatenated into the table's arrays as they are, with no per-type
-    Python object.  Message-averaged, m = 1, n = 2, k = 7, l_max = 5
-    (5.59 M pairs) takes about 0.2 s and 50 MiB of traced allocations, and
-    k = 9, l_max = 3 (5.51 M pairs) about 0.16 s and 49 MiB (2 CPUs,
-    numpy 2.4).
+    Each count row of j^2 cells, each at most N = n(k + l_max), is packed
+    as base-(N+1) digits into int64 words by one layout that serves every
+    l: one word whenever (N+1)^{j^2} < 2^63, that is N <= 55,107 at
+    j = 2, N <= 126 at j = 3 and N <= 14 at j = 4; j = 16 takes 12 words
+    at N = 6.  The keys are summed branch by branch along the trellis
+    (`_pair_keys`, with the difference windows of each (l, k, m) built
+    once, `_pattern_windows`): one int64 add per pair per word per branch,
+    with no per-pair label gather.  The keys of each l are sorted on their
+    own (a lexsort over the words when there are several), which gives
+    that l's distinct types in ascending order; the distinct keys of all l
+    are joined in ascending l and unpacked into count rows in one
+    expression, with no per-type Python object.  Message-averaged, m = 1,
+    n = 2, k = 7, l_max = 5 (5.59 M pairs) takes about 0.07-0.09 s and
+    49 MiB of traced allocations, and k = 9, l_max = 3 (5.51 M pairs)
+    about 0.065-0.085 s and 49 MiB (2 CPUs, numpy 2.4).
 
     Every check is settled for every l before anything is built: a first
     pass over l = 1..l_max requires l_max >= 0 and L >= 2k + l - 1 (the
@@ -621,28 +640,43 @@ def enumerate_pair_types(code: TrellisCode, l_max: int, fixed_message=None) -> P
             raise EnumerationBudgetExceeded(f"l={l}: {total} pairs exceed budget {ENUM_BUDGET}")
         pair_totals[l] = total
         if pats:  # none at k = 1: nothing to build
-            plan.append((l, pats))
-    cells = code.j * code.j
-    blocks = [(np.zeros(0, np.int64), np.zeros((0, cells), np.int64), np.zeros(0, np.int64))]
-    for l, pats in plan:  # one (ls, counts, multiplicities) block per l
-        total = cfg.n * (k + l)
-        word, place = _key_layout(cells, total)
-        weight = np.zeros((word[-1] + 1, cells), dtype=np.int64)
-        weight[word, np.arange(cells)] = place
-        keys, mult = _distinct_keys(_pair_keys(code, l, pats, weight, fixed))
-        rows = keys[word].T // place % (total + 1)
-        blocks.append((np.full(len(mult), l, dtype=np.int64), rows, mult))
-    return PairTypeTable(code.j, *map(np.concatenate, zip(*blocks)), pair_totals)
+            plan.append(l)
+    cells, total = code.j * code.j, cfg.n * (k + l_max)
+    word, place = _key_layout(cells, total)
+    weight = np.zeros((word[-1] + 1, cells), dtype=np.int64)
+    weight[word, np.arange(cells)] = place
+    blocks = [(np.zeros(0, np.int64), np.zeros((len(weight), 0), np.int64), np.zeros(0, np.int64))]
+    for l in plan:  # one sort and one (ls, keys, multiplicities) block per l
+        keys, mult = _distinct_keys(_pair_keys(code, l, _pattern_windows(l, k, m), weight, fixed))
+        blocks.append((np.full(len(mult), l, dtype=np.int64), keys, mult))
+    ls, keys, mults = (np.concatenate(parts, axis=-1) for parts in zip(*blocks))
+    return PairTypeTable(code.j, ls, keys[word].T // place % (total + 1), mults, pair_totals)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TypicalityReport:
+    """The types of one code that violate a typicality condition at slack
+    epsilon, one row each in the enumerator's (l, counts) order, as arrays:
+    `ls` (rows,), `counts` (rows, j*j), `observed` (rows,) its N_l(P) and
+    `bound` (rows,) the bound it broke, 0 for the first condition."""
+
     epsilon: float
-    violations: tuple
+    ls: np.ndarray
+    counts: np.ndarray
+    observed: np.ndarray
+    bound: np.ndarray
+
+    @property
+    def violations(self) -> tuple:
+        """The same rows as (l, counts tuple, N_l(P), bound) tuples, built on
+        each read."""
+        return tuple((l, tuple(row), c, b) for l, row, c, b in zip(
+            self.ls.tolist(), self.counts.tolist(), self.observed.tolist(),
+            self.bound.tolist()))
 
     @property
     def is_typical(self):
-        return len(self.violations) == 0
+        return len(self.ls) == 0
 
 
 def _log_multinomials(counts: np.ndarray) -> np.ndarray:
@@ -665,13 +699,15 @@ def typicality_check(code: TrellisCode, q, epsilon: float, l_max: int) -> Typica
     multinomial type probability under QxQ,
     log2 E = log2 total + [ln N! - sum ln c!] / ln 2 + sum_c c log2 QQ'(c),
     scored for all types at once, in one pass over the table's arrays
-    (`ls`, `counts`, `multiplicities`).  Violations are reported as
-    (l, counts tuple, N_l(P), bound) in the table's order, with bound 0
-    for the first condition.  A type whose E sits exactly on the
-    first-condition threshold (2^m - 1) 2^{-n(k+l) eps} (possible when
-    n(k+l) eps is an integer) is decided by the last-bit rounding of the
-    lgamma table of ln c! (`_log_multinomials`); choose eps with n(k+l) eps
-    non-integer for a decision that does not hang on it.  A non-finite
+    (`ls`, `counts`, `multiplicities`).  The report keeps the violating
+    types as arrays in the table's order (`ls`, `counts`, `observed`
+    N_l(P) and `bound`, 0 for the first condition); its `violations`
+    builds the (l, counts tuple, N_l(P), bound) tuples on each read.  A
+    type whose E sits exactly on the first-condition threshold
+    (2^m - 1) 2^{-n(k+l) eps} (possible when n(k+l) eps is an integer) is
+    decided by the last-bit rounding of the lgamma table of ln c!
+    (`_log_multinomials`); choose eps with n(k+l) eps non-integer for a
+    decision that does not hang on it.  A non-finite
     epsilon raises ValueError; q is read as every route reads it, so a q
     whose length is not code.j raises DimensionMismatch and one that is not
     a distribution ValueError.
@@ -683,7 +719,7 @@ def typicality_check(code: TrellisCode, q, epsilon: float, l_max: int) -> Typica
     table = enumerate_pair_types(code, l_max)
     ls, counts, observed = table.ls, table.counts, table.multiplicities
     if not len(ls):
-        return TypicalityReport(epsilon, ())
+        return TypicalityReport(epsilon, ls, counts, observed, np.zeros(0))
     qq = np.outer(qv, qv).reshape(-1)
     log2_qq = np.log2(qq, out=np.full_like(qq, -np.inf), where=qq > 0)
     log2_p = (np.where(counts > 0, log2_qq, 0.0) * counts).sum(axis=1)  # -inf off Q's support
@@ -693,10 +729,8 @@ def typicality_check(code: TrellisCode, q, epsilon: float, l_max: int) -> Typica
     # first condition: the type should be unpopulated; second: not too many
     first = log2_en < math.log2((1 << cfg.m) - 1) - slack
     bad = np.flatnonzero(first | (np.log2(observed) > slack + log2_en))
-    bound = np.where(first, 0.0, np.exp2(slack + log2_en))
-    return TypicalityReport(epsilon, tuple(
-        (l, tuple(row), c, b) for l, row, c, b in zip(
-            ls[bad].tolist(), counts[bad].tolist(), observed[bad].tolist(), bound[bad].tolist())))
+    bound = np.where(first[bad], 0.0, np.exp2(slack[bad] + log2_en[bad]))
+    return TypicalityReport(epsilon, ls[bad], counts[bad], observed[bad], bound)
 
 
 def typicality_union_bound(cfg: EnsembleConfig, j: int, epsilon: float) -> float:

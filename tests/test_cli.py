@@ -357,6 +357,19 @@ class TestAudit:
         assert lines[-2].startswith("summary,")
         assert lines[-1].startswith("bound,")
 
+    def test_violation_counts(self):
+        # each code's count is the length of its report's violations
+        rc, out, _ = run(["audit", "--channel", BSC, "--m", "1", "--n", "2",
+                          "--k", "3", "--L", "20", "--codes", "4",
+                          "--epsilon", "0.3", "--lmax", "3", "--seed", "5"])
+        assert rc == 0
+        spec = load_channel_spec(BSC)
+        cfg = sim.EnsembleConfig(m=1, n=2, k=3, L=20, seed=5)
+        want = [len(sim.typicality_check(sim.sample_code(cfg, j=2, q=spec.q, code_index=i),
+                                         spec.q, 0.3, 3).violations) for i in range(4)]
+        got = [int(line.split(",")[2]) for line in out.splitlines()[1:5]]
+        assert got == want and any(want)
+
     def test_k1_every_code_typical(self):
         # at k = 1 no incorrect path stays unmerged past one branch, so no
         # pair type is enumerated and no code can violate a condition

@@ -398,6 +398,23 @@ class TestPortsMatchScipy:
                                              oracle_xs))
         return port_xs
 
+    @staticmethod
+    def _swap_in_scipy(monkeypatch):
+        """Swap the scipy calls in for both ports; returns the set of the
+        ports' names called from then on."""
+        from trellisexp import exponents
+        ran = set()
+
+        def counted(name, oracle):
+            def call(*args):
+                ran.add(name)
+                return oracle(*args)
+            return call
+
+        monkeypatch.setattr(exponents, "_brentq", counted("_brentq", _scipy_brentq))
+        monkeypatch.setattr(exponents, "_fminbound", counted("_fminbound", _scipy_fminbound))
+        return ran
+
     @pytest.mark.parametrize("kind", ["cex", "trtc"])
     def test_curve_equations(self, kind, bsc01, uniform2, asym3):
         from trellisexp.exponents import _PairTable
@@ -453,21 +470,24 @@ class TestPortsMatchScipy:
         assert len(self._same_minimum(lambda x: x, 0.0, 1.0, 1e-300)) == 500
 
     @pytest.mark.parametrize("route", [
-        "cex", "trtc", "csiszar", "z_legendre", "z_direct", "delta_max"])
+        "extended_mismatched", "csiszar", "z_legendre", "z_direct", "delta_max"])
     def test_routes_unchanged_with_scipy(self, monkeypatch, route, bsc01, uniform2, asym3):
         # every route's output through the ports equals its output with the
         # scipy calls swapped in
-        from trellisexp import exponents, types_opt
+        from trellisexp import exponents, memory, types_opt
         from trellisexp.types_opt import JointType
 
         def outputs():
+            if route == "extended_mismatched":  # a root search inside a search over s
+                lift = memory.memoryless_lift(bsc01, [[0.8, 0.2], [0.3, 0.7]])
+                cutoff = memory.extended_cutoff(lift, uniform2)
+                return repr([memory.extended_exponent(lift, uniform2, cutoff * x)
+                             for x in (0.05, 0.3, 0.8)])
             values = []
             for dmc, q in ((bsc01, uniform2), asym3, W3):
                 r0 = cutoff_rate(dmc, q)
                 for x in (0.001, 0.05, 0.2, 0.5, 0.8, 0.99):
-                    if route in ("cex", "trtc"):
-                        values.append(solve_rho(route, dmc, q, r0 * x).rho)
-                    elif route == "csiszar":
+                    if route == "csiszar":
                         values.append(types_opt.csiszar_exponent(dmc, q, r0 * x))
                     elif route == "z_legendre":
                         values.append(types_opt.z_of_rhat_legendre(dmc, q, r0 * x))
@@ -481,13 +501,15 @@ class TestPortsMatchScipy:
             return repr(values)
 
         ported = outputs()
-        monkeypatch.setattr(exponents, "_brentq", _scipy_brentq)
-        monkeypatch.setattr(exponents, "_fminbound", _scipy_fminbound)
+        ran = self._swap_in_scipy(monkeypatch)
         assert outputs() == ported
+        assert ran  # a route that calls neither port would compare a run with itself
+        if route == "extended_mismatched":
+            assert ran == {"_brentq", "_fminbound"}
 
     @pytest.mark.parametrize("route", ["extended_exponent", "extended_cutoff"])
     def test_memory_routes_unchanged_with_scipy(self, monkeypatch, route, bsc01):
-        from trellisexp import exponents, memory
+        from trellisexp import memory
         channels = [memory.memoryless_lift(bsc01),
                     memory.MarkovChannel([[[0.95, 0.05], [0.85, 0.15]],
                                           [[0.15, 0.85], [0.05, 0.95]]]),
@@ -504,9 +526,9 @@ class TestPortsMatchScipy:
             return repr(values)
 
         ported = outputs()
-        monkeypatch.setattr(exponents, "_brentq", _scipy_brentq)
-        monkeypatch.setattr(exponents, "_fminbound", _scipy_fminbound)
+        ran = self._swap_in_scipy(monkeypatch)
         assert outputs() == ported
+        assert ran
 
 
 class TestExponentCurve:

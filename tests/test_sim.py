@@ -20,6 +20,7 @@ from trellisexp.sim import (
     _key_layout,
     _log_metric,
     _log_multinomials,
+    _pattern_windows,
     _rng,
     encode,
     enumerate_pair_types,
@@ -423,6 +424,14 @@ class TestPairTypes:
         assert _deviation_patterns(3, 3, 1) is pats
         assert isinstance(pats, tuple) and all(isinstance(p, tuple) for p in pats)
 
+    def test_pattern_windows_built_once_read_only(self):
+        # one array per (l, k, m), shared by every code, so no caller may write it
+        dwin = _pattern_windows(3, 3, 1)
+        assert _pattern_windows(3, 3, 1) is dwin
+        assert dwin.shape == (len(_deviation_patterns(3, 3, 1)), 3 + 3)
+        with pytest.raises(ValueError, match="read-only"):
+            dwin[0, 0] = 0
+
     @pytest.mark.parametrize("m", [1, 2])
     def test_patterns_match_state_walk(self, m):
         # reference without windows: walk the states (d_{i-1}, ..., d_{i-k+1})
@@ -804,6 +813,21 @@ class TestPackedKeysMatchRowSort:
         for fixed in (False, True):
             self._check(sample_code(cfg, j=4, q=InputDist(np.full(4, 0.25))), l_max, fixed)
 
+    def test_one_layout_for_every_l(self):
+        # j = 3, k = 2, n = 40: alone, l = 1 (N = 120) packs into one word,
+        # but the layout of l_max = 2 (N = 160) takes two words for every l;
+        # under the skewed Q a cell of l = 2 holds more than 120 pairs
+        assert _key_layout(9, 40 * (2 + 1))[0][-1] + 1 == 1
+        assert _key_layout(9, 40 * (2 + 2))[0][-1] + 1 == 2
+        cfg = EnsembleConfig(m=1, n=40, k=2, L=10, seed=59)
+        for q in ([1 / 3] * 3, [0.9, 0.05, 0.05]):
+            code = sample_code(cfg, j=3, q=InputDist(q))
+            for fixed in (False, True):
+                self._check(code, 2, fixed)
+            table = enumerate_pair_types(code, 2)
+            assert (len(table.ls), table.pair_totals) == (48, {1: 16, 2: 32})
+        assert table.counts.max() > 120
+
 
 class TestEnumerationMemory:
     """The enumerator's traced allocations stay near one int64 per pair,
@@ -904,16 +928,39 @@ class TestTypicalityScorer:
         cfg = EnsembleConfig(m=1, n=2, k=3, L=20, seed=31)
         q = InputDist([0.7, 0.3])
         codes = [sample_code(cfg, j=2, q=UNIFORM2, code_index=i) for i in range(4)]
-        want = [typicality_check(code, q, 0.3, 3) for code in codes]
-        want_audit = typicality_audit(cfg, 2, UNIFORM2, 6, 0.3, 3)
-        assert any(rep.violations for rep in want)
+
+        def outputs():
+            frac, reports, bound = typicality_audit(cfg, 2, UNIFORM2, 6, 0.3, 3)
+            return ([typicality_check(code, q, 0.3, 3).violations for code in codes],
+                    (frac, [rep.violations for rep in reports], bound))
+
+        want = outputs()
+        assert any(want[0])
 
         def unread(table):
             raise AssertionError("PairTypeTable.entries was read")
 
         monkeypatch.setattr(sim.PairTypeTable, "entries", property(unread))
-        assert [typicality_check(code, q, 0.3, 3) for code in codes] == want
-        assert typicality_audit(cfg, 2, UNIFORM2, 6, 0.3, 3) == want_audit
+        assert outputs() == want
+
+    def test_report_arrays_are_its_violations(self):
+        # each array row is one violation tuple, in order, and a code is
+        # typical exactly when its report has no rows
+        cfg = EnsembleConfig(m=1, n=2, k=3, L=20, seed=31)
+        verdicts = set()
+        for index in range(4):
+            code = sample_code(cfg, j=2, q=UNIFORM2, code_index=index)
+            for q, epsilon in ((InputDist([0.7, 0.3]), 0.3), (UNIFORM2, 0.3), (UNIFORM2, 10.0)):
+                rep = typicality_check(code, q, epsilon, 3)
+                rows = len(rep.ls)
+                assert rep.counts.shape == (rows, 4)
+                assert rep.observed.shape == rep.bound.shape == (rows,)
+                assert rep.violations == tuple(
+                    (int(l), tuple(int(c) for c in row), int(n), float(b)) for l, row, n, b
+                    in zip(rep.ls, rep.counts, rep.observed, rep.bound))
+                assert rep.is_typical == (rows == 0) == (rep.violations == ())
+                verdicts.add(rep.is_typical)
+        assert verdicts == {False, True}
 
     # (j, Q, k, l_max, codes) as in the audit benchmark: m = 1, n = 2, L = 20
     GAMMALN_CASES = [(2, [0.5, 0.5], 3, 4, 4), (2, [0.5, 0.5], 4, 4, 2),
